@@ -18,16 +18,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .basis import dimension_counts, enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet
+from .domains import AdmissibleWeight, CandidateSet, weight_power
 from .errors import InvalidInputError, PluripotError
 from .fekete import search_fekete
-from .vdm import (
-    diameter_exponent,
-    homogeneous_basis,
-    log_abs_homogeneous_vdm,
-    log_abs_weighted_vdm,
-    monomial_values,
-)
+from .vdm import _logdet_qr, diameter_exponent, homogeneous_basis, monomial_values
 
 CLASSES = ("plain", "homogeneous", "weighted")
 INITIAL_FACETS = 16
@@ -51,11 +45,10 @@ def _class_monomials(alpha: tuple[int, ...], d: int, class_tag: str):
     """Monomials that may be recombined with e_alpha, per class rules."""
     deg = sum(alpha)
     full = enumerate_basis(deg, d).indices
-    i = full.index(alpha)
-    earlier = full[:i]
+    start = 0
     if class_tag == "homogeneous":
-        earlier = tuple(a for a in earlier if sum(a) == deg)
-    return earlier
+        start = len(full) - dimension_counts(deg, d)[1]  # the degree-deg block
+    return full[start:full.index(alpha)]
 
 
 def _solve_minimax(
@@ -146,15 +139,11 @@ def chebyshev_constant(
     if class_tag == "weighted":
         if weight is None:
             raise InvalidInputError("weighted class needs a weight")
-        q = weight(cand.points)
-        scale = np.where(np.isfinite(q), np.exp(-deg * q), 0.0)
+        scale = weight_power(weight(cand.points), deg)
     else:
         scale = np.ones(len(cand))
-    lower_idx = _class_monomials(alpha, d, class_tag)
     target = monomial_values([alpha], cand.points)[0]
-    lower = monomial_values(lower_idx, cand.points).T if lower_idx else (
-        np.zeros((len(cand), 0), dtype=complex)
-    )
+    lower = monomial_values(_class_monomials(alpha, d, class_tag), cand.points).T
     value, coeffs, bound = _solve_minimax(target, lower, scale)
     return ChebyshevRecord(
         alpha=alpha,
@@ -220,7 +209,7 @@ def homogeneous_lift(
     dropped = int((~keep).sum())
     if keep.sum() == 0:
         raise InvalidInputError("weight vanishes on every candidate point")
-    w = np.exp(-q[keep])
+    w = weight_power(q[keep], 1)
     lam = cand.points[keep]
     phases = np.exp(2j * np.pi * np.arange(m_t) / m_t)
     t = (w[:, None] * phases[None, :]).ravel()
@@ -229,12 +218,18 @@ def homogeneous_lift(
     return CandidateSet(cand.dimension + 1, lifted, None, "custom"), dropped
 
 
-def _exhaustive_max(points: np.ndarray, count: int, logdet_fn) -> float:
+def _exhaustive_max(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
+    """Max of log |det cols[:, S]| - n * sum Q(S) over count-subsets S.
+
+    Singular subsets and subsets holding a point with Q = +inf are skipped.
+    """
     best = -math.inf
-    for combo in itertools.combinations(range(points.shape[0]), count):
-        ld = logdet_fn(points[list(combo)])
-        if not ld.is_zero and ld.log_abs > best:
-            best = ld.log_abs
+    for combo in itertools.combinations(range(cols.shape[1]), count):
+        combo = list(combo)
+        ld = _logdet_qr(cols[:, combo])
+        value = ld.log_abs - n * float(q[combo].sum())
+        if not ld.is_zero and value > best:
+            best = value
     return best
 
 
@@ -248,33 +243,36 @@ def lift_identity_check(
     """Compare the weighted-VDM max on K against the homogeneous max on the lift.
 
     At any fixed degree the two maxima agree exactly (phase factors carry
-    modulus w^n); the reported gap measures search error only.
+    modulus w^n); the reported gap measures search error only.  Where a
+    side is too large for the exhaustive max, both use one weighted Fekete
+    search on K: a base configuration maximizing |W| lifts to one with the
+    same homogeneous determinant modulus.
     """
     d = cand.dimension
     lift, _ = homogeneous_lift(cand, weight, m_t)
+    q = weight(cand.points)
     out = []
     for n in range(1, n_max + 1):
-        n_pts = dimension_counts(n, d)[0]
+        indices = enumerate_basis(n, d).indices
+        n_pts = len(indices)
         assert dimension_counts(n, d + 1)[1] == n_pts  # h_n^{(d+1)} = m_n^{(d)}
+        cfg = None
 
         if math.comb(len(cand), n_pts) <= exhaustive_cap:
-            lhs_log = _exhaustive_max(
-                cand.points, n_pts,
-                lambda p, n=n: log_abs_weighted_vdm(p, n, weight),
-            )
+            cols = monomial_values(indices, cand.points)
+            lhs_log = _exhaustive_max(cols, n_pts, n, q)
             lhs_method = "exhaustive"
         else:
             cfg = search_fekete(cand, n, weight)
             lhs_log = cfg.log_weighted_vdm
             lhs_method = "search"
         if math.comb(len(lift), n_pts) <= exhaustive_cap:
-            rhs_log = _exhaustive_max(
-                lift.points, n_pts,
-                lambda p, n=n: log_abs_homogeneous_vdm(p, n),
-            )
+            block = monomial_values(homogeneous_basis(n, d + 1).indices, lift.points)
+            rhs_log = _exhaustive_max(block, n_pts, n, np.zeros(len(lift)))
             rhs_method = "exhaustive"
         else:
-            rhs_log = _lift_search(lift, cand, weight, n)
+            cfg = cfg or search_fekete(cand, n, weight)
+            rhs_log = cfg.log_weighted_vdm
             rhs_method = "search"
 
         expo = diameter_exponent(n, d)
@@ -293,18 +291,3 @@ def lift_identity_check(
             }
         )
     return out
-
-
-def _lift_search(
-    lift: CandidateSet,
-    cand: CandidateSet,
-    weight: AdmissibleWeight,
-    n: int,
-) -> float:
-    """Heuristic max of |VDMH_n| over the lift via the base-set Fekete search.
-
-    A base configuration maximizing |W| lifts to a configuration with the
-    same determinant modulus, so reuse the weighted search.
-    """
-    cfg = search_fekete(cand, n, weight)
-    return cfg.log_weighted_vdm

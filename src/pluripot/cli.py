@@ -354,25 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="key = value file")
     parser.add_argument("--out", default=None, help="JSON output path (default stdout)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap the BLAS worker pool")
     parser.add_argument("--override-degree-cap", action="store_true")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks")
     parser.add_argument("--points-csv", default=None,
                         help="dump the candidate set as CSV")
     return parser
-
-
-def _limit_threads(n: int | None) -> None:
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
 
 
 def main(argv=None) -> int:
@@ -382,7 +369,6 @@ def main(argv=None) -> int:
     except PluripotError as exc:
         sys.stdout.write(to_json({"error": "config", "message": str(exc)}) + "\n")
         return EXIT_CONFIG
-    _limit_threads(args.threads)
     np.random.seed(args.seed)
     try:
         result = COMMANDS[args.subcommand](cfg, args.override_degree_cap)

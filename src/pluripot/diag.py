@@ -7,17 +7,18 @@ concavity of the path is a structural fact checked numerically.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .basis import enumerate_basis
 from .domains import AdmissibleWeight
 from .energy import ExtremalModel, equilibrium_cdf
 from .errors import InvalidInputError, PluripotError
-from .gram import DiscreteMeasure, bergman_function, gram_matrix
+from .gram import DiscreteMeasure, GramSystem, bergman_function, gram_matrix
+from .vdm import monomial_values
 
 DEFAULT_T_GRID = np.linspace(-0.5, 0.5, 11)
 FD_STEP = 1e-4
@@ -78,26 +79,26 @@ def f_n_path(
     d = cand.dimension
     u_vals = np.asarray(u_fn(cand.points), dtype=float)
 
-    def f_at(t: float) -> float:
+    def gram_at(t: float) -> GramSystem:
         try:
-            sys = gram_matrix(mu, _tilted_weight(weight, u_fn, t), n,
-                              override_degree_cap)
+            return gram_matrix(mu, _tilted_weight(weight, u_fn, t), n,
+                               override_degree_cap)
         except PluripotError as exc:
             raise PluripotError(f"degenerate Gram at t = {t}: {exc}") from exc
-        n_dim = sys.size
-        return -(d + 1) / (2.0 * d * n * n_dim) * sys.log_det
 
-    values = np.array([f_at(t) for t in t_grid])
-    analytic = []
-    for t in t_grid:
-        sys = gram_matrix(mu, _tilted_weight(weight, u_fn, t), n,
-                          override_degree_cap)
-        b = bergman_function(sys, cand.points)
-        analytic.append(
-            (d + 1) / (d * sys.size) * float(np.sum(mu.masses * u_vals * b))
-        )
+    def f_of(sys: GramSystem) -> float:
+        return -(d + 1) / (2.0 * d * n * sys.size) * sys.log_det
+
+    systems = [gram_at(t) for t in t_grid]
+    values = np.array([f_of(sys) for sys in systems])
+    analytic = [
+        (d + 1) / (d * sys.size)
+        * float(np.sum(mu.masses * u_vals * bergman_function(sys, cand.points)))
+        for sys in systems
+    ]
     fd = np.array([
-        (f_at(t + fd_step) - f_at(t - fd_step)) / (2 * fd_step) for t in t_grid
+        (f_of(gram_at(t + fd_step)) - f_of(gram_at(t - fd_step))) / (2 * fd_step)
+        for t in t_grid
     ])
     if len(t_grid) >= 3:
         h = t_grid[1] - t_grid[0]
@@ -119,31 +120,21 @@ def concavity_check(report: PathReport) -> float:
     return report.max_second_difference()
 
 
-def _moment_indices(d: int, max_moment: int):
-    ranges = [range(max_moment + 1)] * d
-    return [
-        alpha for alpha in itertools.product(*ranges) if sum(alpha) <= max_moment
-    ]
+def _moment_matrix(mu: DiscreteMeasure, indices) -> np.ndarray:
+    """[sum_k mass_k z_k^alpha conj(z_k^beta)] over alpha, beta in indices."""
+    emat = monomial_values(indices, mu.candidates.points)
+    return (emat * mu.masses) @ emat.conj().T
 
 
-def _measure_moment(mu: DiscreteMeasure, alpha, beta) -> complex:
-    pts = mu.candidates.points
-    za = np.prod(pts ** np.asarray(alpha), axis=1)
-    zb = np.prod(pts ** np.asarray(beta), axis=1)
-    return complex(np.sum(mu.masses * za * np.conj(zb)))
-
-
-def _model_moment(model: ExtremalModel, alpha, beta) -> complex:
-    if alpha != beta:
-        return 0.0
+def _model_moment(model: ExtremalModel, degree: int) -> float:
+    """int |z^alpha|^2 d mu_eq for |alpha| = degree; mixed moments vanish."""
     if model.kind == "disk":
-        return model.radius ** (2 * sum(alpha))
+        return model.radius ** (2 * degree)
     if model.kind == "weighted_disk":
-        a = sum(alpha)
-        return 2.0 ** (-a) / (a + 1)
+        return 2.0 ** (-degree) / (degree + 1)
     if model.kind in ("torus", "polydisk"):
         r = 1.0 if model.kind == "torus" else model.radius
-        return r ** (2 * sum(alpha))
+        return r ** (2 * degree)
     raise InvalidInputError(f"no closed-form moments for {model.kind}")
 
 
@@ -158,16 +149,12 @@ def weak_star_distance(
         raise InvalidInputError("dimension mismatch")
     if isinstance(ref, DiscreteMeasure) and ref.candidates.dimension != d:
         raise InvalidInputError("dimension mismatch")
-    worst = 0.0
-    for alpha in _moment_indices(d, max_moment):
-        for beta in _moment_indices(d, max_moment):
-            ma = _measure_moment(mu_a, alpha, beta)
-            if isinstance(ref, DiscreteMeasure):
-                mr = _measure_moment(ref, alpha, beta)
-            else:
-                mr = _model_moment(ref, alpha, beta)
-            worst = max(worst, abs(ma - mr))
-    return worst
+    indices = enumerate_basis(max_moment, d).indices
+    if isinstance(ref, DiscreteMeasure):
+        ref_moments = _moment_matrix(ref, indices)
+    else:
+        ref_moments = np.diag([_model_moment(ref, sum(a)) for a in indices])
+    return float(np.max(np.abs(_moment_matrix(mu_a, indices) - ref_moments)))
 
 
 def radial_cdf_distance(mu: DiscreteMeasure, model: ExtremalModel) -> float:

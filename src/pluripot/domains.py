@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
 
@@ -32,13 +33,8 @@ GEOMETRY_TAGS = (
 
 def _check_distinct(points: np.ndarray) -> None:
     """Reject point lists with near-duplicates (Euclidean tol 1e-12)."""
-    m = len(points)
-    if m < 2:
-        return
     flat = np.column_stack([points.real, points.imag])
-    order = np.lexsort(flat.T[::-1])
-    diffs = np.linalg.norm(flat[order[1:]] - flat[order[:-1]], axis=1)
-    if np.any(diffs <= DUPLICATE_TOL):
+    if cKDTree(flat).query_pairs(DUPLICATE_TOL):
         raise InvalidInputError("candidate points contain duplicates within 1e-12")
 
 
@@ -244,9 +240,9 @@ class AdmissibleWeight:
         return q
 
 
-def eval_weight(weight: AdmissibleWeight, cand: CandidateSet) -> np.ndarray:
-    """Q(z) at every candidate point; +inf flags w = 0."""
-    return weight(cand.points)
+def weight_power(q: np.ndarray, k: float) -> np.ndarray:
+    """The factor w^k = exp(-k Q) at each point; 0 where Q = +inf."""
+    return np.where(np.isfinite(q), np.exp(-k * q), 0.0)
 
 
 def check_nondegenerate(weight: AdmissibleWeight, cand: CandidateSet, n: int) -> None:
@@ -254,7 +250,7 @@ def check_nondegenerate(weight: AdmissibleWeight, cand: CandidateSet, n: int) ->
     from .basis import dimension_counts
 
     m_n = dimension_counts(n, cand.dimension)[0]
-    finite = np.isfinite(eval_weight(weight, cand)).sum()
+    finite = np.isfinite(weight(cand.points)).sum()
     if finite < m_n:
         raise InvalidInputError(
             f"weight is positive at only {finite} points; degree {n} needs >= {m_n}"

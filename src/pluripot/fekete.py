@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import dimension_counts, enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet
+from .domains import AdmissibleWeight, CandidateSet, weight_power
 from .errors import InvalidInputError
 from .gram import DiscreteMeasure
 from .vdm import diameter_exponent, log_abs_weighted_vdm, monomial_values
@@ -43,22 +43,28 @@ def _weighted_columns(
     """Basis-by-candidate matrix with columns scaled by w^n, plus Q values."""
     basis = enumerate_basis(n, cand.dimension)
     q = weight(cand.points)
-    cols = monomial_values(basis.indices, cand.points)
-    scale = np.where(np.isfinite(q), np.exp(-n * q), 0.0)
-    return cols * scale, q
+    return monomial_values(basis.indices, cand.points) * weight_power(q, n), q
 
 
 def greedy_fekete(
     cand: CandidateSet, n: int, weight: AdmissibleWeight
 ) -> FeketeConfiguration:
     """Pick N = m_n points by column-pivoted QR of the weighted rectangle."""
-    d = cand.dimension
-    n_pts = dimension_counts(n, d)[0]
+    return _greedy(cand, n, weight, *_weighted_columns(cand, n, weight))
+
+
+def _greedy(
+    cand: CandidateSet,
+    n: int,
+    weight: AdmissibleWeight,
+    amat: np.ndarray,
+    q: np.ndarray,
+) -> FeketeConfiguration:
+    n_pts = dimension_counts(n, cand.dimension)[0]
     if len(cand) < n_pts:
         raise InvalidInputError(
             f"need at least {n_pts} candidates for degree {n}, got {len(cand)}"
         )
-    amat, q = _weighted_columns(cand, n, weight)
     usable = np.isfinite(q)
     if usable.sum() < n_pts:
         raise InvalidInputError(
@@ -85,8 +91,18 @@ def exchange_refine(
     """
     if max_sweeps == 0:
         return cfg
+    amat, _ = _weighted_columns(cand, cfg.degree, weight)
+    return _exchange(cfg, cand, weight, amat, max_sweeps)
+
+
+def _exchange(
+    cfg: FeketeConfiguration,
+    cand: CandidateSet,
+    weight: AdmissibleWeight,
+    amat: np.ndarray,
+    max_sweeps: int,
+) -> FeketeConfiguration:
     n = cfg.degree
-    amat, _ = _weighted_columns(cand, n, weight)
     selected = list(cfg.indices)
     n_sel = len(selected)
     vmat = amat[:, selected].copy()
@@ -95,7 +111,7 @@ def exchange_refine(
         improved = False
         lu = scipy.linalg.lu_factor(vmat)
         for j in range(n_sel):
-            ej = np.zeros(n_sel, dtype=complex)
+            ej = np.zeros(n_sel, dtype=amat.dtype)
             ej[j] = 1.0
             row = scipy.linalg.lu_solve(lu, ej, trans=1) @ amat
             gains = np.abs(row)
@@ -109,13 +125,13 @@ def exchange_refine(
                 improved = True
         if not improved:
             break
-    if not improved and log_gain == 0.0:
-        return FeketeConfiguration(n, cfg.indices, cfg.log_weighted_vdm,
-                                   cfg.method if "exchange" in cfg.method
-                                   else cfg.method + "+exchange")
-    logw = log_abs_weighted_vdm(cand.points[selected], n, weight)
+    # Without a swap the selection, and so its value, is the input's.
+    value = (
+        log_abs_weighted_vdm(cand.points[selected], n, weight).log_abs
+        if log_gain else cfg.log_weighted_vdm
+    )
     method = cfg.method if "exchange" in cfg.method else cfg.method + "+exchange"
-    return FeketeConfiguration(n, tuple(selected), logw.log_abs, method)
+    return FeketeConfiguration(n, tuple(selected), value, method)
 
 
 def search_fekete(
@@ -125,7 +141,9 @@ def search_fekete(
     max_sweeps: int = 10,
 ) -> FeketeConfiguration:
     """Greedy start followed by exchange refinement."""
-    return exchange_refine(greedy_fekete(cand, n, weight), cand, weight, max_sweeps)
+    amat, q = _weighted_columns(cand, n, weight)
+    cfg = _greedy(cand, n, weight, amat, q)
+    return _exchange(cfg, cand, weight, amat, max_sweeps) if max_sweeps else cfg
 
 
 def empirical_measure(

@@ -7,7 +7,6 @@ Cholesky factor (triangular solves only, never an explicit inverse).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -15,9 +14,9 @@ import numpy as np
 import scipy.linalg
 
 from .basis import enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet
+from .domains import AdmissibleWeight, CandidateSet, weight_power
 from .errors import DegenerateMeasureError, InvalidInputError
-from .vdm import monomial_values
+from .vdm import as_points, monomial_values
 
 MASS_TOL = 1e-12
 
@@ -83,23 +82,29 @@ class GramSystem:
         return self.matrix.shape[0]
 
 
-def gram_matrix(
-    mu: DiscreteMeasure,
+def _basis_columns(
+    cand: CandidateSet, q: np.ndarray, n: int, override_degree_cap: bool
+) -> tuple[tuple, np.ndarray]:
+    """Degree-n basis indices and the monomials (rows) at every candidate.
+
+    Each candidate's column is scaled by w^n; q holds Q at the candidates.
+    """
+    check_degree_cap(n, cand.dimension, override_degree_cap)
+    indices = enumerate_basis(n, cand.dimension).indices
+    return indices, monomial_values(indices, cand.points) * weight_power(q, n)
+
+
+def _gram_from_columns(
+    indices: tuple,
+    cols: np.ndarray,
+    masses: np.ndarray,
     weight: AdmissibleWeight,
     n: int,
-    override_degree_cap: bool = False,
 ) -> GramSystem:
-    """G_ij = sum_k mass_k e_i(z_k) conj(e_j(z_k)) exp(-2 n Q(z_k))."""
-    cand = mu.candidates
-    d = cand.dimension
-    check_degree_cap(n, d, override_degree_cap)
-    basis = enumerate_basis(n, d)
-    q = weight(cand.points)
-    w2n = np.where(np.isfinite(q), np.exp(-2.0 * n * q), 0.0)
-    scale = mu.masses * w2n
-    active = scale > 0
-    emat = monomial_values(basis.indices, cand.points[active])
-    g = (emat * scale[active]) @ emat.conj().T
+    """G = sum_k mass_k c_k c_k^* over the w^n-scaled columns c_k."""
+    active = masses > 0
+    support = cols[:, active]
+    g = (support * masses[active]) @ support.conj().T
     g = 0.5 * (g + g.conj().T)
     try:
         chol = scipy.linalg.cholesky(g, lower=True)
@@ -113,25 +118,42 @@ def gram_matrix(
     log_det = 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
     return GramSystem(
         degree=n,
-        dimension=d,
+        dimension=len(indices[0]),
         weight=weight,
         matrix=g,
         chol=chol,
         log_det=log_det,
-        basis_indices=basis.indices,
+        basis_indices=indices,
     )
+
+
+def gram_matrix(
+    mu: DiscreteMeasure,
+    weight: AdmissibleWeight,
+    n: int,
+    override_degree_cap: bool = False,
+) -> GramSystem:
+    """G_ij = sum_k mass_k e_i(z_k) conj(e_j(z_k)) exp(-2 n Q(z_k))."""
+    cand = mu.candidates
+    indices, cols = _basis_columns(
+        cand, weight(cand.points), n, override_degree_cap
+    )
+    return _gram_from_columns(indices, cols, mu.masses, weight, n)
+
+
+def _bergman_from_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
+    """B = |L^{-1} c|^2 for each w^n-scaled monomial column c."""
+    y = scipy.linalg.solve_triangular(sys.chol, cols, lower=True)
+    return np.sum(np.abs(y) ** 2, axis=0)
 
 
 def bergman_function(sys: GramSystem, eval_points: np.ndarray) -> np.ndarray:
     """B(z) = exp(-2nQ(z)) P(z)* G^{-1} P(z) at each evaluation point."""
-    pts = np.asarray(eval_points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    p = monomial_values(sys.basis_indices, pts)
-    y = scipy.linalg.solve_triangular(sys.chol, p, lower=True)
-    b = np.sum(np.abs(y) ** 2, axis=0)
-    q = sys.weight(pts)
-    return np.where(np.isfinite(q), b * np.exp(-2.0 * sys.degree * q), 0.0)
+    pts = as_points(eval_points)
+    cols = monomial_values(sys.basis_indices, pts) * weight_power(
+        sys.weight(pts), sys.degree
+    )
+    return _bergman_from_columns(sys, cols)
 
 
 def bm_constant(sys: GramSystem, cand: CandidateSet) -> tuple[float, np.ndarray]:
@@ -158,14 +180,3 @@ def free_energy(
     """log Z_n = log N! + log det G (standard-monomial Gram)."""
     sys = gram_matrix(mu, weight, n, override_degree_cap)
     return math.lgamma(sys.size + 1) + sys.log_det
-
-
-def export_gram_csv(sys: GramSystem, path) -> None:
-    """Row-major dump with re/im interleaved, for debugging."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in sys.matrix:
-            out = []
-            for z in row:
-                out += [repr(float(z.real)), repr(float(z.imag))]
-            writer.writerow(out)

@@ -15,6 +15,7 @@ from .basis import dimension_counts
 from .domains import AdmissibleWeight, CandidateSet
 from .errors import InvalidInputError, NotConvergedError
 from .gram import DiscreteMeasure, GramSystem, bergman_function, gram_matrix
+from .gram import _basis_columns, _bergman_from_columns, _gram_from_columns
 
 DEFAULT_TOL = 1e-6
 MASS_FLOOR = 1e-10
@@ -130,13 +131,13 @@ def solve_optimal_measure(
     if max_iter is None:
         max_iter = 10 * len(cand) * max(n, 1) * (n + 1)
 
+    indices, cols = _basis_columns(cand, q, n, override_degree_cap)
     sys: GramSystem | None = None
     gap = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        mu = DiscreteMeasure(cand, masses)
-        sys = gram_matrix(mu, weight, n, override_degree_cap)
-        b = bergman_function(sys, cand.points)
+        sys = _gram_from_columns(indices, cols, masses, weight, n)
+        b = _bergman_from_columns(sys, cols)
         n_dim = sys.size
         gap = float(b.max() - n_dim)
         if gap / n_dim <= tol:

@@ -40,13 +40,33 @@ class LogDet:
         return self.condition > _CONDITION_FLAG
 
 
-def monomial_values(indices, points: np.ndarray) -> np.ndarray:
-    """Matrix [e_i(z_j)] of monomials (rows) at points (columns)."""
+def as_points(points) -> np.ndarray:
+    """Points as an (M, d) complex array; a 1-D input is M points in C."""
     points = np.asarray(points, dtype=complex)
-    if points.ndim == 1:
-        points = points[:, None]
-    rows = [np.prod(points ** np.asarray(alpha), axis=1) for alpha in indices]
-    return np.array(rows)
+    return points[:, None] if points.ndim == 1 else points
+
+
+def monomial_values(indices, points: np.ndarray) -> np.ndarray:
+    """Matrix [e_i(z_j)] of monomials (rows) at points (columns).
+
+    Each coordinate's powers come from one cumulative-product table, and the
+    rows are multiplied up one coordinate at a time, so no (N, d, M) array is
+    formed.  The result is real when the points have no imaginary part.
+    """
+    points = as_points(points)
+    if not points.imag.any():
+        points = points.real
+    alphas = np.asarray(indices, dtype=int).reshape(len(indices), points.shape[1])
+    m = len(points)
+    out = np.ones((len(alphas), m), dtype=points.dtype)
+    for exponents, z in zip(alphas.T, points.T):
+        top = exponents.max(initial=0)
+        if top > 0:
+            table = np.empty((top + 1, m), dtype=points.dtype)
+            table[0] = 1.0
+            np.cumprod(np.broadcast_to(z, (top, m)), axis=0, out=table[1:])
+            out *= table[exponents]
+    return out
 
 
 def _logdet_qr(mat: np.ndarray) -> LogDet:
@@ -65,9 +85,7 @@ def _logdet_qr(mat: np.ndarray) -> LogDet:
 
 def log_abs_vdm(points: np.ndarray, n: int) -> LogDet:
     """log |VDM| for N = m_n points in C^d at degree n."""
-    points = np.asarray(points, dtype=complex)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = as_points(points)
     d = points.shape[1]
     m_n = dimension_counts(n, d)[0]
     if points.shape[0] != m_n:
@@ -82,9 +100,7 @@ def log_abs_weighted_vdm(
     points: np.ndarray, n: int, weight: AdmissibleWeight
 ) -> LogDet:
     """log |W| = log |VDM| - n * sum_i Q(z_i)."""
-    points = np.asarray(points, dtype=complex)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = as_points(points)
     q = weight(points)
     if not np.all(np.isfinite(q)):
         return LogDet(-math.inf, True, math.inf)
@@ -108,9 +124,7 @@ def nth_order_diameter(
     """Sample value of the n-th order diameter at one configuration."""
     if n < 1:
         raise InvalidInputError("degree must be >= 1")
-    points = np.asarray(points, dtype=complex)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = as_points(points)
     logw = log_abs_weighted_vdm(points, n, weight)
     if logw.is_zero:
         return 0.0
@@ -119,16 +133,14 @@ def nth_order_diameter(
 
 def homogeneous_basis(n: int, d: int) -> MultiIndexBasis:
     """The degree-n block of the graded-lex basis (h_n monomials)."""
-    full = enumerate_basis(n, d)
-    block = tuple(a for a in full.indices if sum(a) == n)
-    return MultiIndexBasis(dimension=d, degree=n, indices=block)
+    full = enumerate_basis(n, d).indices
+    h_n = dimension_counts(n, d)[1]
+    return MultiIndexBasis(dimension=d, degree=n, indices=full[len(full) - h_n:])
 
 
 def log_abs_homogeneous_vdm(points: np.ndarray, n: int) -> LogDet:
     """log |det| over the degree-n monomials at h_n points in C^d."""
-    points = np.asarray(points, dtype=complex)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = as_points(points)
     d = points.shape[1]
     h_n = dimension_counts(n, d)[1]
     if points.shape[0] != h_n:

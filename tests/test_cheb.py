@@ -1,11 +1,12 @@
 """Chebyshev constants: interval/circle oracles, classes, homogeneous lift."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from pluripot import cheb, domains
+from pluripot import cheb, domains, vdm
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import InvalidInputError
 
@@ -120,6 +121,31 @@ def test_lift_identity_unweighted_interval():
     out = cheb.lift_identity_check(cand, AdmissibleWeight.zero(), 2, m_t=2)
     for rec in out:
         assert rec["relative_gap"] <= 1e-9, rec
+
+
+def test_lift_identity_matches_brute_force():
+    """Exhaustive maxima equal a max of the public VDMs over all subsets."""
+    cand = domains.circle(1.0, 12)
+    # Q = 0.3 Re z, and w = 0 at z = 1: subsets holding it are skipped.
+    w = AdmissibleWeight.custom(
+        lambda p: np.where(np.isclose(p[:, 0], 1.0), np.inf, 0.3 * p[:, 0].real)
+    )
+    lift, dropped = cheb.homogeneous_lift(cand, w, 4)
+    assert dropped == 1
+    out = cheb.lift_identity_check(cand, w, 2)
+    for rec, n_pts in zip(out, (2, 3)):
+        n = rec["n"]
+        assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
+        lhs = max(
+            vdm.log_abs_weighted_vdm(cand.points[list(c)], n, w).value
+            for c in itertools.combinations(range(len(cand)), n_pts)
+        )
+        rhs = max(
+            vdm.log_abs_homogeneous_vdm(lift.points[list(c)], n).value
+            for c in itertools.combinations(range(len(lift)), n_pts)
+        )
+        assert rec["lhs_log"] == pytest.approx(lhs, rel=1e-12)
+        assert rec["rhs_log"] == pytest.approx(rhs, rel=1e-12)
 
 
 def test_invalid_inputs():

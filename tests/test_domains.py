@@ -48,9 +48,14 @@ def test_torus_and_product():
 
 
 def test_duplicates_rejected():
-    pts = np.array([[1.0 + 0j], [1.0 + 5e-13j]])
-    with pytest.raises(InvalidInputError):
-        domains.custom(pts)
+    cases = [
+        [[1.0 + 0j], [1.0 + 5e-13j]],
+        # (0, 0) and (2e-13, 0) are not neighbours in lexicographic order.
+        [[0.0, 0.0], [1e-13, 5.0], [2e-13, 0.0]],
+    ]
+    for pts in cases:
+        with pytest.raises(InvalidInputError):
+            domains.custom(np.array(pts))
 
 
 def test_mass_validation():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pluripot import domains, gram, vdm
+from pluripot import domains, vdm
 from pluripot.basis import enumerate_basis
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import DegenerateMeasureError, InvalidInputError
@@ -162,14 +162,3 @@ def test_bergman_nonnegative_and_trace(seed):
     assert np.all(b >= 0)
     assert math.isclose(float(np.sum(mu.masses * b)), sys.size, rel_tol=1e-8)
 
-
-def test_gram_csv_export(tmp_path):
-    c = domains.circle(1.0, 16)
-    mu = DiscreteMeasure.from_reference(c)
-    sys = gram_matrix(mu, AdmissibleWeight.zero(), 2)
-    path = tmp_path / "gram.csv"
-    gram.export_gram_csv(sys, path)
-    rows = path.read_text().strip().split("\n")
-    assert len(rows) == 3
-    first = [float(v) for v in rows[0].split(",")]
-    assert first[0] == pytest.approx(1.0)

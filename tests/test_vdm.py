@@ -30,6 +30,24 @@ def test_monomial_values_shape_and_content():
     assert np.allclose(mat[:, 1], [1.0, 1.0 + 1j, 0.0, 0.0])
 
 
+@given(st.integers(1, 3), st.integers(0, 8), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_monomial_values_match_naive_powers(d, m, real, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(m, d))
+    if not real:
+        pts = pts + 1j * rng.normal(size=(m, d))
+    indices = data.draw(st.lists(
+        st.tuples(*[st.integers(0, 9)] * d), max_size=12
+    ))
+    mat = vdm.monomial_values(indices, pts)
+    assert mat.shape == (len(indices), m)
+    assert (mat.dtype.kind == "f") == (not np.any(np.imag(pts)))
+    for row, alpha in zip(mat, indices):
+        naive = np.prod(pts.astype(complex) ** np.array(alpha), axis=1)
+        assert np.allclose(row, naive, rtol=1e-13, atol=0.0)
+
+
 def test_vdm_matches_pairwise_product_d1():
     rng = np.random.default_rng(7)
     for n in (2, 4, 7):
