@@ -189,11 +189,10 @@ def cmd_optmeas(cfg: dict, override: bool) -> dict:
     weight = _weight_from_config(cfg)
     n_max = int(cfg.get("n_max", cfg.get("n", 3)))
     tol = float(cfg.get("tol", 1e-6))
-    algo = cfg.get("algo", "multiplicative")
     reports = []
     for n in range(1, n_max + 1):
         rep = solve_optimal_measure(
-            cand, weight, n, tol=tol, algo=algo, override_degree_cap=override
+            cand, weight, n, tol=tol, override_degree_cap=override
         )
         entry = rep.to_dict()
         entry["certificate"] = support_certificate(

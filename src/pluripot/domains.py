@@ -31,6 +31,12 @@ GEOMETRY_TAGS = (
 )
 
 
+def as_points(points) -> np.ndarray:
+    """Points as an (M, d) complex array; a 0-d or 1-D input is points in C."""
+    points = np.atleast_1d(np.asarray(points, dtype=complex))
+    return points[:, None] if points.ndim == 1 else points
+
+
 def _check_distinct(points: np.ndarray) -> None:
     """Reject point lists with near-duplicates (Euclidean tol 1e-12)."""
     flat = np.column_stack([points.real, points.imag])
@@ -164,9 +170,7 @@ def product(sets: Sequence[CandidateSet]) -> CandidateSet:
 
 
 def custom(points: np.ndarray, masses: np.ndarray | None = None) -> CandidateSet:
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    if pts.shape[0] == 1 and pts.shape[1] > 1 and np.asarray(points).ndim == 1:
-        pts = pts.T
+    pts = as_points(points)
     return CandidateSet(pts.shape[1], pts, masses, "custom")
 
 
@@ -227,9 +231,7 @@ class AdmissibleWeight:
         return AdmissibleWeight("custom", fn)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=complex)
-        if points.ndim == 1:
-            points = points[:, None]
+        points = as_points(points)
         if self.kind == "zero":
             return np.zeros(points.shape[0])
         if self.kind == "quadratic":

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import AdmissibleWeight, CandidateSet, circle as circle_set, disk as disk_set
+from .domains import AdmissibleWeight, CandidateSet, as_points
+from .domains import circle as circle_set, disk as disk_set
 from .errors import InvalidInputError, UnsupportedModelError
 from .fekete import diameter_sequence, extrapolate_diameter
 
@@ -67,11 +68,7 @@ def polydisk(radius: float, dimension: int) -> ExtremalModel:
 
 def eval_extremal(model: ExtremalModel, z: np.ndarray) -> np.ndarray:
     """The extremal function V of the model at points z (shape (M, d))."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        z = z.reshape(1, 1)
-    if z.ndim == 1:
-        z = z[:, None]
+    z = as_points(z)
     if model.kind == "disk":
         rho = np.abs(z[:, 0])
         return np.where(rho > model.radius, np.log(

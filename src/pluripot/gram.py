@@ -14,9 +14,9 @@ import numpy as np
 import scipy.linalg
 
 from .basis import enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet, weight_power
+from .domains import AdmissibleWeight, CandidateSet, as_points, weight_power
 from .errors import DegenerateMeasureError, InvalidInputError
-from .vdm import as_points, monomial_values
+from .vdm import monomial_values
 
 MASS_TOL = 1e-12
 

@@ -1,8 +1,8 @@
 """Optimal measures of degree n (D-optimal designs) with KW certificates.
 
 A probability measure maximizes det G_n iff its Bergman function tops out
-at N on K; the gap max_K B - N is the optimality certificate, and the
-multiplicative (Titterington-style) update drives it to zero.
+at N on K; the gap max_K B - N is the optimality certificate, and
+vertex-exchange (Wolfe-Atwood toward/away) steps drive it to zero.
 """
 
 from __future__ import annotations
@@ -27,16 +27,14 @@ def kw_gap(
     mu: DiscreteMeasure,
     weight: AdmissibleWeight,
     n: int,
-    kset: CandidateSet | None = None,
     override_degree_cap: bool = False,
 ) -> tuple[float, np.ndarray]:
     """(max_K B - N, argmax point); zero gap certifies D-optimality."""
-    if kset is None:
-        kset = mu.candidates
+    points = mu.candidates.points
     sys = gram_matrix(mu, weight, n, override_degree_cap)
-    b = bergman_function(sys, kset.points)
+    b = bergman_function(sys, points)
     k = int(np.argmax(b))
-    return float(b[k] - sys.size), kset.points[k]
+    return float(b[k] - sys.size), points[k]
 
 
 @dataclass
@@ -47,13 +45,12 @@ class SolveReport:
     kw_gap: float
     log_det: float
     converged: bool
-    algo: str
 
     def to_dict(self) -> dict:
         hist, edges = np.histogram(self.measure.masses, bins=10, range=(0.0, 1.0))
         return {
             "n": self.n,
-            "algo": self.algo,
+            "algo": "vertex_exchange",
             "iterations": self.iterations,
             "kw_gap": self.kw_gap,
             "log_det": self.log_det,
@@ -107,24 +104,18 @@ def solve_optimal_measure(
     weight: AdmissibleWeight,
     n: int,
     tol: float = DEFAULT_TOL,
-    algo: str = "multiplicative",
     max_iter: int | None = None,
-    start: DiscreteMeasure | None = None,
     override_degree_cap: bool = False,
     raise_on_cap: bool = False,
 ) -> SolveReport:
     """Drive kw_gap/N below tol starting from the uniform measure.
 
-    ``multiplicative`` rescales masses by B/N each step (det G nondecreasing);
-    ``vertex_exchange`` moves mass toward the gap argmax with the exact
-    line-search step t* = (B-N)/(N(B-1)) on log det.
+    Each step is a vertex exchange (``_vertex_step``): mass moves toward the
+    argmax of B, or away from the support point with the smallest B, with the
+    exact line-search step on log det.
     """
-    if algo not in ("multiplicative", "vertex_exchange"):
-        raise InvalidInputError(f"unknown algorithm {algo!r}")
-    mu = start or DiscreteMeasure.uniform(cand)
-    masses = mu.masses.copy()
     q = weight(cand.points)
-    masses[~np.isfinite(q)] = 0.0
+    masses = np.isfinite(q).astype(float)
     if masses.sum() == 0:
         raise InvalidInputError("weight vanishes on the whole candidate set")
     masses = masses / masses.sum()
@@ -142,10 +133,7 @@ def solve_optimal_measure(
         gap = float(b.max() - n_dim)
         if gap / n_dim <= tol:
             break
-        if algo == "multiplicative":
-            masses = masses * b / n_dim
-        else:
-            masses = _vertex_step(masses, b, n_dim)
+        masses = _vertex_step(masses, b, n_dim)
         masses = masses / masses.sum()
         if it % CLEAN_PERIOD == 0:
             masses = _clean(masses)
@@ -157,7 +145,6 @@ def solve_optimal_measure(
         kw_gap=gap,
         log_det=sys.log_det,
         converged=converged,
-        algo=algo,
     )
     if not converged and raise_on_cap:
         raise NotConvergedError(
@@ -198,7 +185,6 @@ def optimal_det_sequence(
     weight: AdmissibleWeight,
     n_max: int,
     tol: float = DEFAULT_TOL,
-    algo: str = "multiplicative",
     override_degree_cap: bool = False,
 ) -> list[dict]:
     """Normalized log-det of optimal Grams per degree (trend to log delta^w)."""
@@ -206,8 +192,7 @@ def optimal_det_sequence(
     out = []
     for n in range(1, n_max + 1):
         rep = solve_optimal_measure(
-            cand, weight, n, tol=tol, algo=algo,
-            override_degree_cap=override_degree_cap,
+            cand, weight, n, tol=tol, override_degree_cap=override_degree_cap,
         )
         n_dim = dimension_counts(n, d)[0]
         value = (d + 1) / (2.0 * d * n * n_dim) * rep.log_det

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import MultiIndexBasis, dimension_counts, enumerate_basis
-from .domains import AdmissibleWeight
+from .domains import AdmissibleWeight, as_points
 from .errors import InvalidInputError
 
 # R-diagonal entries below max|diag| * this factor mean numerical rank loss.
@@ -38,12 +38,6 @@ class LogDet:
     @property
     def flagged(self) -> bool:
         return self.condition > _CONDITION_FLAG
-
-
-def as_points(points) -> np.ndarray:
-    """Points as an (M, d) complex array; a 1-D input is M points in C."""
-    points = np.asarray(points, dtype=complex)
-    return points[:, None] if points.ndim == 1 else points
 
 
 def monomial_values(indices, points: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 
 import pytest
 
@@ -229,3 +230,17 @@ def test_output_matches_schema(tmp_path, sub):
     jsonschema.validate(doc, envelope)
     results = json.loads((SCHEMA_DIR / f"{sub}.schema.json").read_text())
     jsonschema.validate(doc["results"], results)
+
+
+def test_readme_flags_match_parser():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flags_line = re.search(r"^Flags:(.*?)\.$", readme, re.MULTILINE | re.DOTALL)
+    assert flags_line is not None, "README has no Flags: line"
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", flags_line.group(1)))
+    parser_flags = {
+        opt
+        for action in cli.build_parser()._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert documented == parser_flags

@@ -84,6 +84,16 @@ def test_weights():
         bad(pts)
 
 
+def test_as_points_shapes():
+    assert domains.as_points(1.0 + 1j).shape == (1, 1)
+    assert domains.as_points([0.0, 1.0, 2.0]).shape == (3, 1)
+    pts = domains.as_points(np.ones((4, 2)))
+    assert pts.shape == (4, 2) and pts.dtype == complex
+    # every caller normalises the same way, a 0-d point included
+    assert np.allclose(AdmissibleWeight.quadratic()(1.0 + 1j), [2.0])
+    assert domains.custom([0.0, 1.0, 2.0]).points.shape == (3, 1)
+
+
 def test_infinite_q_means_zero_weight():
     w = AdmissibleWeight.custom(lambda p: np.where(p[:, 0].real > 0, np.inf, 0.0))
     q = w(np.array([[1.0 + 0j], [-1.0 + 0j]]))

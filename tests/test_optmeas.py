@@ -8,9 +8,10 @@ import pytest
 
 from pluripot import domains
 from pluripot.domains import AdmissibleWeight
-from pluripot.errors import InvalidInputError, NotConvergedError
-from pluripot.gram import DiscreteMeasure, gram_matrix
+from pluripot.errors import NotConvergedError
+from pluripot.gram import DiscreteMeasure, bergman_function, gram_matrix
 from pluripot.optmeas import (
+    _vertex_step,
     kw_gap,
     optimal_det_sequence,
     solve_optimal_measure,
@@ -42,17 +43,15 @@ def _brute_force_simplex(cand, weight, n, step=1e-3):
     return best_w, best
 
 
-@pytest.mark.parametrize("algo", ["multiplicative", "vertex_exchange"])
-def test_three_point_design_degree_1(algo):
-    rep = solve_optimal_measure(THREE_POINTS, ZERO, 1, algo=algo)
+def test_three_point_design_degree_1():
+    rep = solve_optimal_measure(THREE_POINTS, ZERO, 1)
     assert rep.converged
     assert rep.kw_gap / 2 <= 1e-6
     assert np.allclose(rep.measure.masses, [0.5, 0.0, 0.5], atol=1e-4)
 
 
-@pytest.mark.parametrize("algo", ["multiplicative", "vertex_exchange"])
-def test_three_point_design_degree_2(algo):
-    rep = solve_optimal_measure(THREE_POINTS, ZERO, 2, algo=algo)
+def test_three_point_design_degree_2():
+    rep = solve_optimal_measure(THREE_POINTS, ZERO, 2)
     assert rep.converged
     assert np.allclose(rep.measure.masses, [1 / 3, 1 / 3, 1 / 3], atol=1e-4)
 
@@ -69,7 +68,7 @@ def test_brute_force_oracle_agrees():
 def test_weighted_design_on_interval():
     cand = domains.interval(-1.0, 1.0, 21)
     w = AdmissibleWeight.quadratic()
-    rep = solve_optimal_measure(cand, w, 2, algo="vertex_exchange")
+    rep = solve_optimal_measure(cand, w, 2)
     assert rep.converged
     gap, _ = kw_gap(rep.measure, w, 2)
     assert gap / 3 <= 1e-6
@@ -98,33 +97,46 @@ def test_support_certificate():
     assert all(abs(b - 3.0) < 1e-3 for b in cert["B_values"])
 
 
+def test_guest_design_on_interval_degree_2():
+    # The D-optimal design of degree 2 on [-1, 1] puts mass 1/3 on the roots
+    # of (1 - x^2) P_2'(x), {-1, 0, 1} (Guest; Hoel 1958); all lie on the grid.
+    cand = domains.interval(-1.0, 1.0, 201)
+    rep = solve_optimal_measure(cand, ZERO, 2)
+    assert rep.converged
+    guest = np.zeros(201)
+    guest[[0, 100, 200]] = 1 / 3
+    exact = gram_matrix(DiscreteMeasure(cand, guest), ZERO, 2).log_det
+    # Kiefer bound: log det of any design <= optimum <= its log det + gap.
+    assert rep.log_det <= exact + 1e-12
+    assert exact <= rep.log_det + rep.kw_gap
+    x = cand.points[:, 0].real
+    for node in (-1.0, 0.0, 1.0):
+        near = rep.measure.masses[np.abs(x - node) <= 0.1].sum()
+        assert near == pytest.approx(1 / 3, abs=1e-3)
+
+
 def test_monotone_log_det_multiplicative():
     cand = domains.interval(-1.0, 1.0, 9)
     prev = None
-    mu = DiscreteMeasure.uniform(cand)
-    from pluripot.gram import bergman_function
-
+    masses = DiscreteMeasure.uniform(cand).masses
     for _ in range(25):
-        sys = gram_matrix(mu, ZERO, 2)
+        sys = gram_matrix(DiscreteMeasure(cand, masses), ZERO, 2)
         if prev is not None:
             assert sys.log_det >= prev - 1e-12
         prev = sys.log_det
         b = bergman_function(sys, cand.points)
-        mu = DiscreteMeasure(cand, mu.masses * b / sys.size)
+        masses = _vertex_step(masses, b, sys.size)
+        masses = masses / masses.sum()
 
 
 def test_not_converged_raises_with_partial():
+    cand = domains.interval(-1.0, 1.0, 9)
     with pytest.raises(NotConvergedError) as exc:
         solve_optimal_measure(
-            THREE_POINTS, ZERO, 1, tol=1e-14, max_iter=3, raise_on_cap=True
+            cand, ZERO, 2, tol=1e-14, max_iter=3, raise_on_cap=True
         )
     assert exc.value.partial is not None
     assert exc.value.partial.iterations == 3
-
-
-def test_unknown_algorithm():
-    with pytest.raises(InvalidInputError):
-        solve_optimal_measure(THREE_POINTS, ZERO, 1, algo="newton")
 
 
 def test_zero_weight_points_are_dropped():
