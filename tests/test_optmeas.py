@@ -11,6 +11,8 @@ from pluripot.domains import AdmissibleWeight
 from pluripot.errors import NotConvergedError
 from pluripot.gram import DiscreteMeasure, bergman_function, gram_matrix
 from pluripot.optmeas import (
+    DEFAULT_TOL,
+    SolveReport,
     _vertex_step,
     kw_gap,
     optimal_det_sequence,
@@ -43,15 +45,49 @@ def _brute_force_simplex(cand, weight, n, step=1e-3):
     return best_w, best
 
 
-def test_three_point_design_degree_1():
-    rep = solve_optimal_measure(THREE_POINTS, ZERO, 1)
+def _multiplicative_reference(cand, weight, n, tol=DEFAULT_TOL):
+    """Independent oracle: the classical multiplicative update masses *= B/N.
+
+    det G is nondecreasing under it (Titterington 1976); it is far slower
+    than the library's vertex exchange, so it serves only as a cross-check on
+    small candidate sets.
+    """
+    masses = DiscreteMeasure.uniform(cand).masses
+    for it in range(1, 10 * len(cand) * n * (n + 1) + 1):
+        sys = gram_matrix(DiscreteMeasure(cand, masses), weight, n)
+        b = bergman_function(sys, cand.points)
+        gap = float(b.max() - sys.size)
+        if gap / sys.size <= tol:
+            break
+        masses = masses * b / sys.size
+        masses = masses / masses.sum()
+    return SolveReport(
+        measure=DiscreteMeasure(cand, masses),
+        n=n,
+        iterations=it,
+        kw_gap=gap,
+        log_det=sys.log_det,
+        converged=gap / sys.size <= tol,
+    )
+
+
+SOLVERS = {
+    "multiplicative": _multiplicative_reference,
+    "vertex_exchange": solve_optimal_measure,
+}
+
+
+@pytest.mark.parametrize("algo", list(SOLVERS))
+def test_three_point_design_degree_1(algo):
+    rep = SOLVERS[algo](THREE_POINTS, ZERO, 1)
     assert rep.converged
     assert rep.kw_gap / 2 <= 1e-6
     assert np.allclose(rep.measure.masses, [0.5, 0.0, 0.5], atol=1e-4)
 
 
-def test_three_point_design_degree_2():
-    rep = solve_optimal_measure(THREE_POINTS, ZERO, 2)
+@pytest.mark.parametrize("algo", list(SOLVERS))
+def test_three_point_design_degree_2(algo):
+    rep = SOLVERS[algo](THREE_POINTS, ZERO, 2)
     assert rep.converged
     assert np.allclose(rep.measure.masses, [1 / 3, 1 / 3, 1 / 3], atol=1e-4)
 
