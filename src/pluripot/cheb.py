@@ -27,6 +27,9 @@ CLASSES = ("plain", "homogeneous", "weighted")
 INITIAL_FACETS = 16
 _REFINE_ROUNDS = 60
 _REFINE_TOL = 1e-9
+# Matrix entries per batched slogdet in the exhaustive lift check, so a
+# chunk's memory does not grow with the subset size N.
+_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -218,19 +221,55 @@ def homogeneous_lift(
     return CandidateSet(cand.dimension + 1, lifted, None, "custom"), dropped
 
 
+def _combination(rank: int, m: int, count: int) -> list[int]:
+    """The rank-th count-subset of range(m) in lexicographic order."""
+    combo, x = [], 0
+    for slot in range(count, 0, -1):
+        while (skip := math.comb(m - x - 1, slot - 1)) <= rank:
+            rank -= skip
+            x += 1
+        combo.append(x)
+        x += 1
+    return combo
+
+
 def _exhaustive_max(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
     """Max of log |det cols[:, S]| - n * sum Q(S) over count-subsets S.
 
-    Singular subsets and subsets holding a point with Q = +inf are skipped.
+    Subsets are scored in lexicographic chunks, one batched LU ``slogdet``
+    per chunk.  The value reported is the pivoted QR of the best-scoring
+    subset, whose rank rule alone judges singularity: if it rejects that
+    subset, the next scores are tried in decreasing order (ties in
+    lexicographic order).  Subsets holding a point of non-finite Q are skipped.
     """
-    best = -math.inf
-    for combo in itertools.combinations(range(cols.shape[1]), count):
-        combo = list(combo)
+    m = cols.shape[1]
+    total = math.comb(m, count)
+    size = max(1, _CHUNK_ENTRIES // count**2)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(m), count))
+    rows = cols.T  # a subset's rows form the transpose: same |det|
+    scores = np.empty(total)
+    for start in range(0, total, size):
+        k = min(size, total - start)
+        idx = np.fromiter(flat, dtype=np.intp, count=k * count).reshape(k, count)
+        _, log_abs = np.linalg.slogdet(rows[idx])  # -inf where sign is 0
+        q_sum = q[idx].sum(axis=1)
+        score = log_abs - n * q_sum
+        score[~np.isfinite(q_sum)] = -math.inf
+        scores[start:start + k] = score
+    for rank in _descending(scores):
+        if scores[rank] == -math.inf:
+            break
+        combo = _combination(int(rank), m, count)
         ld = _logdet_qr(cols[:, combo])
-        value = ld.log_abs - n * float(q[combo].sum())
-        if not ld.is_zero and value > best:
-            best = value
-    return best
+        if not ld.is_zero:
+            return ld.log_abs - n * float(q[combo].sum())
+    return -math.inf
+
+
+def _descending(scores: np.ndarray):
+    """Indices by decreasing score, ties by index; sorts only past the first."""
+    yield int(np.argmax(scores))
+    yield from np.argsort(-scores, kind="stable")[1:]
 
 
 def lift_identity_check(
@@ -239,6 +278,7 @@ def lift_identity_check(
     n_max: int,
     m_t: int = 4,
     exhaustive_cap: int = 200_000,
+    fekete_seq: list[dict] | None = None,
 ) -> list[dict]:
     """Compare the weighted-VDM max on K against the homogeneous max on the lift.
 
@@ -246,34 +286,49 @@ def lift_identity_check(
     modulus w^n); the reported gap measures search error only.  Where a
     side is too large for the exhaustive max, both use one weighted Fekete
     search on K: a base configuration maximizing |W| lifts to one with the
-    same homogeneous determinant modulus.
+    same homogeneous determinant modulus.  ``fekete_seq``, the output of
+    ``fekete.diameter_sequence`` on the same set and weight, supplies the
+    searched values of its degrees; only the other degrees are searched.
     """
     d = cand.dimension
     lift, _ = homogeneous_lift(cand, weight, m_t)
     q = weight(cand.points)
+    usable = int(np.isfinite(q).sum())
+    searched = {s["n"]: s["log_vdm"] for s in fekete_seq or ()}
+
+    def search(n: int) -> float:
+        if n not in searched:
+            searched[n] = search_fekete(cand, n, weight).log_weighted_vdm
+        return searched[n]
+
     out = []
     for n in range(1, n_max + 1):
         indices = enumerate_basis(n, d).indices
         n_pts = len(indices)
         assert dimension_counts(n, d + 1)[1] == n_pts  # h_n^{(d+1)} = m_n^{(d)}
-        cfg = None
+        if usable < n_pts:
+            raise InvalidInputError(
+                f"degree {n} needs {n_pts} points of finite Q, got {usable}"
+            )
 
         if math.comb(len(cand), n_pts) <= exhaustive_cap:
             cols = monomial_values(indices, cand.points)
             lhs_log = _exhaustive_max(cols, n_pts, n, q)
             lhs_method = "exhaustive"
         else:
-            cfg = search_fekete(cand, n, weight)
-            lhs_log = cfg.log_weighted_vdm
+            lhs_log = search(n)
             lhs_method = "search"
         if math.comb(len(lift), n_pts) <= exhaustive_cap:
             block = monomial_values(homogeneous_basis(n, d + 1).indices, lift.points)
             rhs_log = _exhaustive_max(block, n_pts, n, np.zeros(len(lift)))
             rhs_method = "exhaustive"
         else:
-            cfg = cfg or search_fekete(cand, n, weight)
-            rhs_log = cfg.log_weighted_vdm
+            rhs_log = search(n)
             rhs_method = "search"
+        if lhs_log == rhs_log == -math.inf:
+            raise InvalidInputError(
+                f"no {n_pts}-point subset is unisolvent at degree {n}"
+            )
 
         expo = diameter_exponent(n, d)
         lhs = math.exp(expo * lhs_log)

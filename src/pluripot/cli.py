@@ -187,7 +187,7 @@ def cmd_fekete(cfg: dict, override: bool) -> dict:
 def cmd_optmeas(cfg: dict, override: bool) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
-    n_max = int(cfg.get("n_max", cfg.get("n", 3)))
+    n_max = int(cfg.get("n_max", 3))
     tol = float(cfg.get("tol", 1e-6))
     reports = []
     for n in range(1, n_max + 1):
@@ -263,7 +263,7 @@ def cmd_tfd(cfg: dict, override: bool) -> dict:
         cheb_route.append({"n": n, "delta": math.exp(log_y_total / l_n)})
 
     lift_cap = int(cfg.get("lift_n_max", min(n_max, 3)))
-    lift_route = lift_identity_check(cand, weight, lift_cap)
+    lift_route = lift_identity_check(cand, weight, lift_cap, fekete_seq=fekete_seq)
 
     return {
         "fekete_route": fekete_route,

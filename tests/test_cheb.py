@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pluripot import cheb, domains, vdm
+from pluripot.basis import dimension_counts
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import InvalidInputError
 
@@ -158,3 +159,83 @@ def test_invalid_inputs():
         cheb.chebyshev_constant(cand, (1,), class_tag="monic")
     with pytest.raises(InvalidInputError):
         cheb.chebyshev_constant(cand, (1,), class_tag="weighted")  # no weight
+
+
+def _assert_matches_brute_force(cand, w, n_max, m_t):
+    """Exhaustive maxima equal a max of the public VDMs over all subsets."""
+    lift, _ = cheb.homogeneous_lift(cand, w, m_t)
+    for rec in cheb.lift_identity_check(cand, w, n_max, m_t=m_t):
+        n = rec["n"]
+        n_pts = dimension_counts(n, cand.dimension)[0]
+        assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
+        lhs = max(
+            vdm.log_abs_weighted_vdm(cand.points[list(c)], n, w).value
+            for c in itertools.combinations(range(len(cand)), n_pts)
+        )
+        rhs = max(
+            vdm.log_abs_homogeneous_vdm(lift.points[list(c)], n).value
+            for c in itertools.combinations(range(len(lift)), n_pts)
+        )
+        assert rec["lhs_log"] == pytest.approx(lhs, rel=1e-12)
+        assert rec["rhs_log"] == pytest.approx(rhs, rel=1e-12)
+
+
+def test_batched_max_across_chunk_edges(monkeypatch):
+    # 15 pairs or 6 triples per chunk: no count of subsets below is a multiple.
+    monkeypatch.setattr(cheb, "_CHUNK_ENTRIES", 60)
+    cand = domains.circle(1.1, 13)
+    for m, n_pts in ((13, 2), (13, 3), (26, 2), (26, 3)):
+        assert math.comb(m, n_pts) % (60 // n_pts**2) != 0
+    _assert_matches_brute_force(cand, AdmissibleWeight.quadratic(), 2, 2)
+
+
+def test_batched_max_walks_past_rank_deficient_subsets():
+    """Lift pairs over one base point are singular; the best batched score
+    belongs to a subset that the pivoted-QR rank rule rejects."""
+    centre = 0.3 + 0.7j
+    cand = domains.custom(np.array([centre, -0.6 + 0.2j, 0.1 - 0.8j])[:, None])
+    w = AdmissibleWeight.custom(
+        lambda p: np.where(np.isclose(p[:, 0], centre), -25.0, 20.0)
+    )
+    lift, _ = cheb.homogeneous_lift(cand, w, 4)
+    block = vdm.monomial_values(vdm.homogeneous_basis(1, 2).indices, lift.points)
+    pairs = list(itertools.combinations(range(len(lift)), 2))
+    scores = [np.linalg.slogdet(block[:, list(c)])[1] for c in pairs]
+    best = pairs[int(np.argmax(scores))]
+    assert vdm.log_abs_homogeneous_vdm(lift.points[list(best)], 1).is_zero
+    _assert_matches_brute_force(cand, w, 1, 4)
+
+
+def test_batched_max_skips_infinite_q(monkeypatch):
+    monkeypatch.setattr(cheb, "_CHUNK_ENTRIES", 60)  # skipped subsets in every chunk
+    cand = domains.interval(-1.0, 1.0, 9)
+    # w = 0 at both ends, Q = x^2 elsewhere
+    w = AdmissibleWeight.custom(
+        lambda p: np.where(np.abs(p[:, 0].real) > 0.99, np.inf, p[:, 0].real ** 2)
+    )
+    _assert_matches_brute_force(cand, w, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "cand, w",
+    [
+        # w = 0 at z = 1 leaves two usable points for N = 3 at n = 2
+        (
+            domains.circle(1.0, 3),
+            AdmissibleWeight.custom(
+                lambda p: np.where(np.isclose(p[:, 0], 1.0), np.inf, 0.0)
+            ),
+        ),
+        (domains.circle(1.0, 2), AdmissibleWeight.zero()),
+    ],
+)
+def test_lift_identity_too_few_usable_points(cand, w):
+    with pytest.raises(InvalidInputError, match="points of finite Q"):
+        cheb.lift_identity_check(cand, w, 2)
+
+
+def test_lift_identity_without_unisolvent_subset():
+    # 7 points on a line in C^2: no 6 of them are unisolvent at degree 2
+    pts = np.array([[t, 2 * t] for t in np.linspace(-1.0, 1.0, 7)], dtype=complex)
+    with pytest.raises(InvalidInputError, match="unisolvent"):
+        cheb.lift_identity_check(domains.custom(pts), AdmissibleWeight.zero(), 2)

@@ -85,6 +85,18 @@ def test_optmeas_command(tmp_path):
     assert reports[1]["masses"] == pytest.approx([1 / 3] * 3, abs=1e-4)
 
 
+def test_optmeas_ignores_n_key(tmp_path):
+    # n is diag's single degree; optmeas reads only n_max (default 3)
+    code, out = run_cli(
+        tmp_path, "optn",
+        "geometry = interval\na = -1\nb = 1\nm = 9\nn = 4\n",
+        "optmeas",
+    )
+    assert code == 0
+    reports = json.loads(out.read_text())["results"]["reports"]
+    assert [r["n"] for r in reports] == [1, 2, 3]
+
+
 def test_cheb_command(tmp_path):
     code, out = run_cli(
         tmp_path, "cheb",
