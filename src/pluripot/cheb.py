@@ -41,7 +41,6 @@ class ChebyshevRecord:
     value: float
     tau: float
     coefficients: np.ndarray = field(repr=False)
-    facet_bound: float = 1.0  # sec(pi/facets) outer-approximation factor
 
 
 def _class_monomials(alpha: tuple[int, ...], d: int, class_tag: str):
@@ -56,17 +55,17 @@ def _class_monomials(alpha: tuple[int, ...], d: int, class_tag: str):
 
 def _solve_minimax(
     target: np.ndarray, lower: np.ndarray, scale: np.ndarray
-) -> tuple[float, np.ndarray, float]:
+) -> tuple[float, np.ndarray]:
     """min over c of max_k scale_k |target_k + lower_k . c|.
 
-    Returns (achieved max, c, facet bound used). ``lower`` is (M, J).
+    Returns (achieved max, c). ``lower`` is (M, J).
     """
     m, j = lower.shape
     keep = scale > 0
     t = target[keep] * scale[keep]
     e = lower[keep] * scale[keep, None]
     if j == 0:
-        return float(np.max(np.abs(t))), np.zeros(0, dtype=complex), 1.0
+        return float(np.max(np.abs(t))), np.zeros(0, dtype=complex)
 
     real_case = (
         np.max(np.abs(t.imag)) == 0.0 and np.max(np.abs(e.imag), initial=0.0) == 0.0
@@ -119,8 +118,7 @@ def _solve_minimax(
         if len(cut) == 0:
             break
         add_facets(np.angle(vals[cut]), cut)
-    n_facets = INITIAL_FACETS if not real_case else 2
-    return peak, c_best, 1.0 / math.cos(math.pi / max(n_facets, 3))
+    return peak, c_best
 
 
 def chebyshev_constant(
@@ -147,14 +145,13 @@ def chebyshev_constant(
         scale = np.ones(len(cand))
     target = monomial_values([alpha], cand.points)[0]
     lower = monomial_values(_class_monomials(alpha, d, class_tag), cand.points).T
-    value, coeffs, bound = _solve_minimax(target, lower, scale)
+    value, coeffs = _solve_minimax(target, lower, scale)
     return ChebyshevRecord(
         alpha=alpha,
         class_tag=class_tag,
         value=value,
         tau=value ** (1.0 / deg),
         coefficients=coeffs,
-        facet_bound=bound,
     )
 
 

@@ -172,7 +172,7 @@ def _perturbation_from_config(cfg: dict):
     raise InvalidInputError(f"unknown perturbation {kind!r}")
 
 
-def cmd_fekete(cfg: dict, override: bool) -> dict:
+def cmd_fekete(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n_max = int(cfg.get("n_max", 10))
@@ -184,26 +184,22 @@ def cmd_fekete(cfg: dict, override: bool) -> dict:
     }
 
 
-def cmd_optmeas(cfg: dict, override: bool) -> dict:
+def cmd_optmeas(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n_max = int(cfg.get("n_max", 3))
     tol = float(cfg.get("tol", 1e-6))
     reports = []
     for n in range(1, n_max + 1):
-        rep = solve_optimal_measure(
-            cand, weight, n, tol=tol, override_degree_cap=override
-        )
+        rep = solve_optimal_measure(cand, weight, n, tol=tol)
         entry = rep.to_dict()
-        entry["certificate"] = support_certificate(
-            rep.measure, weight, n, tol, override
-        )
+        entry["certificate"] = support_certificate(rep.measure, weight, n, tol)
         entry["masses"] = rep.measure.masses.tolist()
         reports.append(entry)
     return {"reports": reports}
 
 
-def cmd_cheb(cfg: dict, override: bool) -> dict:
+def cmd_cheb(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     class_tag = cfg.get("class", "plain")
@@ -228,7 +224,7 @@ def cmd_cheb(cfg: dict, override: bool) -> dict:
     }
 
 
-def cmd_tfd(cfg: dict, override: bool) -> dict:
+def cmd_tfd(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n_max = int(cfg.get("n_max", 8))
@@ -244,7 +240,7 @@ def cmd_tfd(cfg: dict, override: bool) -> dict:
     if cand.masses is not None:
         ref = DiscreteMeasure.from_reference(cand)
         for n in range(1, n_max + 1):
-            sys = gram_matrix(ref, weight, n, override)
+            sys = gram_matrix(ref, weight, n)
             gram_route.append(
                 {"n": n, "delta": math.exp(normalized_log_det(sys))}
             )
@@ -277,7 +273,7 @@ def cmd_tfd(cfg: dict, override: bool) -> dict:
     }
 
 
-def cmd_bergman(cfg: dict, override: bool) -> dict:
+def cmd_bergman(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n_max = int(cfg.get("n_max", 8))
@@ -286,7 +282,7 @@ def cmd_bergman(cfg: dict, override: bool) -> dict:
     ref = DiscreteMeasure.from_reference(cand)
     rows = []
     for n in range(1, n_max + 1):
-        sys = gram_matrix(ref, weight, n, override)
+        sys = gram_matrix(ref, weight, n)
         m_n, argmax = bm_constant(sys, cand)
         rows.append(
             {
@@ -300,7 +296,7 @@ def cmd_bergman(cfg: dict, override: bool) -> dict:
     return {"bm_sequence": rows}
 
 
-def cmd_energy_check(cfg: dict, override: bool) -> dict:
+def cmd_energy_check(cfg: dict) -> dict:
     model = _model_from_config(cfg)
     n_max = int(cfg.get("n_max", 16))
     resolution = int(cfg.get("resolution", 200))
@@ -312,7 +308,7 @@ def cmd_energy_check(cfg: dict, override: bool) -> dict:
     return report
 
 
-def cmd_diag(cfg: dict, override: bool) -> dict:
+def cmd_diag(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n = int(cfg.get("n", 4))
@@ -320,7 +316,7 @@ def cmd_diag(cfg: dict, override: bool) -> dict:
     cfg_fekete = search_fekete(cand, n, weight,
                                int(cfg.get("max_sweeps", 10)))
     mu = empirical_measure(cfg_fekete, cand)
-    report = f_n_path(mu, weight, u_fn, n, override_degree_cap=override)
+    report = f_n_path(mu, weight, u_fn, n)
     out = {"path": report.to_dict(),
            "max_second_difference": report.max_second_difference()}
     if "model" in cfg:
@@ -353,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="key = value file")
     parser.add_argument("--out", default=None, help="JSON output path (default stdout)")
-    parser.add_argument("--override-degree-cap", action="store_true")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks")
     parser.add_argument("--points-csv", default=None,
@@ -370,7 +365,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     np.random.seed(args.seed)
     try:
-        result = COMMANDS[args.subcommand](cfg, args.override_degree_cap)
+        result = COMMANDS[args.subcommand](cfg)
         if args.points_csv and "geometry" in cfg:
             export_csv(_set_from_config(cfg), args.points_csv)
     except PluripotError as exc:

@@ -17,7 +17,13 @@ from .basis import enumerate_basis
 from .domains import AdmissibleWeight
 from .energy import ExtremalModel, equilibrium_cdf
 from .errors import InvalidInputError, PluripotError
-from .gram import DiscreteMeasure, GramSystem, bergman_function, gram_matrix
+from .gram import (
+    DiscreteMeasure,
+    GramSystem,
+    bergman_function,
+    gram_matrix,
+    normalized_log_det,
+)
 from .vdm import monomial_values
 
 DEFAULT_T_GRID = np.linspace(-0.5, 0.5, 11)
@@ -67,7 +73,6 @@ def f_n_path(
     n: int,
     t_grid: np.ndarray | None = None,
     fd_step: float = FD_STEP,
-    override_degree_cap: bool = False,
 ) -> PathReport:
     """Path t -> -(d+1)/(2dnN) log det G(w e^{-tu}) with both derivatives."""
     if t_grid is None:
@@ -81,13 +86,12 @@ def f_n_path(
 
     def gram_at(t: float) -> GramSystem:
         try:
-            return gram_matrix(mu, _tilted_weight(weight, u_fn, t), n,
-                               override_degree_cap)
+            return gram_matrix(mu, _tilted_weight(weight, u_fn, t), n)
         except PluripotError as exc:
             raise PluripotError(f"degenerate Gram at t = {t}: {exc}") from exc
 
     def f_of(sys: GramSystem) -> float:
-        return -(d + 1) / (2.0 * d * n * sys.size) * sys.log_det
+        return -normalized_log_det(sys)
 
     systems = [gram_at(t) for t in t_grid]
     values = np.array([f_of(sys) for sys in systems])
@@ -174,10 +178,9 @@ def bergman_measure(
     mu: DiscreteMeasure,
     weight: AdmissibleWeight,
     n: int,
-    override_degree_cap: bool = False,
 ) -> DiscreteMeasure:
     """The probability measure (1/N) B dmu (trace identity gives mass 1)."""
-    sys = gram_matrix(mu, weight, n, override_degree_cap)
+    sys = gram_matrix(mu, weight, n)
     b = bergman_function(sys, mu.candidates.points)
     masses = mu.masses * b / sys.size
     total = masses.sum()

@@ -37,6 +37,18 @@ def as_points(points) -> np.ndarray:
     return points[:, None] if points.ndim == 1 else points
 
 
+def check_masses(masses, m: int) -> np.ndarray:
+    """Masses as floats: one per point, nonnegative, summing to 1 (MASS_TOL)."""
+    w = np.asarray(masses, dtype=float)
+    if w.shape != (m,):
+        raise InvalidInputError(f"need one mass per point ({m}), got shape {w.shape}")
+    if not np.all(w >= 0):
+        raise InvalidInputError("masses must be nonnegative numbers")
+    if not abs(w.sum() - 1.0) <= MASS_TOL:
+        raise InvalidInputError(f"masses must sum to 1, got {w.sum()!r}")
+    return w
+
+
 def _check_distinct(points: np.ndarray) -> None:
     """Reject point lists with near-duplicates (Euclidean tol 1e-12)."""
     flat = np.column_stack([points.real, points.imag])
@@ -70,14 +82,7 @@ class CandidateSet:
         _check_distinct(pts)
         object.__setattr__(self, "points", pts)
         if self.masses is not None:
-            w = np.asarray(self.masses, dtype=float)
-            if w.shape != (pts.shape[0],):
-                raise InvalidInputError("masses must be one per point")
-            if np.any(w < 0):
-                raise InvalidInputError("quadrature masses must be nonnegative")
-            if abs(w.sum() - 1.0) > MASS_TOL:
-                raise InvalidInputError("quadrature masses must sum to 1")
-            object.__setattr__(self, "masses", w)
+            object.__setattr__(self, "masses", check_masses(self.masses, len(pts)))
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -14,23 +14,24 @@ import numpy as np
 import scipy.linalg
 
 from .basis import enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet, as_points, weight_power
+from .domains import (
+    AdmissibleWeight,
+    CandidateSet,
+    as_points,
+    check_masses,
+    weight_power,
+)
 from .errors import DegenerateMeasureError, InvalidInputError
 from .vdm import monomial_values
 
-MASS_TOL = 1e-12
-
-# Monomial Grams go numerically rank-deficient beyond these degrees.
-DEGREE_CAPS = {1: 30, 2: 12, 3: 8}
-
-
-def check_degree_cap(n: int, d: int, override: bool = False) -> None:
-    cap = DEGREE_CAPS.get(d, 8)
-    if n > cap and not override:
-        raise InvalidInputError(
-            f"degree {n} exceeds the default cap {cap} for dimension {d};"
-            " pass override to proceed"
-        )
+# Smallest accepted equilibrated Cholesky pivot L_ii^2 / G_ii: the share of
+# basis function i's L2(mu) norm that the lower basis functions leave
+# unexplained (1 for an orthogonal basis, whatever its scale).  Measured on
+# the monomial basis: on uniform grid measures every accepted Gram keeps
+# the trace identity sum_k mu_k B(z_k) = N to about 1e-8 relative (worst:
+# the 41 x 41 square at n = 14, pivot 9.6e-8); on 20,000 random measures
+# on 4-15 points in C (n <= 4) the worst accepted error is 1.7e-7.
+MIN_PIVOT = 5e-8
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,8 @@ class DiscreteMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.masses, dtype=float)
-        if w.shape != (len(self.candidates),):
-            raise InvalidInputError("one mass per candidate point required")
-        if np.any(w < 0):
-            raise InvalidInputError("masses must be nonnegative")
-        if abs(w.sum() - 1.0) > MASS_TOL:
-            raise InvalidInputError(f"masses must sum to 1, got {w.sum()!r}")
-        object.__setattr__(self, "masses", w)
+        masses = check_masses(self.masses, len(self.candidates))
+        object.__setattr__(self, "masses", masses)
 
     @staticmethod
     def uniform(candidates: CandidateSet) -> "DiscreteMeasure":
@@ -83,15 +78,14 @@ class GramSystem:
 
 
 def _basis_columns(
-    cand: CandidateSet, q: np.ndarray, n: int, override_degree_cap: bool
+    points: np.ndarray, q: np.ndarray, n: int
 ) -> tuple[tuple, np.ndarray]:
-    """Degree-n basis indices and the monomials (rows) at every candidate.
+    """Degree-n basis indices and the monomials (rows) at every point.
 
-    Each candidate's column is scaled by w^n; q holds Q at the candidates.
+    Each point's column is scaled by w^n; q holds Q at the (M, d) points.
     """
-    check_degree_cap(n, cand.dimension, override_degree_cap)
-    indices = enumerate_basis(n, cand.dimension).indices
-    return indices, monomial_values(indices, cand.points) * weight_power(q, n)
+    indices = enumerate_basis(n, points.shape[1]).indices
+    return indices, monomial_values(indices, points) * weight_power(q, n)
 
 
 def _gram_from_columns(
@@ -101,21 +95,33 @@ def _gram_from_columns(
     weight: AdmissibleWeight,
     n: int,
 ) -> GramSystem:
-    """G = sum_k mass_k c_k c_k^* over the w^n-scaled columns c_k."""
+    """G = sum_k mass_k c_k c_k^* over the w^n-scaled columns c_k.
+
+    The rank is the number of leading pivots L_ii^2 / G_ii above MIN_PIVOT;
+    a Gram of lower rank raises DegenerateMeasureError.
+    """
     active = masses > 0
     support = cols[:, active]
     g = (support * masses[active]) @ support.conj().T
     g = 0.5 * (g + g.conj().T)
-    try:
-        chol = scipy.linalg.cholesky(g, lower=True)
-    except scipy.linalg.LinAlgError:
-        eigs = scipy.linalg.eigvalsh(g)
-        rank = int(np.sum(eigs > max(eigs.max(), 0.0) * len(eigs) * 1e-15))
+    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (g,))
+    chol, info = potrf(g, lower=True, clean=True)
+    diag = chol.diagonal().real
+    # potrf stops at pivot `info` when it is not positive; the shares of the
+    # pivots it completed have G_ii >= L_ii^2 > 0, the rest count as 0.
+    done = info - 1 if info > 0 else len(g)
+    shares = np.zeros(len(g))
+    shares[:done] = diag[:done] ** 2 / g.diagonal().real[:done]
+    passed = shares > MIN_PIVOT  # False on NaN
+    if not passed.all():
+        rank = int(np.argmin(passed))
         raise DegenerateMeasureError(
-            f"measure is degenerate for degree {n}: numerical rank {rank} < {len(g)}",
+            f"measure is degenerate for degree {n}: smallest pivot"
+            f" L_ii^2/G_ii {shares.min():.2e} < {MIN_PIVOT:.0e},"
+            f" numerical rank {rank} < {len(g)}",
             rank=rank,
         )
-    log_det = 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+    log_det = 2.0 * float(np.sum(np.log(diag)))
     return GramSystem(
         degree=n,
         dimension=len(indices[0]),
@@ -128,16 +134,11 @@ def _gram_from_columns(
 
 
 def gram_matrix(
-    mu: DiscreteMeasure,
-    weight: AdmissibleWeight,
-    n: int,
-    override_degree_cap: bool = False,
+    mu: DiscreteMeasure, weight: AdmissibleWeight, n: int
 ) -> GramSystem:
     """G_ij = sum_k mass_k e_i(z_k) conj(e_j(z_k)) exp(-2 n Q(z_k))."""
-    cand = mu.candidates
-    indices, cols = _basis_columns(
-        cand, weight(cand.points), n, override_degree_cap
-    )
+    points = mu.candidates.points
+    indices, cols = _basis_columns(points, weight(points), n)
     return _gram_from_columns(indices, cols, mu.masses, weight, n)
 
 
@@ -150,9 +151,7 @@ def _bergman_from_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
 def bergman_function(sys: GramSystem, eval_points: np.ndarray) -> np.ndarray:
     """B(z) = exp(-2nQ(z)) P(z)* G^{-1} P(z) at each evaluation point."""
     pts = as_points(eval_points)
-    cols = monomial_values(sys.basis_indices, pts) * weight_power(
-        sys.weight(pts), sys.degree
-    )
+    _, cols = _basis_columns(pts, sys.weight(pts), sys.degree)
     return _bergman_from_columns(sys, cols)
 
 
@@ -171,12 +170,7 @@ def normalized_log_det(sys: GramSystem) -> float:
     return (d + 1) / (2.0 * d * n * n_dim) * sys.log_det
 
 
-def free_energy(
-    mu: DiscreteMeasure,
-    weight: AdmissibleWeight,
-    n: int,
-    override_degree_cap: bool = False,
-) -> float:
+def free_energy(mu: DiscreteMeasure, weight: AdmissibleWeight, n: int) -> float:
     """log Z_n = log N! + log det G (standard-monomial Gram)."""
-    sys = gram_matrix(mu, weight, n, override_degree_cap)
+    sys = gram_matrix(mu, weight, n)
     return math.lgamma(sys.size + 1) + sys.log_det

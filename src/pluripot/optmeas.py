@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import dimension_counts
 from .domains import AdmissibleWeight, CandidateSet
 from .errors import InvalidInputError, NotConvergedError
 from .gram import DiscreteMeasure, GramSystem, bergman_function, gram_matrix
 from .gram import _basis_columns, _bergman_from_columns, _gram_from_columns
+from .vdm import diameter_exponent
 
 DEFAULT_TOL = 1e-6
 MASS_FLOOR = 1e-10
@@ -24,14 +24,11 @@ CLEAN_PERIOD = 100
 
 
 def kw_gap(
-    mu: DiscreteMeasure,
-    weight: AdmissibleWeight,
-    n: int,
-    override_degree_cap: bool = False,
+    mu: DiscreteMeasure, weight: AdmissibleWeight, n: int
 ) -> tuple[float, np.ndarray]:
     """(max_K B - N, argmax point); zero gap certifies D-optimality."""
     points = mu.candidates.points
-    sys = gram_matrix(mu, weight, n, override_degree_cap)
+    sys = gram_matrix(mu, weight, n)
     b = bergman_function(sys, points)
     k = int(np.argmax(b))
     return float(b[k] - sys.size), points[k]
@@ -105,7 +102,6 @@ def solve_optimal_measure(
     n: int,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
-    override_degree_cap: bool = False,
     raise_on_cap: bool = False,
 ) -> SolveReport:
     """Drive kw_gap/N below tol starting from the uniform measure.
@@ -122,7 +118,7 @@ def solve_optimal_measure(
     if max_iter is None:
         max_iter = 10 * len(cand) * max(n, 1) * (n + 1)
 
-    indices, cols = _basis_columns(cand, q, n, override_degree_cap)
+    indices, cols = _basis_columns(cand.points, q, n)
     sys: GramSystem | None = None
     gap = np.inf
     it = 0
@@ -159,10 +155,9 @@ def support_certificate(
     weight: AdmissibleWeight,
     n: int,
     tol: float = DEFAULT_TOL,
-    override_degree_cap: bool = False,
 ) -> dict:
     """B values on the support; at optimality they all equal N."""
-    sys = gram_matrix(mu, weight, n, override_degree_cap)
+    sys = gram_matrix(mu, weight, n)
     support = np.nonzero(mu.masses > MASS_FLOOR)[0]
     b = bergman_function(sys, mu.candidates.points[support])
     n_dim = sys.size
@@ -185,21 +180,17 @@ def optimal_det_sequence(
     weight: AdmissibleWeight,
     n_max: int,
     tol: float = DEFAULT_TOL,
-    override_degree_cap: bool = False,
 ) -> list[dict]:
     """Normalized log-det of optimal Grams per degree (trend to log delta^w)."""
-    d = cand.dimension
     out = []
     for n in range(1, n_max + 1):
-        rep = solve_optimal_measure(
-            cand, weight, n, tol=tol, override_degree_cap=override_degree_cap,
-        )
-        n_dim = dimension_counts(n, d)[0]
-        value = (d + 1) / (2.0 * d * n * n_dim) * rep.log_det
+        rep = solve_optimal_measure(cand, weight, n, tol=tol)
         out.append(
             {
                 "n": n,
-                "normalized_log_det": value,
+                "normalized_log_det": (
+                    diameter_exponent(n, cand.dimension) / 2 * rep.log_det
+                ),
                 "kw_gap": rep.kw_gap,
                 "converged": rep.converged,
                 "iterations": rep.iterations,

@@ -1,8 +1,9 @@
 """Log-domain Vandermonde determinants (plain, weighted, homogeneous).
 
 Raw determinants of monomial Vandermonde matrices overflow binary64 by
-degree ~10, so every determinant here is the sum of log-magnitudes of the
-R diagonal from a column-pivoted QR factorization.
+degree ~10, so every determinant here is the sum of the log column norms
+and the log-magnitudes of the R diagonal from a column-pivoted QR
+factorization of the unit-norm columns.
 """
 
 from __future__ import annotations
@@ -68,13 +69,19 @@ def _logdet_qr(mat: np.ndarray) -> LogDet:
         raise InvalidInputError("square matrix required")
     if mat.shape[0] == 0:
         return LogDet(0.0, False, 1.0)
-    _, r, _ = scipy.linalg.qr(mat, mode="economic", pivoting=True)
+    # Unit-norm columns keep the rank rule blind to column scale (weights
+    # spanning many orders of magnitude); |det| scales back exactly.
+    norms = np.linalg.norm(mat, axis=0)
+    if not norms.all():
+        return LogDet(-math.inf, True, math.inf)
+    _, r, _ = scipy.linalg.qr(mat / norms, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    dmax = diag.max(initial=0.0)
-    if dmax == 0.0 or np.any(diag <= _RANK_TOL * dmax):
+    dmax = diag.max()
+    if np.any(diag <= _RANK_TOL * dmax):
         return LogDet(-math.inf, True, math.inf)
     cond = dmax / diag.min()
-    return LogDet(float(np.sum(np.log(diag))), False, float(cond))
+    log_abs = float(np.sum(np.log(diag)) + np.sum(np.log(norms)))
+    return LogDet(log_abs, False, float(cond))
 
 
 def log_abs_vdm(points: np.ndarray, n: int) -> LogDet:

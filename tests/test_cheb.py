@@ -149,6 +149,19 @@ def test_lift_identity_matches_brute_force():
         assert rec["rhs_log"] == pytest.approx(rhs, rel=1e-12)
 
 
+def test_lift_identity_with_widely_spread_weights():
+    # Lift radii e^25 and e^-20: a rank rule relative to the largest R
+    # diagonal once rejected every nonsingular pair on the lift.
+    pts = [0.3 + 0.7j, -0.6 + 0.2j, 0.1 - 0.8j]
+    cand = domains.custom(pts)
+    w = AdmissibleWeight.custom(
+        lambda p: np.where(np.isclose(p[:, 0], pts[0]), -25.0, 20.0)
+    )
+    (rec,) = cheb.lift_identity_check(cand, w, 1)
+    assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
+    assert rec["relative_gap"] <= 1e-12
+
+
 def test_invalid_inputs():
     cand = domains.circle(1.0, 16)
     with pytest.raises(InvalidInputError):

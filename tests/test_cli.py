@@ -195,16 +195,21 @@ def test_exit_code_compute_error(tmp_path, capsys):
     assert doc["error"] == "computation"
 
 
-def test_degree_cap_flag(tmp_path):
-    text = "geometry = circle\nradius = 1.0\nm = 80\nn_max = 31\n"
-    cfg = tmp_path / "cap.cfg"
-    cfg.write_text(text)
-    code = cli.main(["bergman", "--config", str(cfg), "--out",
-                     str(tmp_path / "cap1.json")])
-    assert code == cli.EXIT_COMPUTE
-    code = cli.main(["bergman", "--config", str(cfg), "--out",
-                     str(tmp_path / "cap2.json"), "--override-degree-cap"])
+def test_bergman_conditioning_decides_degree(tmp_path, capsys):
+    # The circle's Gram is diagonal at any degree; the interval's monomial
+    # Grams are refused from n = 15 on (smallest pivot 4.4e-8; 1.7e-7 at
+    # n = 14) by their measured pivots, not by a degree cap.
+    code, _ = run_cli(tmp_path, "circle",
+                      "geometry = circle\nradius = 1.0\nm = 80\nn_max = 31\n",
+                      "bergman")
     assert code == cli.EXIT_OK
+    code, _ = run_cli(tmp_path, "interval",
+                      "geometry = interval\na = -1\nb = 1\nm = 401\nn_max = 20\n",
+                      "bergman")
+    assert code == cli.EXIT_COMPUTE
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "computation"
+    assert "degree 15" in doc["message"]
 
 
 def test_points_csv_flag(tmp_path):

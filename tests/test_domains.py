@@ -64,6 +64,10 @@ def test_mass_validation():
         CandidateSet(1, pts, np.array([0.6, 0.6]), "custom")
     with pytest.raises(InvalidInputError):
         CandidateSet(1, pts, np.array([-0.1, 1.1]), "custom")
+    with pytest.raises(InvalidInputError):
+        CandidateSet(1, pts, np.array([np.nan, 1.0]), "custom")
+    with pytest.raises(InvalidInputError):
+        CandidateSet(1, pts, np.array([1.0]), "custom")
 
 
 def test_build_set():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pluripot import domains, vdm
@@ -13,6 +13,7 @@ from pluripot.basis import enumerate_basis
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import DegenerateMeasureError, InvalidInputError
 from pluripot.gram import (
+    MIN_PIVOT,
     DiscreteMeasure,
     bergman_function,
     bm_constant,
@@ -124,13 +125,38 @@ def test_degenerate_measure_reports_rank():
     assert exc.value.rank == 2
 
 
-def test_degree_cap_enforced_and_overridable():
-    c = domains.circle(1.0, 400)
-    mu = DiscreteMeasure.from_reference(c)
-    with pytest.raises(InvalidInputError):
-        gram_matrix(mu, AdmissibleWeight.zero(), 31)
-    sys = gram_matrix(mu, AdmissibleWeight.zero(), 31, override_degree_cap=True)
-    assert sys.size == 32
+def _trace_error(cand, n):
+    mu = DiscreteMeasure.from_reference(cand)
+    sys = gram_matrix(mu, AdmissibleWeight.zero(), n)
+    trace = float(np.sum(mu.masses * bergman_function(sys, cand.points)))
+    return abs(trace - sys.size) / sys.size
+
+
+@pytest.mark.parametrize(
+    "cand, n",
+    [
+        (domains.circle(10.0, 400), 31),
+        (domains.torus(2, 41), 16),
+        (domains.product([domains.interval(-1.0, 1.0, 41)] * 2), 14),
+    ],
+    ids=["circle-31", "torus-16", "square-14"],
+)
+def test_well_conditioned_grams_accepted_at_any_degree(cand, n):
+    # Orthogonal monomials (circle, torus) score pivots of exactly 1; the
+    # square at n = 14 scores 9.6e-8, above the bound.
+    tol = 3e-8 if cand.geometry == "product" else 1e-12
+    assert _trace_error(cand, n) <= tol
+
+
+def test_ill_conditioned_gram_refused():
+    # Monomials on [-1, 1] at n = 20: smallest pivot 5.7e-11, and the trace
+    # identity would be off by 1.9e-4.
+    cand = domains.interval(-1.0, 1.0, 401)
+    mu = DiscreteMeasure.from_reference(cand)
+    with pytest.raises(DegenerateMeasureError, match="degree 20") as exc:
+        gram_matrix(mu, AdmissibleWeight.zero(), 20)
+    assert 0 < exc.value.rank < 21
+    assert _trace_error(cand, 14) <= 1e-8  # smallest pivot 1.7e-7
 
 
 def test_normalized_log_det_circle():
@@ -151,13 +177,31 @@ def test_measure_validation():
         DiscreteMeasure(c, np.array([0.5, 0.5, 0.5, -0.5]))
     with pytest.raises(InvalidInputError):
         DiscreteMeasure(c, np.array([0.5, 0.6, 0.0, 0.0]))
+    with pytest.raises(InvalidInputError):
+        DiscreteMeasure(c, np.array([0.5, 0.5, np.nan, 0.0]))
+    with pytest.raises(InvalidInputError):
+        DiscreteMeasure(c, np.full(3, 1.0 / 3))
 
 
 @given(st.integers(0, 500))
+@example(306)  # smallest pivot 4.9e-11: refused
+@example(476)  # smallest pivot 1.1e-8: refused
 @settings(max_examples=25, deadline=None)
 def test_bergman_nonnegative_and_trace(seed):
     mu, weight, n = _random_instance(seed)
-    sys = gram_matrix(mu, weight, n)
+    try:
+        sys = gram_matrix(mu, weight, n)
+    except DegenerateMeasureError:
+        # Refused only if the unit-diagonal Gram is that ill-conditioned:
+        # every pivot share is at least its smallest eigenvalue.
+        indices = enumerate_basis(n, 1).indices
+        cols = vdm.monomial_values(indices, mu.candidates.points) * np.exp(
+            -n * weight(mu.candidates.points)
+        )
+        g = (cols * mu.masses) @ cols.conj().T
+        scale = 1.0 / np.sqrt(np.diag(g).real)
+        assert np.linalg.cond(g * np.outer(scale, scale)) > 0.5 / MIN_PIVOT
+        return
     b = bergman_function(sys, mu.candidates.points)
     assert np.all(b >= 0)
     assert math.isclose(float(np.sum(mu.masses * b)), sys.size, rel_tol=1e-8)
