@@ -4,8 +4,12 @@ The discrete minimax over a candidate grid is solved as a linear program:
 the complex modulus is outer-approximated by half-plane facets, and facets
 are added at the phases where the current polynomial peaks until the
 re-evaluated maximum matches the LP bound.  Reported values are therefore
-true achieved maxima of an explicit polynomial (upper bounds on the
-continuous optimum over the grid within 1e-9 relative).
+true achieved maxima of an explicit polynomial: upper bounds on the
+continuous optimum over the grid, within 1e-9 relative when the record's
+``converged`` is true.  A refinement that stops at ``_REFINE_ROUNDS`` says
+so with ``converged`` false.  HiGHS's feasibility tolerances are absolute,
+so a small minimax value can cap: ``circle(0.5, 201)`` does at k = 5 and
+7-10, with a worst relative error of 4.3e-8.
 """
 
 from __future__ import annotations
@@ -27,6 +31,15 @@ CLASSES = ("plain", "homogeneous", "weighted")
 INITIAL_FACETS = 16
 _REFINE_ROUNDS = 60
 _REFINE_TOL = 1e-9
+# HiGHS's default feasibility tolerances (1e-7, absolute) leave the LP bound
+# s_opt too loose for the _REFINE_TOL stopping test, and refinement runs to
+# the round cap.  1e-10 is the smallest tolerance HiGHS accepts.  A dual
+# tolerance of 1e-10 too made HiGHS fail on the first LP of two of 400 swept
+# circle cases (m <= 400, 0.5 <= r <= 2, k <= 10); 1e-9 failed on none.
+_HIGHS_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-9,
+}
 # Matrix entries per batched slogdet in the exhaustive lift check, so a
 # chunk's memory does not grow with the subset size N.
 _CHUNK_ENTRIES = 1 << 14
@@ -34,13 +47,17 @@ _CHUNK_ENTRIES = 1 << 14
 
 @dataclass(frozen=True)
 class ChebyshevRecord:
-    """Minimal sup-norm over a monic polynomial class, with its witness."""
+    """Minimal sup-norm over a monic polynomial class, with its witness.
+
+    ``converged`` is false when the LP refinement stopped at its round cap.
+    """
 
     alpha: tuple[int, ...]
     class_tag: str
     value: float
     tau: float
     coefficients: np.ndarray = field(repr=False)
+    converged: bool
 
 
 def _class_monomials(alpha: tuple[int, ...], d: int, class_tag: str):
@@ -55,17 +72,18 @@ def _class_monomials(alpha: tuple[int, ...], d: int, class_tag: str):
 
 def _solve_minimax(
     target: np.ndarray, lower: np.ndarray, scale: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, bool]:
     """min over c of max_k scale_k |target_k + lower_k . c|.
 
-    Returns (achieved max, c). ``lower`` is (M, J).
+    Returns (achieved max, c, converged). ``lower`` is (M, J); converged is
+    false when the refinement stopped at ``_REFINE_ROUNDS``.
     """
     m, j = lower.shape
     keep = scale > 0
     t = target[keep] * scale[keep]
     e = lower[keep] * scale[keep, None]
     if j == 0:
-        return float(np.max(np.abs(t))), np.zeros(0, dtype=complex)
+        return float(np.max(np.abs(t))), np.zeros(0, dtype=complex), True
 
     real_case = (
         np.max(np.abs(t.imag)) == 0.0 and np.max(np.abs(e.imag), initial=0.0) == 0.0
@@ -96,6 +114,7 @@ def _solve_minimax(
     cost[-1] = 1.0
     bounds = [(None, None)] * (2 * j) + [(0, None)]
     c_best = np.zeros(j, dtype=complex)
+    converged = False
     for _ in range(_REFINE_ROUNDS):
         res = linprog(
             cost,
@@ -103,6 +122,7 @@ def _solve_minimax(
             b_ub=np.concatenate(rows_b),
             bounds=bounds,
             method="highs",
+            options=_HIGHS_OPTIONS,
         )
         if res.status != 0:
             raise PluripotError(f"minimax LP failed: {res.message}")
@@ -113,12 +133,11 @@ def _solve_minimax(
         r = np.abs(vals)
         peak = float(r.max())
         if real_case or peak <= s_opt * (1 + _REFINE_TOL) + 1e-300:
+            converged = True
             break
         cut = np.nonzero(r > s_opt * (1 + 1e-12))[0]
-        if len(cut) == 0:
-            break
         add_facets(np.angle(vals[cut]), cut)
-    return peak, c_best
+    return peak, c_best, converged
 
 
 def chebyshev_constant(
@@ -145,13 +164,14 @@ def chebyshev_constant(
         scale = np.ones(len(cand))
     target = monomial_values([alpha], cand.points)[0]
     lower = monomial_values(_class_monomials(alpha, d, class_tag), cand.points).T
-    value, coeffs = _solve_minimax(target, lower, scale)
+    value, coeffs, converged = _solve_minimax(target, lower, scale)
     return ChebyshevRecord(
         alpha=alpha,
         class_tag=class_tag,
         value=value,
         tau=value ** (1.0 / deg),
         coefficients=coeffs,
+        converged=converged,
     )
 
 

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning
 
 from pluripot import cheb, domains, vdm
 from pluripot.basis import dimension_counts
@@ -29,6 +31,30 @@ def test_circle_constants_exact():
             rec = cheb.chebyshev_constant(cand, (k,))
             assert rec.value == pytest.approx(r**k, rel=1e-9)
             assert rec.tau == pytest.approx(r, rel=1e-6)
+
+
+@pytest.mark.parametrize("r", [0.8, 1.0, 1.2])
+def test_circle_constants_converge_to_refine_tol(r):
+    cand = domains.circle(r, 201)
+    for k in range(1, 9):
+        rec = cheb.chebyshev_constant(cand, (k,))
+        assert rec.converged, k
+        assert rec.value == pytest.approx(r**k, rel=1e-9), k
+
+
+def test_refinement_cap_is_reported(monkeypatch):
+    monkeypatch.setattr(cheb, "_REFINE_ROUNDS", 1)
+    rec = cheb.chebyshev_constant(domains.circle(1.0, 201), (6,))
+    assert rec.converged is False
+
+
+def test_highs_accepts_the_lp_options():
+    # SciPy warns, and carries on, on an unknown HiGHS option or a bad value.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OptimizeWarning)
+        rec = cheb.chebyshev_constant(domains.circle(1.0, 64), (3,))
+        real = cheb.chebyshev_constant(domains.interval(-1.0, 1.0, 256), (3,))
+    assert rec.converged and real.converged
 
 
 def test_homogeneous_class_d2_torus():
@@ -73,7 +99,9 @@ def test_submultiplicativity_audit_flags_planted_violation():
     a = cheb.chebyshev_constant(cand, (1,))
     b = cheb.chebyshev_constant(cand, (2,))
     # plant an impossible (too large) value at alpha = (3,)
-    bad = cheb.ChebyshevRecord((3,), "plain", 10.0, 10.0 ** (1 / 3), np.zeros(0))
+    bad = cheb.ChebyshevRecord(
+        (3,), "plain", 10.0, 10.0 ** (1 / 3), np.zeros(0), converged=True
+    )
     out = cheb.submultiplicativity_audit([a, b, bad])
     assert len(out) == 1 and out[0]["alpha"] == [1]
 
