@@ -142,10 +142,21 @@ def gram_matrix(
     return _gram_from_columns(indices, cols, mu.masses, weight, n)
 
 
+def _whitened_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
+    """Y = L^{-1} C: the columns in a basis orthonormal in L2(mu).
+
+    A column holding inf or NaN raises ValueError.  L has the positive
+    diagonal that _gram_from_columns checked, so LAPACK trtrs cannot fail.
+    """
+    cols = np.asarray_chkfinite(cols)
+    (trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), (sys.chol, cols))
+    y, _ = trtrs(sys.chol, cols, lower=1)
+    return y
+
+
 def _bergman_from_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
     """B = |L^{-1} c|^2 for each w^n-scaled monomial column c."""
-    y = scipy.linalg.solve_triangular(sys.chol, cols, lower=True)
-    return np.sum(np.abs(y) ** 2, axis=0)
+    return np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
 
 
 def bergman_function(sys: GramSystem, eval_points: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Optimal measures of degree n (D-optimal designs) with KW certificates.
 
 A probability measure maximizes det G_n iff its Bergman function tops out
-at N on K; the gap max_K B - N is the optimality certificate, and
-vertex-exchange (Wolfe-Atwood toward/away) steps drive it to zero.
+at N on K; the gap max_K B - N is the optimality certificate.  Pairwise
+vertex exchanges (Boehning 1986) drive it to zero: each moves mass between
+two nodes with a closed-form step, and a sweep of them shares one Cholesky
+factorization of the Gram.
 """
 
 from __future__ import annotations
@@ -14,13 +16,11 @@ import numpy as np
 from .domains import AdmissibleWeight, CandidateSet
 from .errors import InvalidInputError, NotConvergedError
 from .gram import DiscreteMeasure, GramSystem, bergman_function, gram_matrix
-from .gram import _basis_columns, _bergman_from_columns, _gram_from_columns
+from .gram import _basis_columns, _gram_from_columns, _whitened_columns
 from .vdm import diameter_exponent
 
 DEFAULT_TOL = 1e-6
 MASS_FLOOR = 1e-10
-# Masses below the floor are zeroed-and-renormalized this often.
-CLEAN_PERIOD = 100
 
 
 def kw_gap(
@@ -59,41 +59,57 @@ class SolveReport:
         }
 
 
-def _vertex_step(masses: np.ndarray, b: np.ndarray, n_dim: int) -> np.ndarray:
-    """One exchange step: mix toward delta_z along the better of two moves.
+def _exchange_sweep(masses: np.ndarray, y: np.ndarray, b: np.ndarray) -> None:
+    """One deterministic sweep of pairwise exchanges, updating masses in place.
 
-    For mu_t = (1-t) mu + t delta_z, log det gains
-    N log(1-t) + log(1 + t B(z) / (1-t)), maximized at
-    t* = (B - N) / (N (B - 1)); t* < 0 removes mass from a support point
-    with B < N, and both moves use the same formula.
+    The sweep visits S = support + the N nodes of largest B once each, in
+    increasing B (stable ties).  Node i trades mass with the partner j in S
+    whose exact exchange gains most: moving t from i to j turns the whitened
+    Gram A (the identity at the sweep's start) into
+    A + t (y_j y_j^* - y_i y_i^*), which multiplies det G by
+    1 + t (B_j - B_i) - t^2 (B_j B_i - |h_ij|^2), with B and
+    h_ij = y_i^* A^-1 y_j at the current A.  The best t is clipped to
+    [-m_j, m_i], so a drop step zeroes a mass exactly, and W = A^-1 Y_S
+    follows by a 2 x 2 Woodbury update.
     """
-
-    def gain(bk: float, t: float) -> float:
-        return n_dim * np.log1p(-t) + np.log1p(t * bk / (1.0 - t))
-
-    k_add = int(np.argmax(b))
-    t_add = (b[k_add] - n_dim) / (n_dim * (b[k_add] - 1.0))
-    t_add = min(max(t_add, 0.0), 1.0 - 1e-12)
-
-    support = np.nonzero(masses > 0)[0]
-    k_rem = int(support[np.argmin(b[support])])
-    denom = n_dim * (b[k_rem] - 1.0)
-    t_rem = (b[k_rem] - n_dim) / denom if denom > 0 else -np.inf
-    # Full removal of point k corresponds to t = -m_k / (1 - m_k).
-    t_rem = max(t_rem, -masses[k_rem] / max(1.0 - masses[k_rem], 1e-300))
-
-    if gain(b[k_rem], t_rem) > gain(b[k_add], t_add):
-        k, t = k_rem, t_rem
-    else:
-        k, t = k_add, t_add
-    out = (1.0 - t) * masses
-    out[k] += t
-    return np.maximum(out, 0.0)
-
-
-def _clean(masses: np.ndarray) -> np.ndarray:
-    masses = np.where(masses < MASS_FLOOR, 0.0, masses)
-    return masses / masses.sum()
+    n_dim = y.shape[0]
+    top = np.argsort(-b, kind="stable")[:n_dim]
+    s = np.union1d(np.nonzero(masses)[0], top)
+    s = s[np.argsort(b[s], kind="stable")]
+    ys = y[:, s]
+    ys_h = ys.conj()
+    w = ys.copy()
+    m = masses[s]
+    for i in range(len(s)):
+        bs = np.einsum("ij,ij->j", ys_h, w).real
+        h = ys_h[:, i] @ w
+        d = bs - bs[i]
+        curv = bs * bs[i] - np.abs(h) ** 2
+        # A flat direction (curv 0, up to rounding) runs to the bound.
+        t = np.where(d > 0, np.inf, -np.inf)
+        np.divide(d, 2.0 * curv, out=t, where=curv > 0)
+        t = np.clip(t, -m, m[i])
+        gain = t * d - t * t * curv
+        gain[i] = 0.0
+        j = int(np.argmax(gain))
+        if not gain[j] > 0:
+            continue
+        tj, bj, bi, hij = t[j], bs[j], bs[i], h[j]
+        m[j] = 0.0 if tj == -m[j] else m[j] + tj
+        m[i] = 0.0 if tj == m[i] else m[i] - tj
+        # (A + U T U^*)^-1 = A^-1 - V (I + T M)^-1 T V^*, with U = [y_j, y_i],
+        # T = diag(t, -t), V = A^-1 U and M = U^* V; det(I + T M) >= 1 is the
+        # det G ratio of the step.
+        det = (1.0 + tj * bj) * (1.0 - tj * bi) + tj * tj * abs(hij) ** 2
+        p = np.array(
+            [
+                [tj * (1.0 - tj * bi), tj * tj * np.conj(hij)],
+                [tj * tj * hij, -tj * (1.0 + tj * bj)],
+            ]
+        ) / det
+        v = w[:, [j, i]]
+        w -= v @ (p @ np.stack([ys_h[:, j] @ w, h]))
+    masses[s] = m
 
 
 def solve_optimal_measure(
@@ -106,9 +122,10 @@ def solve_optimal_measure(
 ) -> SolveReport:
     """Drive kw_gap/N below tol starting from the uniform measure.
 
-    Each step is a vertex exchange (``_vertex_step``): mass moves toward the
-    argmax of B, or away from the support point with the smallest B, with the
-    exact line-search step on log det.
+    An iteration factors the Gram once, computes B from it (only this fresh
+    B decides kw_gap, convergence and the reported log det), then runs one
+    pairwise-exchange sweep (``_exchange_sweep``; Boehning 1986, batched as in
+    REX, Harman-Filova-Richtarik 2020).
     """
     q = weight(cand.points)
     masses = np.isfinite(q).astype(float)
@@ -124,15 +141,13 @@ def solve_optimal_measure(
     it = 0
     for it in range(1, max_iter + 1):
         sys = _gram_from_columns(indices, cols, masses, weight, n)
-        b = _bergman_from_columns(sys, cols)
-        n_dim = sys.size
-        gap = float(b.max() - n_dim)
-        if gap / n_dim <= tol:
+        y = _whitened_columns(sys, cols)
+        b = np.sum(np.abs(y) ** 2, axis=0)
+        gap = float(b.max() - sys.size)
+        if gap / sys.size <= tol or it == max_iter:
             break
-        masses = _vertex_step(masses, b, n_dim)
+        _exchange_sweep(masses, y, b)
         masses = masses / masses.sum()
-        if it % CLEAN_PERIOD == 0:
-            masses = _clean(masses)
     converged = gap / sys.size <= tol
     report = SolveReport(
         measure=DiscreteMeasure(cand, masses),

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from pluripot.errors import DegenerateMeasureError, InvalidInputError
 from pluripot.gram import (
     MIN_PIVOT,
     DiscreteMeasure,
+    _basis_columns,
+    _whitened_columns,
     bergman_function,
     bm_constant,
     free_energy,
@@ -206,3 +209,20 @@ def test_bergman_nonnegative_and_trace(seed):
     assert np.all(b >= 0)
     assert math.isclose(float(np.sum(mu.masses * b)), sys.size, rel_tol=1e-8)
 
+
+
+@pytest.mark.parametrize("part", ["complex", "real"])
+def test_whitened_columns_match_solve_triangular(part):
+    mu, weight, n = _random_instance(3, n=3)
+    sys = gram_matrix(mu, weight, n)
+    pts = mu.candidates.points
+    _, cols = _basis_columns(pts, weight(pts), n)
+    if part == "real":
+        cols = np.ascontiguousarray(cols.real)
+    expected = scipy.linalg.solve_triangular(sys.chol, cols, lower=True)
+    assert np.array_equal(_whitened_columns(sys, cols), expected)
+    for bad in (np.inf, np.nan):
+        broken = cols.copy()
+        broken[1, 2] = bad
+        with pytest.raises(ValueError):
+            _whitened_columns(sys, broken)

@@ -13,7 +13,6 @@ from pluripot.gram import DiscreteMeasure, bergman_function, gram_matrix
 from pluripot.optmeas import (
     DEFAULT_TOL,
     SolveReport,
-    _vertex_step,
     kw_gap,
     optimal_det_sequence,
     solve_optimal_measure,
@@ -133,36 +132,80 @@ def test_support_certificate():
     assert all(abs(b - 3.0) < 1e-3 for b in cert["B_values"])
 
 
-def test_guest_design_on_interval_degree_2():
-    # The D-optimal design of degree 2 on [-1, 1] puts mass 1/3 on the roots
-    # of (1 - x^2) P_2'(x), {-1, 0, 1} (Guest; Hoel 1958); all lie on the grid.
-    cand = domains.interval(-1.0, 1.0, 201)
-    rep = solve_optimal_measure(cand, ZERO, 2)
+def test_monotone_log_det_over_iterations():
+    # The solve is deterministic, so a run capped at k iterations reports the
+    # k-th iterate; no exchange sweep may lower log det.
+    cand = domains.interval(-1.0, 1.0, 9)
+    log_dets = [
+        solve_optimal_measure(cand, ZERO, 2, tol=1e-14, max_iter=k).log_det
+        for k in range(1, 13)
+    ]
+    assert all(b >= a - 1e-12 for a, b in zip(log_dets, log_dets[1:]))
+    assert log_dets[-1] > log_dets[0] + 0.9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_guest_design_on_interval(n):
+    # Degree-n D-optimal design on [-1, 1]: mass 1/(n+1) on the roots of
+    # (1 - x^2) P_n'(x) (Guest; Hoel 1958).  Those off the 201-node grid are
+    # added to it, so the exact optimum lies in the candidate set.
+    grid = np.linspace(-1.0, 1.0, 201)
+    dp = np.polynomial.legendre.Legendre.basis(n).deriv()
+    nodes = np.sort(np.concatenate([[-1.0, 1.0], dp.roots().real]))
+    extra = [x for x in nodes if np.min(np.abs(grid - x)) > 1e-12]
+    # n = 2: {-1, 0, 1} is on the grid; n = 3 adds +-1/sqrt(5),
+    # n = 4 adds +-sqrt(3/7).
+    assert len(extra) == (0 if n == 2 else 2)
+    x = np.concatenate([grid, extra])
+    cand = domains.custom(x.astype(complex)[:, None])
+    at = [int(np.argmin(np.abs(x - node))) for node in nodes]
+    guest = np.zeros(len(x))
+    guest[at] = 1 / (n + 1)
+    exact = gram_matrix(DiscreteMeasure(cand, guest), ZERO, n).log_det
+    rep = solve_optimal_measure(cand, ZERO, n)
     assert rep.converged
-    guest = np.zeros(201)
-    guest[[0, 100, 200]] = 1 / 3
-    exact = gram_matrix(DiscreteMeasure(cand, guest), ZERO, 2).log_det
     # Kiefer bound: log det of any design <= optimum <= its log det + gap.
     assert rep.log_det <= exact + 1e-12
     assert exact <= rep.log_det + rep.kw_gap
-    x = cand.points[:, 0].real
-    for node in (-1.0, 0.0, 1.0):
-        near = rep.measure.masses[np.abs(x - node) <= 0.1].sum()
-        assert near == pytest.approx(1 / 3, abs=1e-3)
+    assert np.allclose(rep.measure.masses[at], 1 / (n + 1), atol=1e-3)
 
 
-def test_monotone_log_det_multiplicative():
-    cand = domains.interval(-1.0, 1.0, 9)
-    prev = None
-    masses = DiscreteMeasure.uniform(cand).masses
-    for _ in range(25):
-        sys = gram_matrix(DiscreteMeasure(cand, masses), ZERO, 2)
-        if prev is not None:
-            assert sys.log_det >= prev - 1e-12
-        prev = sys.log_det
-        b = bergman_function(sys, cand.points)
-        masses = _vertex_step(masses, b, sys.size)
-        masses = masses / masses.sum()
+def test_quadratic_weight_degree_1_converges():
+    # Q = x^2, n = 1: the optimum puts 1/2 on +-a maximizing a^2 exp(-4 a^2),
+    # so a = 1/2 (a grid node) and log det = 2 log(1/2) - 1.
+    cand = domains.interval(-1.0, 1.0, 201)
+    rep = solve_optimal_measure(cand, AdmissibleWeight.quadratic(), 1)
+    assert rep.converged
+    exact = 2.0 * math.log(0.5) - 1.0
+    assert rep.log_det <= exact + 1e-12
+    assert exact <= rep.log_det + rep.kw_gap
+    assert np.allclose(rep.measure.masses[[50, 150]], 0.5, atol=1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kiefer_wolfowitz_on_weighted_disk(n):
+    cand = domains.disk(1.0, 4, 8)
+    w = AdmissibleWeight.quadratic()
+    rep = solve_optimal_measure(cand, w, n)
+    n_dim = n + 1
+    assert rep.converged
+    b = bergman_function(gram_matrix(rep.measure, w, n), cand.points)
+    assert b.max() <= n_dim * (1 + DEFAULT_TOL)
+    ref = _multiplicative_reference(cand, w, n)
+    # Each measure's log det + kw_gap bounds the optimum, hence the other.
+    assert rep.log_det <= ref.log_det + ref.kw_gap
+    assert ref.log_det <= rep.log_det + rep.kw_gap
+
+
+def test_permuted_candidates_give_the_same_optimum():
+    square = domains.product([domains.interval(-1.0, 1.0, 11)] * 2)
+    perm = np.random.default_rng(0).permutation(len(square))
+    shuffled = domains.custom(square.points[perm])
+    a = solve_optimal_measure(square, ZERO, 3)
+    b = solve_optimal_measure(shuffled, ZERO, 3)
+    assert a.converged and b.converged
+    assert a.log_det <= b.log_det + b.kw_gap
+    assert b.log_det <= a.log_det + a.kw_gap
 
 
 def test_not_converged_raises_with_partial():
