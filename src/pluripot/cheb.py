@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .basis import dimension_counts, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, weight_power
@@ -68,6 +67,12 @@ def _class_monomials(alpha: tuple[int, ...], d: int, class_tag: str):
     if class_tag == "homogeneous":
         start = len(full) - dimension_counts(deg, d)[1]  # the degree-deg block
     return full[start:full.index(alpha)]
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on the first LP: scipy.optimize is slow to load."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
 
 
 def _solve_minimax(

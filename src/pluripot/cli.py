@@ -207,9 +207,7 @@ def cmd_cheb(cfg: dict) -> dict:
     trend = []
     all_records = []
     for n in range(1, n_max + 1):
-        gm, records = tau_geometric_mean(
-            cand, weight if class_tag == "weighted" else None, class_tag, n
-        )
+        gm, records = tau_geometric_mean(cand, weight, class_tag, n)
         trend.append({"n": n, "tau_geometric_mean": gm})
         all_records.extend(records)
     audit = submultiplicativity_audit(all_records)
@@ -229,7 +227,6 @@ def cmd_tfd(cfg: dict) -> dict:
     weight = _weight_from_config(cfg)
     n_max = int(cfg.get("n_max", 8))
     sweeps = int(cfg.get("max_sweeps", 10))
-    d = cand.dimension
 
     fekete_seq = diameter_sequence(cand, weight, n_max, sweeps)
     fekete_route = [
@@ -250,11 +247,8 @@ def cmd_tfd(cfg: dict) -> dict:
     cheb_cap = int(cfg.get("cheb_n_max", min(n_max, 6)))
     log_y_total = 0.0
     for n in range(1, cheb_cap + 1):
-        gm, _ = tau_geometric_mean(
-            cand, weight if class_tag == "weighted" else None, class_tag, n
-        )
-        r_n = dimension_counts(n, d)[3]
-        l_n = dimension_counts(n, d)[2]
+        gm, _ = tau_geometric_mean(cand, weight, class_tag, n)
+        _, _, l_n, r_n = dimension_counts(n, cand.dimension)
         log_y_total += r_n * math.log(gm)
         cheb_route.append({"n": n, "delta": math.exp(log_y_total / l_n)})
 

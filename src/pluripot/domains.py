@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
 
@@ -50,10 +49,24 @@ def check_masses(masses, m: int) -> np.ndarray:
 
 
 def _check_distinct(points: np.ndarray) -> None:
-    """Reject point lists with near-duplicates (Euclidean tol 1e-12)."""
+    """Reject non-finite points and pairs within Euclidean distance 1e-12.
+
+    The real (M, 2d) rows are sorted lexicographically.  Rows more than
+    ``wide`` apart, the most rows that follow one row with its first
+    coordinate within 1e-12, differ by more than 1e-12 there; closer ones are
+    compared by squared distance, one pass per offset.  Correct at any finite
+    magnitude; cost O(M * wide), with wide = 168 on the 13^3 cube.
+    """
     flat = np.column_stack([points.real, points.imag])
-    if cKDTree(flat).query_pairs(DUPLICATE_TOL):
-        raise InvalidInputError("candidate points contain duplicates within 1e-12")
+    if not np.all(np.isfinite(flat)):
+        raise InvalidInputError("candidate points must be finite")
+    flat = flat[np.lexsort(flat.T[::-1])]
+    ahead = np.searchsorted(flat[:, 0], flat[:, 0] + DUPLICATE_TOL, side="right")
+    wide = int(np.max(ahead - np.arange(1, len(flat) + 1)))
+    for off in range(1, wide + 1):
+        diff = flat[off:] - flat[:-off]
+        if np.any(np.einsum("ij,ij->i", diff, diff) <= DUPLICATE_TOL**2):
+            raise InvalidInputError("candidate points contain duplicates within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -265,38 +278,40 @@ def check_nondegenerate(weight: AdmissibleWeight, cand: CandidateSet, n: int) ->
 
 
 def export_csv(cand: CandidateSet, path) -> None:
-    d = cand.dimension
-    header = []
-    for j in range(1, d + 1):
-        header += [f"re_{j}", f"im_{j}"]
+    """Columns re_j, im_j per coordinate (then mass), floats written by repr."""
+    header = [f"{p}_{j}" for j in range(1, cand.dimension + 1) for p in ("re", "im")]
+    vals = np.stack([cand.points.real, cand.points.imag], axis=2).reshape(len(cand), -1)
     if cand.masses is not None:
         header.append("mass")
+        vals = np.column_stack([vals, cand.masses])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(len(cand)):
-            row = []
-            for j in range(d):
-                z = cand.points[i, j]
-                row += [repr(float(z.real)), repr(float(z.imag))]
-            if cand.masses is not None:
-                row.append(repr(float(cand.masses[i])))
-            writer.writerow(row)
+        writer.writerows([repr(v) for v in row] for row in vals.tolist())
 
 
 def import_csv(path) -> CandidateSet:
+    """Read an ``export_csv`` file; a malformed line raises InvalidInputError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        has_mass = header[-1] == "mass"
-        d = (len(header) - (1 if has_mass else 0)) // 2
-        pts, masses = [], []
+        header = next(reader, [])
+        has_mass = header[-1:] == ["mass"]
+        ncoord = len(header) - has_mass
+        if ncoord == 0 or ncoord % 2:
+            raise InvalidInputError(
+                f"{path}: line 1: need re/im column pairs, got {ncoord} columns"
+            )
+        rows = []
         for row in reader:
-            vals = [float(v) for v in row]
-            pts.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(d)])
-            if has_mass:
-                masses.append(vals[-1])
-    return CandidateSet(
-        d, np.array(pts, dtype=complex),
-        np.array(masses) if has_mass else None, "custom",
-    )
+            if len(row) != len(header):
+                raise InvalidInputError(f"{path}: line {reader.line_num}: "
+                                        f"{len(row)} cells, header has {len(header)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise InvalidInputError(
+                    f"{path}: line {reader.line_num}: non-numeric cell"
+                ) from None
+    vals = np.array(rows).reshape(-1, len(header))
+    pts = vals[:, 0:ncoord:2] + 1j * vals[:, 1:ncoord:2]
+    return CandidateSet(ncoord // 2, pts, vals[:, -1] if has_mass else None, "custom")

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +196,42 @@ def test_exit_code_compute_error(tmp_path, capsys):
     assert code == cli.EXIT_COMPUTE
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"] == "computation"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "geometry = circle\nradius = nan\nm = 16\nn_max = 2\n",
+        "geometry = interval\na = -1\nb = inf\nm = 16\nn_max = 2\n",
+    ],
+    ids=["circle-nan-radius", "interval-inf-end"],
+)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_geometry_is_a_compute_error(tmp_path, capsys, text):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(text)
+    code = cli.main(["fekete", "--config", str(cfg)])
+    assert code == cli.EXIT_COMPUTE
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "computation", "message": "candidate points must be finite"}
+
+
+def test_import_loads_no_sparse_optimize_or_spatial():
+    # scipy.optimize (for the Chebyshev LP) loads on the first LP solve.
+    script = (
+        "import sys\n"
+        "import pluripot.cli\n"
+        "from pluripot import cheb, domains\n"
+        "heavy = [m for m in ('scipy.optimize', 'scipy.spatial', 'scipy.sparse')\n"
+        "         if m in sys.modules]\n"
+        "assert not heavy, heavy\n"
+        "rec = cheb.chebyshev_constant(domains.circle(1.0, 32), (2,))\n"
+        "assert abs(rec.value - 1.0) < 1e-9 and rec.converged, rec\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bergman_conditioning_decides_degree(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Candidate-set constructors, weights, and CSV round-trips."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pluripot import domains
 from pluripot.domains import AdmissibleWeight, CandidateSet
@@ -56,6 +60,52 @@ def test_duplicates_rejected():
     for pts in cases:
         with pytest.raises(InvalidInputError):
             domains.custom(np.array(pts))
+
+
+@st.composite
+def near_duplicate_sets(draw):
+    """Integer grids scaled from 1e-13 to e^25, some with a planted pair."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 12))
+    scale = math.exp(draw(st.floats(math.log(1e-13), 25.0)))
+    ints = draw(st.lists(st.integers(-3, 3), min_size=2 * d * m, max_size=2 * d * m))
+    flat = np.array(ints, dtype=float).reshape(m, 2 * d) * scale
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        step = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d,
+                                      max_size=2 * d)))
+        step[0] += np.linalg.norm(step) == 0
+        r = draw(st.sampled_from([0.5, 0.99, 1.01, 2.0])) * domains.DUPLICATE_TOL
+        flat[i] = flat[j] + r * step / np.linalg.norm(step)
+    return flat[:, :d] + 1j * flat[:, d:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_duplicate_sets())
+def test_duplicate_check_matches_brute_force(points):
+    flat = np.column_stack([points.real, points.imag])
+    dist = np.linalg.norm(flat[:, None] - flat[None], axis=-1)
+    expected = np.any(dist[np.triu_indices(len(flat), 1)] <= domains.DUPLICATE_TOL)
+    try:
+        domains.custom(points)
+        rejected = False
+    except InvalidInputError:
+        rejected = True
+    assert rejected == expected
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_points_rejected(bad):
+    with pytest.raises(InvalidInputError, match="finite"):
+        domains.custom(np.array([[0.0], [bad]], dtype=complex))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # linspace to inf
+def test_non_finite_geometry_rejected():
+    with pytest.raises(InvalidInputError, match="finite"):
+        domains.circle(math.nan, 8)
+    with pytest.raises(InvalidInputError, match="finite"):
+        domains.interval(-1.0, math.inf, 8)
 
 
 def test_mass_validation():
@@ -128,3 +178,19 @@ def test_csv_round_trip_no_masses(tmp_path):
     back = domains.import_csv(path)
     assert np.array_equal(back.points, c.points)
     assert back.masses is None
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("re_1,im_1,mass\n0.0,0.0,0.5\n1.0,0.5\n", 3),  # short row
+        ("re_1,im_1\n0.0,0.0\n1.0,x\n", 3),  # non-numeric cell
+        ("re_1,im_1,re_2,mass\n0.0,0.0,1.0,1.0\n", 1),  # odd coordinate count
+    ],
+    ids=["short-row", "non-numeric", "odd-header"],
+)
+def test_import_csv_names_the_bad_line(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match=f"line {line}:"):
+        domains.import_csv(path)

@@ -197,6 +197,24 @@ def test_kiefer_wolfowitz_on_weighted_disk(n):
     assert ref.log_det <= rep.log_det + rep.kw_gap
 
 
+@pytest.mark.parametrize(
+    "cand, weight, n",
+    [
+        (domains.interval(-1.0, 1.0, 201), ZERO, 2),
+        (domains.interval(-1.0, 1.0, 201), AdmissibleWeight.quadratic(), 4),
+        (domains.interval(-1.0, 1.0, 201, "chebyshev"), ZERO, 2),
+        (domains.disk(1.0, 4, 8), AdmissibleWeight.quadratic(), 3),
+    ],
+    ids=["interval", "interval-quadratic", "chebyshev", "disk-quadratic"],
+)
+def test_converged_measure_passes_its_certificate(cand, weight, n):
+    # Each case stopped with B on a support node just outside N(1 +- tol)
+    # under a one-sided (max B only) stopping test.
+    rep = solve_optimal_measure(cand, weight, n)
+    assert rep.converged
+    assert support_certificate(rep.measure, weight, n)["violations"] == []
+
+
 def test_permuted_candidates_give_the_same_optimum():
     square = domains.product([domains.interval(-1.0, 1.0, 11)] * 2)
     perm = np.random.default_rng(0).permutation(len(square))
