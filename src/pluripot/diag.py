@@ -51,6 +51,7 @@ class PathReport:
     second_differences: np.ndarray = field(repr=False)
 
     def max_second_difference(self) -> float:
+        """Max interior second difference; nonpositive up to noise on a concave path."""
         if len(self.second_differences) == 0:
             raise InvalidInputError("need >= 3 grid points for second differences")
         return float(np.max(self.second_differences))
@@ -117,11 +118,6 @@ def f_n_path(
         fd_derivatives=fd,
         second_differences=second,
     )
-
-
-def concavity_check(report: PathReport) -> float:
-    """Max interior second difference; must be <= 1e-8 (nonpositive + noise)."""
-    return report.max_second_difference()
 
 
 def _moment_matrix(mu: DiscreteMeasure, indices) -> np.ndarray:

@@ -51,19 +51,22 @@ def check_masses(masses, m: int) -> np.ndarray:
 def _check_distinct(points: np.ndarray) -> None:
     """Reject non-finite points and pairs within Euclidean distance 1e-12.
 
-    The real (M, 2d) rows are sorted lexicographically.  Rows more than
-    ``wide`` apart, the most rows that follow one row with its first
-    coordinate within 1e-12, differ by more than 1e-12 there; closer ones are
-    compared by squared distance, one pass per offset.  Correct at any finite
-    magnitude; cost O(M * wide), with wide = 168 on the 13^3 cube.
+    For each real coordinate of the (M, 2d) rows, ``wide`` is the most rows
+    whose value there lies within 1e-12 above one row's.  The rows are sorted
+    on the coordinate with the smallest ``wide``: rows further apart than
+    that differ by more than 1e-12 there, and closer ones are compared by
+    squared distance, one pass per offset.  Correct at any finite magnitude;
+    cost O(M * wide), with wide = 168 on the 13^3 cube and 0 on a line.
     """
     flat = np.column_stack([points.real, points.imag])
     if not np.all(np.isfinite(flat)):
         raise InvalidInputError("candidate points must be finite")
-    flat = flat[np.lexsort(flat.T[::-1])]
-    ahead = np.searchsorted(flat[:, 0], flat[:, 0] + DUPLICATE_TOL, side="right")
-    wide = int(np.max(ahead - np.arange(1, len(flat) + 1)))
-    for off in range(1, wide + 1):
+    cols = np.sort(flat, axis=0)
+    ahead = [np.searchsorted(col, col + DUPLICATE_TOL, side="right") for col in cols.T]
+    wides = np.max(np.array(ahead) - np.arange(1, len(flat) + 1), axis=1)
+    key = int(np.argmin(wides))
+    flat = flat[np.argsort(flat[:, key])]
+    for off in range(1, int(wides[key]) + 1):
         diff = flat[off:] - flat[:-off]
         if np.any(np.einsum("ij,ij->i", diff, diff) <= DUPLICATE_TOL**2):
             raise InvalidInputError("candidate points contain duplicates within 1e-12")
@@ -263,18 +266,6 @@ class AdmissibleWeight:
 def weight_power(q: np.ndarray, k: float) -> np.ndarray:
     """The factor w^k = exp(-k Q) at each point; 0 where Q = +inf."""
     return np.where(np.isfinite(q), np.exp(-k * q), 0.0)
-
-
-def check_nondegenerate(weight: AdmissibleWeight, cand: CandidateSet, n: int) -> None:
-    """Require w > 0 at >= m_n points (finite-set stand-in for nonpluripolarity)."""
-    from .basis import dimension_counts
-
-    m_n = dimension_counts(n, cand.dimension)[0]
-    finite = np.isfinite(weight(cand.points)).sum()
-    if finite < m_n:
-        raise InvalidInputError(
-            f"weight is positive at only {finite} points; degree {n} needs >= {m_n}"
-        )
 
 
 def export_csv(cand: CandidateSet, path) -> None:

@@ -1,9 +1,14 @@
 """Greedy + exchange search for weighted Fekete configurations.
 
-The search is heuristic: a column-pivoted QR pass over the weighted
-Vandermonde rectangle picks an initial configuration, and single-point
-exchanges (rank-one determinant ratios) refine it to a local maximum of
-the weighted Vandermonde modulus.  Global optimality is not claimed.
+The search is heuristic and factors its weighted Vandermonde rectangle A
+once.  A column-pivoted QR, A P = Q R, picks the initial configuration V
+(the first N pivots: the approximate Fekete points of Bos, De Marchi,
+Sommariva and Vianello).  The same R gives C = V^{-1} A = R11^{-1} R in
+pivot order, whose entry |C_jc| is the factor by which |det V| changes when
+selected point j is swapped for candidate c.  Single-point exchanges read
+their gains from C and update it by one Gauss-Jordan step per swap (the
+"maxvol" update of Goreinov et al.), up to a local maximum of the weighted
+Vandermonde modulus.  Global optimality is not claimed.
 """
 
 from __future__ import annotations
@@ -33,100 +38,9 @@ class FeketeConfiguration:
     degree: int
     indices: tuple[int, ...]
     log_weighted_vdm: float
-    method: str
 
     def points(self, cand: CandidateSet) -> np.ndarray:
         return cand.points[list(self.indices)]
-
-
-def greedy_fekete(
-    cand: CandidateSet, n: int, weight: AdmissibleWeight
-) -> FeketeConfiguration:
-    """Pick N = m_n points by column-pivoted QR of the weighted rectangle."""
-    q = weight(cand.points)
-    _, amat = _basis_columns(cand.points, q, n)
-    return _greedy(cand, n, weight, amat, q)
-
-
-def _greedy(
-    cand: CandidateSet,
-    n: int,
-    weight: AdmissibleWeight,
-    amat: np.ndarray,
-    q: np.ndarray,
-) -> FeketeConfiguration:
-    n_pts = dimension_counts(n, cand.dimension)[0]
-    if len(cand) < n_pts:
-        raise InvalidInputError(
-            f"need at least {n_pts} candidates for degree {n}, got {len(cand)}"
-        )
-    usable = np.isfinite(q)
-    if usable.sum() < n_pts:
-        raise InvalidInputError(
-            f"weight vanishes on too many candidates: {usable.sum()} < {n_pts}"
-        )
-    _, _, piv = scipy.linalg.qr(amat, mode="economic", pivoting=True)
-    selected = tuple(int(i) for i in piv[:n_pts])
-    logw = log_abs_weighted_vdm(cand.points[list(selected)], n, weight)
-    if logw.is_zero:
-        raise InvalidInputError("greedy selection is degenerate; enlarge the grid")
-    return FeketeConfiguration(n, selected, logw.log_abs, "greedy")
-
-
-def exchange_refine(
-    cfg: FeketeConfiguration,
-    cand: CandidateSet,
-    weight: AdmissibleWeight,
-    max_sweeps: int = 10,
-) -> FeketeConfiguration:
-    """One-point exchanges until a local maximum of log |W| (or sweep cap).
-
-    The gain of swapping selected column j for candidate c is the modulus of
-    (V^{-1} c)_j, so a whole row of gains costs one triangular solve.
-    """
-    if max_sweeps == 0:
-        return cfg
-    _, amat = _basis_columns(cand.points, weight(cand.points), cfg.degree)
-    return _exchange(cfg, cand, weight, amat, max_sweeps)
-
-
-def _exchange(
-    cfg: FeketeConfiguration,
-    cand: CandidateSet,
-    weight: AdmissibleWeight,
-    amat: np.ndarray,
-    max_sweeps: int,
-) -> FeketeConfiguration:
-    n = cfg.degree
-    selected = list(cfg.indices)
-    n_sel = len(selected)
-    vmat = amat[:, selected].copy()
-    log_gain = 0.0
-    for _ in range(max_sweeps):
-        improved = False
-        lu = scipy.linalg.lu_factor(vmat)
-        for j in range(n_sel):
-            ej = np.zeros(n_sel, dtype=amat.dtype)
-            ej[j] = 1.0
-            row = scipy.linalg.lu_solve(lu, ej, trans=1) @ amat
-            gains = np.abs(row)
-            gains[selected] = 0.0  # re-picking a selected point zeroes the det
-            c = int(np.argmax(gains))
-            if gains[c] > 0 and math.log(gains[c]) > EXCHANGE_TOL:
-                log_gain += math.log(gains[c])
-                selected[j] = c
-                vmat[:, j] = amat[:, c]
-                lu = scipy.linalg.lu_factor(vmat)
-                improved = True
-        if not improved:
-            break
-    # Without a swap the selection, and so its value, is the input's.
-    value = (
-        log_abs_weighted_vdm(cand.points[selected], n, weight).log_abs
-        if log_gain else cfg.log_weighted_vdm
-    )
-    method = cfg.method if "exchange" in cfg.method else cfg.method + "+exchange"
-    return FeketeConfiguration(n, tuple(selected), value, method)
 
 
 def search_fekete(
@@ -135,11 +49,67 @@ def search_fekete(
     weight: AdmissibleWeight,
     max_sweeps: int = 10,
 ) -> FeketeConfiguration:
-    """Greedy start followed by exchange refinement."""
+    """Greedy pick by pivoted QR, then up to max_sweeps exchange sweeps.
+
+    A sweep offers each selected point j in turn its best swap and takes it
+    when it raises log |W| by more than EXCHANGE_TOL; the search stops after
+    a sweep without a swap.  max_sweeps = 0 returns the greedy pick.  The
+    value is log |W| recomputed from the selected points, never read off C.
+    """
+    n_pts = dimension_counts(n, cand.dimension)[0]
+    if len(cand) < n_pts:
+        raise InvalidInputError(
+            f"need at least {n_pts} candidates for degree {n}, got {len(cand)}"
+        )
     q = weight(cand.points)
-    _, amat = _basis_columns(cand.points, q, n)
-    cfg = _greedy(cand, n, weight, amat, q)
-    return _exchange(cfg, cand, weight, amat, max_sweeps) if max_sweeps else cfg
+    usable = int(np.isfinite(q).sum())
+    if usable < n_pts:
+        raise InvalidInputError(
+            f"weight vanishes on too many candidates: {usable} < {n_pts}"
+        )
+    r, piv = scipy.linalg.qr(
+        _basis_columns(cand.points, q, n)[1], mode="r", pivoting=True
+    )
+    logw = log_abs_weighted_vdm(cand.points[piv[:n_pts]], n, weight)
+    if logw.is_zero:
+        raise InvalidInputError("greedy selection is degenerate; enlarge the grid")
+    # C = R11^{-1} R in pivot order, formed in R's own buffer (so R11 is
+    # copied first) as the right-side solve C^T = R^T R11^{-T}: no copy of A
+    # or R stays beside it, and the rows of C, which the sweeps read and
+    # update, are contiguous.
+    trsm = scipy.linalg.get_blas_funcs("trsm", (r,))
+    r11 = r[:, :n_pts].copy()
+    coef = trsm(1.0, r11, r.T, side=1, trans_a=1, overwrite_b=True).T
+    selected = list(range(n_pts))  # positions in pivot order
+    swapped = False
+    for _ in range(max_sweeps):
+        improved = False
+        for j in range(n_pts):
+            gains = np.abs(coef[j])
+            gains[selected] = 0.0  # re-picking a selected point zeroes the det
+            best = gains.max()
+            if best > 0 and math.log(best) > EXCHANGE_TOL:
+                # Gains within EXCHANGE_TOL of the best are ties, which
+                # rounding in C must not break: the lowest candidate wins.
+                tied = np.flatnonzero(gains >= best * math.exp(-EXCHANGE_TOL))
+                c = int(tied[np.argmin(piv[tied])])
+                # One Gauss-Jordan step: column c of C becomes e_j.
+                coef[j] /= coef[j, c]
+                col = coef[:, c].copy()
+                col[j] = 0.0
+                coef -= np.outer(col, coef[j])
+                selected[j] = c
+                improved = True
+        if not improved:
+            break
+        swapped = True
+    indices = tuple(int(i) for i in piv[selected])
+    # Without a swap the selection, and so its value, is the greedy pick's.
+    value = (
+        log_abs_weighted_vdm(cand.points[list(indices)], n, weight).log_abs
+        if swapped else logw.log_abs
+    )
+    return FeketeConfiguration(n, indices, value)
 
 
 def empirical_measure(

@@ -40,7 +40,7 @@ def test_concavity_random_measures():
     for seed in range(5):
         mu = _random_measure(seed + 100)
         rep = diag.f_n_path(mu, AdmissibleWeight.zero(), _u_real, 2)
-        assert diag.concavity_check(rep) <= 1e-8
+        assert rep.max_second_difference() <= 1e-8
 
 
 def test_fekete_path_is_affine():

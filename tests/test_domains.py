@@ -94,6 +94,19 @@ def test_duplicate_check_matches_brute_force(points):
     assert rejected == expected
 
 
+@pytest.mark.parametrize("gap, rejected", [(0.99e-12, True), (1.01e-12, False)])
+def test_near_duplicate_on_imaginary_axis(gap, rejected):
+    # Every point shares its real part, so the check must sort on another
+    # coordinate to stay fast; it must still see the planted pair.
+    y = np.linspace(-1.0, 1.0, 8000)
+    pts = 1j * np.append(y, y[5000] + gap)
+    if rejected:
+        with pytest.raises(InvalidInputError, match="duplicates"):
+            domains.custom(pts[:, None])
+    else:
+        assert len(domains.custom(pts[:, None])) == 8001
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_non_finite_points_rejected(bad):
     with pytest.raises(InvalidInputError, match="finite"):
@@ -152,14 +165,6 @@ def test_infinite_q_means_zero_weight():
     w = AdmissibleWeight.custom(lambda p: np.where(p[:, 0].real > 0, np.inf, 0.0))
     q = w(np.array([[1.0 + 0j], [-1.0 + 0j]]))
     assert np.isinf(q[0]) and q[1] == 0.0
-
-
-def test_check_nondegenerate():
-    c = domains.interval(-1.0, 1.0, 3)
-    w = AdmissibleWeight.custom(lambda p: np.where(np.abs(p[:, 0]) > 0.5, np.inf, 0.0))
-    domains.check_nondegenerate(AdmissibleWeight.zero(), c, 2)
-    with pytest.raises(InvalidInputError):
-        domains.check_nondegenerate(w, c, 2)  # only 1 finite point, needs 3
 
 
 def test_csv_round_trip(tmp_path):

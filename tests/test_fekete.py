@@ -9,6 +9,7 @@ import pytest
 from pluripot import domains, fekete
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import InvalidInputError
+from pluripot.gram import _basis_columns
 from pluripot.vdm import log_abs_weighted_vdm
 
 
@@ -49,16 +50,58 @@ def test_circle_roots_of_unity_value():
 def test_exchange_improves_or_keeps():
     c = domains.interval(-1.0, 1.0, 40)
     w = AdmissibleWeight.zero()
-    greedy = fekete.greedy_fekete(c, 6, w)
-    refined = fekete.exchange_refine(greedy, c, w)
+    greedy = fekete.search_fekete(c, 6, w, max_sweeps=0)
+    refined = fekete.search_fekete(c, 6, w)
     assert refined.log_weighted_vdm >= greedy.log_weighted_vdm - 1e-12
-    assert "exchange" in refined.method
 
 
 def test_greedy_needs_enough_candidates():
     c = domains.interval(-1.0, 1.0, 3)
     with pytest.raises(InvalidInputError):
-        fekete.greedy_fekete(c, 5, AdmissibleWeight.zero())
+        fekete.search_fekete(c, 5, AdmissibleWeight.zero(), max_sweeps=0)
+
+
+def test_weight_positive_at_too_few_points_raises():
+    c = domains.interval(-1.0, 1.0, 3)
+    w = AdmissibleWeight.custom(lambda p: np.where(np.abs(p[:, 0]) > 0.5, np.inf, 0.0))
+    fekete.search_fekete(c, 2, AdmissibleWeight.zero())
+    with pytest.raises(InvalidInputError):
+        fekete.search_fekete(c, 2, w)  # only 1 finite point, degree 2 needs 3
+
+
+def _random_c2():
+    rng = np.random.default_rng(11)
+    return domains.custom(rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2)))
+
+
+@pytest.mark.parametrize(
+    "make, weight, n_max",
+    [
+        (lambda: domains.torus(2, 21), AdmissibleWeight.zero(), 6),
+        (lambda: domains.disk(1.0, 30, 24), AdmissibleWeight.quadratic(), 8),
+        (_random_c2, AdmissibleWeight.zero(), 4),
+    ],
+    ids=["torus", "disk-quadratic", "random-c2"],
+)
+def test_exchange_ends_at_a_local_maximum(make, weight, n_max):
+    # The search updates C = V^{-1} A in place; recomputed from scratch, no
+    # unselected candidate may still offer a gain |C_jc| above 1.
+    cand = make()
+    for n in range(1, n_max + 1):
+        cfg = fekete.search_fekete(cand, n, weight)
+        _, amat = _basis_columns(cand.points, weight(cand.points), n)
+        coef = np.linalg.solve(amat[:, list(cfg.indices)], amat)
+        coef[:, list(cfg.indices)] = 0.0
+        assert np.abs(coef).max() <= 1 + 1e-9, n
+
+
+def test_exact_tie_goes_to_the_lowest_candidate():
+    # On the 11x11 square at n = 3 the first sweep finds candidates 66 and
+    # 77 with the same gain, 1.12, up to rounding in C; the lower index wins,
+    # and the search ends at the local maximum reached through it.
+    sq = domains.product([domains.interval(-1.0, 1.0, 11)] * 2)
+    cfg = fekete.search_fekete(sq, 3, AdmissibleWeight.zero())
+    assert sorted(cfg.indices) == [0, 5, 10, 24, 30, 66, 76, 110, 115, 120]
 
 
 def test_greedy_skips_zero_weight_points():
