@@ -42,6 +42,10 @@ _HIGHS_OPTIONS = {
 # Matrix entries per batched slogdet in the exhaustive lift check, so a
 # chunk's memory does not grow with the subset size N.
 _CHUNK_ENTRIES = 1 << 14
+# Largest subset count a lift-check side maximizes exhaustively.
+EXHAUSTIVE_CAP = 200_000
+# Relative slack of the submultiplicativity audit, Y(a+b) <= Y(a) Y(b).
+AUDIT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -180,10 +184,8 @@ def chebyshev_constant(
     )
 
 
-def submultiplicativity_audit(
-    records: list[ChebyshevRecord], slack: float = 1e-9
-) -> list[dict]:
-    """Flag pairs with Y(a+b) > Y(a) Y(b) (1 + slack); should be empty."""
+def submultiplicativity_audit(records: list[ChebyshevRecord]) -> list[dict]:
+    """Flag pairs with Y(a+b) > Y(a) Y(b) (1 + AUDIT_SLACK); should be empty."""
     by_alpha: dict[tuple, ChebyshevRecord] = {}
     for rec in records:
         by_alpha[rec.alpha] = rec
@@ -195,7 +197,7 @@ def submultiplicativity_audit(
             continue
         lhs = by_alpha[ab].value
         rhs = by_alpha[a].value * by_alpha[b].value
-        if lhs > rhs * (1 + slack):
+        if lhs > rhs * (1 + AUDIT_SLACK):
             violations.append(
                 {"alpha": list(a), "beta": list(b), "lhs": lhs, "rhs": rhs}
             )
@@ -240,7 +242,7 @@ def homogeneous_lift(
     t = (w[:, None] * phases[None, :]).ravel()
     base = np.repeat(lam, m_t, axis=0)
     lifted = np.column_stack([t, base * t[:, None]])
-    return CandidateSet(cand.dimension + 1, lifted, None, "custom"), dropped
+    return CandidateSet(lifted), dropped
 
 
 def _combination(rank: int, m: int, count: int) -> list[int]:
@@ -299,7 +301,6 @@ def lift_identity_check(
     weight: AdmissibleWeight,
     n_max: int,
     m_t: int = 4,
-    exhaustive_cap: int = 200_000,
     fekete_seq: list[dict] | None = None,
 ) -> list[dict]:
     """Compare the weighted-VDM max on K against the homogeneous max on the lift.
@@ -333,14 +334,14 @@ def lift_identity_check(
                 f"degree {n} needs {n_pts} points of finite Q, got {usable}"
             )
 
-        if math.comb(len(cand), n_pts) <= exhaustive_cap:
+        if math.comb(len(cand), n_pts) <= EXHAUSTIVE_CAP:
             cols = monomial_values(indices, cand.points)
             lhs_log = _exhaustive_max(cols, n_pts, n, q)
             lhs_method = "exhaustive"
         else:
             lhs_log = search(n)
             lhs_method = "search"
-        if math.comb(len(lift), n_pts) <= exhaustive_cap:
+        if math.comb(len(lift), n_pts) <= EXHAUSTIVE_CAP:
             block = monomial_values(homogeneous_basis(n, d + 1).indices, lift.points)
             rhs_log = _exhaustive_max(block, n_pts, n, np.zeros(len(lift)))
             rhs_method = "exhaustive"

@@ -1,14 +1,16 @@
 """Command-line surface: reproducible experiments emitting JSON reports.
 
-Configs are flat key = value files (diffable provenance); every report
-embeds the config hash and package version, and floats are serialized with
-17 significant digits so reruns are byte-identical.
+Configs are flat key = value files (diffable provenance); the README lists
+the keys each subcommand reads, and any other key is ignored but hashed.
+Every report embeds the config hash and package version, and floats are
+serialized with 17 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import sys
 
@@ -73,8 +75,7 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, complex):
         return to_json({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         return to_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
@@ -86,7 +87,7 @@ def to_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            f'{pad2}"{k}": {to_json(v, indent + 1)}' for k, v in obj.items()
+            f"{pad2}{json.dumps(k)}: {to_json(v, indent + 1)}" for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
@@ -160,24 +161,10 @@ def _model_from_config(cfg: dict) -> ExtremalModel:
     raise InvalidInputError(f"unknown or missing model {name!r}")
 
 
-def _perturbation_from_config(cfg: dict):
-    kind = cfg.get("perturbation", "real_part")
-    if kind == "real_part":
-        return lambda pts: np.real(pts[:, 0])
-    if kind == "abs2":
-        return lambda pts: np.sum(np.abs(pts) ** 2, axis=1)
-    if kind == "constant":
-        c = float(cfg.get("perturbation_constant", 1.0))
-        return lambda pts: np.full(pts.shape[0], c)
-    raise InvalidInputError(f"unknown perturbation {kind!r}")
-
-
 def cmd_fekete(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
-    n_max = int(cfg.get("n_max", 10))
-    sweeps = int(cfg.get("max_sweeps", 10))
-    seq = diameter_sequence(cand, weight, n_max, sweeps)
+    seq = diameter_sequence(cand, weight, int(cfg.get("n_max", 10)))
     return {
         "sequence": seq,
         "delta_extrapolated": extrapolate_diameter(seq),
@@ -187,13 +174,11 @@ def cmd_fekete(cfg: dict) -> dict:
 def cmd_optmeas(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
-    n_max = int(cfg.get("n_max", 3))
-    tol = float(cfg.get("tol", 1e-6))
     reports = []
-    for n in range(1, n_max + 1):
-        rep = solve_optimal_measure(cand, weight, n, tol=tol)
+    for n in range(1, int(cfg.get("n_max", 3)) + 1):
+        rep = solve_optimal_measure(cand, weight, n)
         entry = rep.to_dict()
-        entry["certificate"] = support_certificate(rep.measure, weight, n, tol)
+        entry["certificate"] = support_certificate(rep.measure, weight, n)
         entry["masses"] = rep.measure.masses.tolist()
         reports.append(entry)
     return {"reports": reports}
@@ -226,9 +211,8 @@ def cmd_tfd(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n_max = int(cfg.get("n_max", 8))
-    sweeps = int(cfg.get("max_sweeps", 10))
 
-    fekete_seq = diameter_sequence(cand, weight, n_max, sweeps)
+    fekete_seq = diameter_sequence(cand, weight, n_max)
     fekete_route = [
         {"n": s["n"], "delta": s["delta_n"]} for s in fekete_seq
     ]
@@ -243,7 +227,7 @@ def cmd_tfd(cfg: dict) -> dict:
             )
 
     cheb_route = []
-    class_tag = "weighted" if cfg.get("weight", "zero") != "zero" else "plain"
+    class_tag = "plain" if weight.kind == "zero" else "weighted"
     cheb_cap = int(cfg.get("cheb_n_max", min(n_max, 6)))
     log_y_total = 0.0
     for n in range(1, cheb_cap + 1):
@@ -292,13 +276,9 @@ def cmd_bergman(cfg: dict) -> dict:
 
 def cmd_energy_check(cfg: dict) -> dict:
     model = _model_from_config(cfg)
-    n_max = int(cfg.get("n_max", 16))
-    resolution = int(cfg.get("resolution", 200))
     cand = _set_from_config(cfg) if "geometry" in cfg else None
-    report = rumely_check(
-        model, cand, n_max, resolution, int(cfg.get("max_sweeps", 10))
-    )
-    report["dw_vs_deltaw"] = dw_vs_deltaw_check(model, resolution)
+    report = rumely_check(model, cand, int(cfg.get("n_max", 16)))
+    report["dw_vs_deltaw"] = dw_vs_deltaw_check(model)
     return report
 
 
@@ -306,18 +286,13 @@ def cmd_diag(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n = int(cfg.get("n", 4))
-    u_fn = _perturbation_from_config(cfg)
-    cfg_fekete = search_fekete(cand, n, weight,
-                               int(cfg.get("max_sweeps", 10)))
-    mu = empirical_measure(cfg_fekete, cand)
-    report = f_n_path(mu, weight, u_fn, n)
+    mu = empirical_measure(search_fekete(cand, n, weight), cand)
+    report = f_n_path(mu, weight, lambda pts: np.real(pts[:, 0]), n)
     out = {"path": report.to_dict(),
            "max_second_difference": report.max_second_difference()}
     if "model" in cfg:
         model = _model_from_config(cfg)
-        out["weak_star_moment_distance"] = weak_star_distance(
-            mu, model, int(cfg.get("max_moment", 5))
-        )
+        out["weak_star_moment_distance"] = weak_star_distance(mu, model)
         if cand.dimension == 1:
             out["radial_cdf_distance"] = radial_cdf_distance(mu, model)
     return out
@@ -343,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="key = value file")
     parser.add_argument("--out", default=None, help="JSON output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks")
     parser.add_argument("--points-csv", default=None,
                         help="dump the candidate set as CSV")
     return parser
@@ -357,7 +330,6 @@ def main(argv=None) -> int:
     except PluripotError as exc:
         sys.stdout.write(to_json({"error": "config", "message": str(exc)}) + "\n")
         return EXIT_CONFIG
-    np.random.seed(args.seed)
     try:
         result = COMMANDS[args.subcommand](cfg)
         if args.points_csv and "geometry" in cfg:
@@ -372,7 +344,8 @@ def main(argv=None) -> int:
         "module_version": __version__,
         "subcommand": args.subcommand,
         "config_hash": config_hash(cfg),
-        "seed": args.seed,
+        # The v1 envelope requires a seed; no computation draws a random number.
+        "seed": 0,
         "results": result,
     }
     text = to_json(envelope) + "\n"

@@ -18,17 +18,6 @@ from .errors import InvalidInputError
 DUPLICATE_TOL = 1e-12
 MASS_TOL = 1e-12
 
-GEOMETRY_TAGS = (
-    "interval",
-    "circle",
-    "disk",
-    "torus",
-    "polydisk",
-    "ball",
-    "product",
-    "custom",
-)
-
 
 def as_points(points) -> np.ndarray:
     """Points as an (M, d) complex array; a 0-d or 1-D input is points in C."""
@@ -76,43 +65,41 @@ def _check_distinct(points: np.ndarray) -> None:
 class CandidateSet:
     """Finite discretization of a compact set K in C^d.
 
-    ``points`` has shape (M, d) complex; ``masses`` is None or a length-M
-    probability vector (a reference measure riding on the same nodes).
+    ``points`` has shape (M, d) complex with d >= 1; ``masses`` is None or a
+    length-M probability vector (a reference measure riding on the same nodes).
     """
 
-    dimension: int
     points: np.ndarray
-    masses: np.ndarray | None
-    geometry: str
+    masses: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
-        if pts.ndim != 2 or pts.shape[1] != self.dimension:
-            raise InvalidInputError(
-                f"points must be (M, {self.dimension}) complex, got {pts.shape}"
-            )
+        if pts.ndim != 2 or pts.shape[1] == 0:
+            raise InvalidInputError(f"points must be (M, d) complex, got {pts.shape}")
         if pts.shape[0] == 0:
             raise InvalidInputError("candidate set must be nonempty")
-        if self.geometry not in GEOMETRY_TAGS:
-            raise InvalidInputError(f"unknown geometry tag {self.geometry!r}")
         _check_distinct(pts)
         object.__setattr__(self, "points", pts)
         if self.masses is not None:
             object.__setattr__(self, "masses", check_masses(self.masses, len(pts)))
 
+    @property
+    def dimension(self) -> int:
+        return self.points.shape[1]
+
     def __len__(self) -> int:
         return self.points.shape[0]
 
 
-def circle(radius: float, m: int, center: complex = 0.0) -> CandidateSet:
-    """m equispaced points on the circle |z - center| = radius, uniform masses."""
+def circle(radius: float, m: int) -> CandidateSet:
+    """m equispaced points on the circle |z| = radius, uniform masses."""
     if radius <= 0:
         raise InvalidInputError("radius must be positive")
     if m < 1:
         raise InvalidInputError("resolution must be >= 1")
     k = np.arange(m)
-    pts = center + radius * np.exp(2j * np.pi * k / m)
-    return CandidateSet(1, pts[:, None], np.full(m, 1.0 / m), "circle")
+    pts = radius * np.exp(2j * np.pi * k / m)
+    return CandidateSet(pts[:, None], np.full(m, 1.0 / m))
 
 
 def interval(a: float, b: float, m: int, rule: str = "equispaced") -> CandidateSet:
@@ -132,10 +119,10 @@ def interval(a: float, b: float, m: int, rule: str = "equispaced") -> CandidateS
     else:
         raise InvalidInputError(f"unknown interval rule {rule!r}")
     pts = x.astype(complex)[:, None]
-    return CandidateSet(1, pts, np.full(m, 1.0 / m), "interval")
+    return CandidateSet(pts, np.full(m, 1.0 / m))
 
 
-def disk(radius: float, m_r: int, m_theta: int, center: complex = 0.0) -> CandidateSet:
+def disk(radius: float, m_r: int, m_theta: int) -> CandidateSet:
     """Polar tensor grid on the closed disk plus its center.
 
     Masses are normalized area elements (r dr dtheta), with the midpoint
@@ -148,36 +135,30 @@ def disk(radius: float, m_r: int, m_theta: int, center: complex = 0.0) -> Candid
     # Midpoint radii avoid a ring of duplicates at r=0; center added once.
     r = radius * (np.arange(1, m_r + 1) - 0.5) / m_r
     theta = 2 * np.pi * np.arange(m_theta) / m_theta
-    zz = center + np.outer(r, np.exp(1j * theta)).ravel()
-    pts = np.concatenate([[center], zz]).astype(complex)[:, None]
+    zz = np.outer(r, np.exp(1j * theta)).ravel()
+    pts = np.concatenate([[0.0], zz]).astype(complex)[:, None]
     area = np.outer(r, np.ones(m_theta)).ravel()  # ~ r dr dtheta weight
     masses = np.concatenate([[0.0], area])
     masses = masses / masses.sum()
-    return CandidateSet(1, pts, masses, "disk")
+    return CandidateSet(pts, masses)
 
 
-def torus(d: int, m: int, radii: Sequence[float] | None = None) -> CandidateSet:
+def torus(d: int, m: int) -> CandidateSet:
     """Tensor grid of m-th roots of unity per coordinate, uniform masses."""
     if d < 1:
         raise InvalidInputError("dimension must be >= 1")
     if m < 1:
         raise InvalidInputError("resolution must be >= 1")
-    if radii is None:
-        radii = [1.0] * d
-    if len(radii) != d or any(r <= 0 for r in radii):
-        raise InvalidInputError("torus needs d positive radii")
-    axes = [radii[j] * np.exp(2j * np.pi * np.arange(m) / m) for j in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
+    grids = np.meshgrid(*[np.exp(2j * np.pi * np.arange(m) / m)] * d, indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     mm = pts.shape[0]
-    return CandidateSet(d, pts, np.full(mm, 1.0 / mm), "torus")
+    return CandidateSet(pts, np.full(mm, 1.0 / mm))
 
 
 def product(sets: Sequence[CandidateSet]) -> CandidateSet:
     """Coordinate-wise product of candidate sets (masses multiply when all present)."""
     if len(sets) == 0:
         raise InvalidInputError("empty product")
-    dims = [s.dimension for s in sets]
     idx_grids = np.meshgrid(*[np.arange(len(s)) for s in sets], indexing="ij")
     idx = [g.ravel() for g in idx_grids]
     pts = np.column_stack([s.points[i] for s, i in zip(sets, idx)])
@@ -187,12 +168,11 @@ def product(sets: Sequence[CandidateSet]) -> CandidateSet:
         for s, i in zip(sets, idx):
             masses = masses * s.masses[i]
         masses = masses / masses.sum()
-    return CandidateSet(sum(dims), pts, masses, "product")
+    return CandidateSet(pts, masses)
 
 
 def custom(points: np.ndarray, masses: np.ndarray | None = None) -> CandidateSet:
-    pts = as_points(points)
-    return CandidateSet(pts.shape[1], pts, masses, "custom")
+    return CandidateSet(as_points(points), masses)
 
 
 def build_set(spec: dict) -> CandidateSet:
@@ -305,4 +285,4 @@ def import_csv(path) -> CandidateSet:
                 ) from None
     vals = np.array(rows).reshape(-1, len(header))
     pts = vals[:, 0:ncoord:2] + 1j * vals[:, 1:ncoord:2]
-    return CandidateSet(ncoord // 2, pts, vals[:, -1] if has_mass else None, "custom")
+    return CandidateSet(pts, vals[:, -1] if has_mass else None)

@@ -22,6 +22,10 @@ from .fekete import diameter_sequence, extrapolate_diameter
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 # Robin constant of the quadratic-weight unit disk: 1/2 + (1/2) log 2.
 _WDISK_RHO = 0.5 + 0.5 * math.log(2.0)
+# Quadrature resolution of the d = 1 model integrals: the points of a circle
+# average, and the Gauss-Legendre radii (and angles, for energies) of a
+# weighted-disk area integral.
+QUAD_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -96,20 +100,21 @@ def robin_constant(model: ExtremalModel) -> float:
     )
 
 
-def _circle_average(f, radius: float, m: int) -> float:
-    """(2pi/m) * sum over equispaced angles; spectrally exact here."""
-    theta = 2 * np.pi * np.arange(m) / m
+def _circle_average(f, radius: float) -> float:
+    """(2pi/m) * sum over m = QUAD_NODES equispaced angles; spectrally exact here."""
+    theta = 2 * np.pi * np.arange(QUAD_NODES) / QUAD_NODES
     pts = (radius * np.exp(1j * theta))[:, None]
-    return float(np.sum(f(pts)) * (2 * np.pi / m))
+    return float(np.sum(f(pts)) * (2 * np.pi / QUAD_NODES))
 
 
-def _wdisk_area_integral(f, n_r: int, m_theta: int, breaks=()) -> float:
+def _wdisk_area_integral(f, m_theta: int, breaks=()) -> float:
     """Integral of f against 4 r dr dtheta on |z| <= 1/sqrt(2).
 
-    Gauss-Legendre in r x trapezoid in theta.  The radial range is split
-    at ``breaks`` (kink radii of the integrand) so each panel is smooth.
+    Gauss-Legendre in r (QUAD_NODES per panel) x trapezoid in theta.  The
+    radial range is split at ``breaks`` (kink radii of the integrand) so each
+    panel is smooth.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
     edges = [0.0] + sorted(b for b in breaks if 0.0 < b < _SQRT_HALF) + [_SQRT_HALF]
     theta = 2 * np.pi * np.arange(m_theta) / m_theta
     rot = np.exp(1j * theta)
@@ -128,25 +133,25 @@ def _kink_radii(model: ExtremalModel):
     return (model.radius,) if model.kind == "disk" else (_SQRT_HALF,)
 
 
-def _measure_integral(model: ExtremalModel, f, resolution: int, breaks=()) -> float:
+def _measure_integral(model: ExtremalModel, f, breaks=()) -> float:
     """Integral of f against the model's top-degree measure (mass 2pi, d=1)."""
     if model.kind == "disk":
-        return _circle_average(f, model.radius, resolution)
+        return _circle_average(f, model.radius)
     if model.kind == "weighted_disk":
-        return _wdisk_area_integral(f, resolution, resolution, breaks)
+        return _wdisk_area_integral(f, QUAD_NODES, breaks)
     raise UnsupportedModelError(model.kind)
 
 
-def energy(u: ExtremalModel, v: ExtremalModel, resolution: int = 200) -> float:
+def energy(u: ExtremalModel, v: ExtremalModel) -> float:
     """Relative energy of u with respect to v over the supported pair table."""
     if u == v:
         return 0.0
     d1_kinds = ("disk", "weighted_disk")
     if u.kind in d1_kinds and v.kind in d1_kinds:
         diff = lambda z: eval_extremal(u, z) - eval_extremal(v, z)
-        return _measure_integral(
-            u, diff, resolution, breaks=_kink_radii(v)
-        ) + _measure_integral(v, diff, resolution, breaks=_kink_radii(u))
+        return _measure_integral(u, diff, _kink_radii(v)) + _measure_integral(
+            v, diff, _kink_radii(u)
+        )
     multi = ("torus", "polydisk")
     if u.kind in multi and v.kind in multi:
         if u.dimension != v.dimension:
@@ -178,23 +183,22 @@ def equilibrium_cdf(model: ExtremalModel, rho: np.ndarray) -> np.ndarray:
     raise UnsupportedModelError("radial CDF is tabulated for d = 1 models")
 
 
-def weight_energy_integral(model: ExtremalModel, n_r: int = 200) -> float:
+def weight_energy_integral(model: ExtremalModel) -> float:
     """Integral of Q against the mass-1 equilibrium measure of the model."""
     if model.kind == "disk":
         return 0.0
     if model.kind == "weighted_disk":
         q = lambda z: np.abs(z[:, 0]) ** 2
-        return _wdisk_area_integral(q, n_r, 8) / (2 * math.pi)
+        return _wdisk_area_integral(q, 8) / (2 * math.pi)
     raise UnsupportedModelError(model.kind)
 
 
-def default_candidates(model: ExtremalModel, resolution: int = 201) -> CandidateSet:
+def default_candidates(model: ExtremalModel) -> CandidateSet:
     """A reasonable discretization of the model's set for Fekete searches."""
     if model.kind == "disk":
-        return circle_set(model.radius, resolution)
+        return circle_set(model.radius, 201)
     if model.kind == "weighted_disk":
-        m_theta = max(8, (resolution * 4) // 5)
-        return disk_set(1.0, max(4, resolution // 4), m_theta)
+        return disk_set(1.0, 50, 160)
     raise UnsupportedModelError(model.kind)
 
 
@@ -208,8 +212,6 @@ def rumely_check(
     model: ExtremalModel,
     cand: CandidateSet | None = None,
     n_max: int = 20,
-    resolution: int = 200,
-    max_sweeps: int = 10,
 ) -> dict:
     """Compare -log delta^w from Fekete searches with the model energy."""
     if model.kind not in ("disk", "weighted_disk"):
@@ -217,8 +219,8 @@ def rumely_check(
     if cand is None:
         cand = default_candidates(model)
     weight = model_weight(model)
-    rhs = energy(model, disk(1.0), resolution) / (2 * math.pi)
-    seq = diameter_sequence(cand, weight, n_max, max_sweeps)
+    rhs = energy(model, disk(1.0)) / (2 * math.pi)
+    seq = diameter_sequence(cand, weight, n_max)
     delta_hat = extrapolate_diameter(seq)
     lhs = -math.log(delta_hat)
     return {
@@ -233,7 +235,7 @@ def rumely_check(
     }
 
 
-def dw_vs_deltaw_check(model: ExtremalModel, n_r: int = 200) -> dict:
+def dw_vs_deltaw_check(model: ExtremalModel) -> dict:
     """Closed-form check of delta^w = exp(-int Q dmu) * d^w (d = 1).
 
     Uses the mass-1 normalization for the Q integral; d^w is the capacity
@@ -243,9 +245,9 @@ def dw_vs_deltaw_check(model: ExtremalModel, n_r: int = 200) -> dict:
         raise UnsupportedModelError("dw_vs_deltaw_check needs a d = 1 model")
     rho = robin_constant(model)
     d_w = math.exp(-rho)
-    q_int = weight_energy_integral(model, n_r)
+    q_int = weight_energy_integral(model)
     delta_product = math.exp(-q_int) * d_w
-    delta_energy = math.exp(-energy(model, disk(1.0), n_r) / (2 * math.pi))
+    delta_energy = math.exp(-energy(model, disk(1.0)) / (2 * math.pi))
     return {
         "model": model.kind,
         "robin": rho,

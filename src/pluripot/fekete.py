@@ -122,15 +122,12 @@ def empirical_measure(
 
 
 def diameter_sequence(
-    cand: CandidateSet,
-    weight: AdmissibleWeight,
-    n_max: int,
-    max_sweeps: int = 10,
+    cand: CandidateSet, weight: AdmissibleWeight, n_max: int
 ) -> list[dict]:
     """Per-degree diameter estimates from greedy+exchange configurations."""
     out = []
     for n in range(1, n_max + 1):
-        cfg = search_fekete(cand, n, weight, max_sweeps)
+        cfg = search_fekete(cand, n, weight)
         delta = math.exp(
             diameter_exponent(n, cand.dimension) * cfg.log_weighted_vdm
         )
@@ -146,13 +143,13 @@ def diameter_sequence(
     return out
 
 
-def extrapolate_diameter(seq: list[dict], tail: int = 8) -> float:
-    """Extrapolated limit of delta_n from the tail of the sequence.
+def extrapolate_diameter(seq: list[dict]) -> float:
+    """Extrapolated limit of delta_n from the last eight degrees of the sequence.
 
     Fits log delta_n ~ a + b log(n)/n + c/n; the log(n)/n term captures the
     generic N^{O(1)/n} prefactor of finite-degree diameters.
     """
-    pts = seq[-tail:] if len(seq) > tail else seq
+    pts = seq[-8:]
     if len(pts) == 1:
         return pts[0]["delta_n"]
     ns = np.array([p["n"] for p in pts], dtype=float)

@@ -56,9 +56,6 @@ class DiscreteMeasure:
             raise InvalidInputError("candidate set carries no quadrature masses")
         return DiscreteMeasure(candidates, candidates.masses.copy())
 
-    def support(self) -> np.ndarray:
-        return np.nonzero(self.masses > 0)[0]
-
 
 @dataclass(frozen=True)
 class GramSystem:

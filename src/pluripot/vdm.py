@@ -119,19 +119,6 @@ def diameter_exponent(n: int, d: int) -> float:
     return (d + 1) / (d * n * m_n)
 
 
-def nth_order_diameter(
-    points: np.ndarray, n: int, weight: AdmissibleWeight
-) -> float:
-    """Sample value of the n-th order diameter at one configuration."""
-    if n < 1:
-        raise InvalidInputError("degree must be >= 1")
-    points = as_points(points)
-    logw = log_abs_weighted_vdm(points, n, weight)
-    if logw.is_zero:
-        return 0.0
-    return math.exp(diameter_exponent(n, points.shape[1]) * logw.log_abs)
-
-
 def homogeneous_basis(n: int, d: int) -> MultiIndexBasis:
     """The degree-n block of the graded-lex basis (h_n monomials)."""
     full = enumerate_basis(n, d).indices

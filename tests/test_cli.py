@@ -176,7 +176,7 @@ def test_determinism_byte_identical(tmp_path):
     text = "geometry = circle\nradius = 1.0\nm = 48\nn_max = 5\n"
     outputs = []
     for tag in ("r1", "r2"):
-        _, out = run_cli(tmp_path, f"det_{tag}", text, "tfd", "--seed", "7")
+        _, out = run_cli(tmp_path, f"det_{tag}", text, "tfd")
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -300,3 +300,53 @@ def test_readme_flags_match_parser():
         if opt.startswith("--") and opt != "--help"
     }
     assert documented == parser_flags
+
+
+def test_to_json_escapes_control_characters():
+    text = cli.to_json({"message": "a\tb\n\x01"})
+    assert json.loads(text) == {"message": "a\tb\n\x01"}
+    assert json.loads(cli.to_json("a\tb\n\x01")) == "a\tb\n\x01"
+
+
+def test_config_error_report_parses_with_tab_in_path(tmp_path, capsys):
+    cfg = tmp_path / "tab\tname.cfg"
+    cfg.write_text("geometry = circle\nnot a pair\n")
+    code = cli.main(["fekete", "--config", str(cfg)])
+    assert code == cli.EXIT_CONFIG
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "config", "message": f"{cfg}:2: expected key = value"}
+
+
+def test_cheb_homogeneous_class_on_torus(tmp_path):
+    # Monomials are orthonormal on the torus: every Y is 1.
+    code, out = run_cli(tmp_path, "hom", "geometry = torus\nd = 2\nm = 12\n"
+                        "n_max = 3\nclass = homogeneous\n", "cheb")
+    assert code == cli.EXIT_OK
+    res = json.loads(out.read_text())["results"]
+    assert res["class"] == "homogeneous"
+    alphas = [tuple(r["alpha"]) for r in res["records"]]
+    assert alphas == [(k - j, j) for k in (1, 2, 3) for j in range(k + 1)]
+    assert all(abs(r["Y"] - 1.0) <= 1e-12 for r in res["records"])
+    assert res["violations"] == []
+
+
+def test_cheb_weighted_class_on_circle(tmp_path):
+    # |z| = r and Q = r^2 everywhere: Y(k) = r^k e^{-k r^2}.
+    r = 0.8
+    code, out = run_cli(tmp_path, "wtd", f"geometry = circle\nradius = {r}\nm = 64\n"
+                        "n_max = 4\nclass = weighted\nweight = quadratic\n", "cheb")
+    assert code == cli.EXIT_OK
+    res = json.loads(out.read_text())["results"]
+    assert [rec["alpha"] for rec in res["records"]] == [[1], [2], [3], [4]]
+    for rec in res["records"]:
+        (k,) = rec["alpha"]
+        exact = r**k * math.exp(-k * r * r)
+        assert abs(rec["Y"] - exact) <= 1e-12 * exact, rec
+
+
+def test_cheb_unknown_class_is_a_compute_error(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "pretzel", "geometry = circle\nm = 16\n"
+                      "n_max = 2\nclass = pretzel\n", "cheb")
+    assert code == cli.EXIT_COMPUTE
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "computation", "message": "unknown class 'pretzel'"}

@@ -49,6 +49,8 @@ def test_torus_and_product():
     p = domains.product([domains.circle(1.0, 3), domains.circle(0.5, 4)])
     assert p.dimension == 2 and len(p) == 12
     assert abs(p.masses.sum() - 1.0) < 1e-12
+    mixed = domains.product([domains.interval(-1.0, 1.0, 5), domains.circle(1.0, 4)])
+    assert mixed.dimension == 2 and len(mixed) == 20
 
 
 def test_duplicates_rejected():
@@ -124,18 +126,27 @@ def test_non_finite_geometry_rejected():
 def test_mass_validation():
     pts = np.array([[0.0 + 0j], [1.0 + 0j]])
     with pytest.raises(InvalidInputError):
-        CandidateSet(1, pts, np.array([0.6, 0.6]), "custom")
+        CandidateSet(pts, np.array([0.6, 0.6]))
     with pytest.raises(InvalidInputError):
-        CandidateSet(1, pts, np.array([-0.1, 1.1]), "custom")
+        CandidateSet(pts, np.array([-0.1, 1.1]))
     with pytest.raises(InvalidInputError):
-        CandidateSet(1, pts, np.array([np.nan, 1.0]), "custom")
+        CandidateSet(pts, np.array([np.nan, 1.0]))
     with pytest.raises(InvalidInputError):
-        CandidateSet(1, pts, np.array([1.0]), "custom")
+        CandidateSet(pts, np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "shape", [(3,), (2, 2, 2), (3, 0)], ids=["1-D", "3-D", "no-coordinates"]
+)
+def test_candidate_points_must_be_m_by_d(shape):
+    pts = np.arange(math.prod(shape), dtype=complex).reshape(shape)
+    with pytest.raises(InvalidInputError, match=r"\(M, d\)"):
+        CandidateSet(pts)
 
 
 def test_build_set():
     c = domains.build_set({"kind": "circle", "radius": 1.0, "m": 8})
-    assert c.geometry == "circle" and len(c) == 8
+    assert len(c) == 8 and np.allclose(np.abs(c.points), 1.0)
     with pytest.raises(InvalidInputError):
         domains.build_set({"kind": "pretzel"})
 

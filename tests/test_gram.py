@@ -136,18 +136,17 @@ def _trace_error(cand, n):
 
 
 @pytest.mark.parametrize(
-    "cand, n",
+    "cand, n, tol",
     [
-        (domains.circle(10.0, 400), 31),
-        (domains.torus(2, 41), 16),
-        (domains.product([domains.interval(-1.0, 1.0, 41)] * 2), 14),
+        (domains.circle(10.0, 400), 31, 1e-12),
+        (domains.torus(2, 41), 16, 1e-12),
+        (domains.product([domains.interval(-1.0, 1.0, 41)] * 2), 14, 3e-8),
     ],
     ids=["circle-31", "torus-16", "square-14"],
 )
-def test_well_conditioned_grams_accepted_at_any_degree(cand, n):
+def test_well_conditioned_grams_accepted_at_any_degree(cand, n, tol):
     # Orthogonal monomials (circle, torus) score pivots of exactly 1; the
     # square at n = 14 scores 9.6e-8, above the bound.
-    tol = 3e-8 if cand.geometry == "product" else 1e-12
     assert _trace_error(cand, n) <= tol
 
 

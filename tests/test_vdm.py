@@ -99,7 +99,8 @@ def test_diameter_exponent_and_nth_order_diameter():
     assert vdm.diameter_exponent(2, 1) == pytest.approx(2.0 / (2 * 3))
     # three cube roots of unity: |VDM| = 3^{3/2}, delta = 3^{1/2}
     z = np.exp(2j * np.pi * np.arange(3) / 3)
-    delta = vdm.nth_order_diameter(z, 2, AdmissibleWeight.zero())
+    logw = vdm.log_abs_weighted_vdm(z, 2, AdmissibleWeight.zero())
+    delta = math.exp(vdm.diameter_exponent(2, 1) * logw.log_abs)
     assert delta == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
 
