@@ -9,7 +9,13 @@ continuous optimum over the grid, within 1e-9 relative when the record's
 ``converged`` is true.  A refinement that stops at ``_REFINE_ROUNDS`` says
 so with ``converged`` false.  HiGHS's feasibility tolerances are absolute,
 so a small minimax value can cap: ``circle(0.5, 201)`` does at k = 5 and
-7-10, with a worst relative error of 4.3e-8.
+7-10, with a worst relative error of 4.3e-8 (at k = 10).
+
+The homogeneous-lift check maximizes each side exhaustively when it has at
+most ``EXHAUSTIVE_CAP`` subsets.  Every subset is scored by one walk down
+the prefix tree of the subsets, a product of projected column norms with
+one Householder reflector per tree node, and the best score is confirmed
+by a pivoted QR.
 """
 
 from __future__ import annotations
@@ -39,8 +45,11 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-9,
 }
-# Matrix entries per batched slogdet in the exhaustive lift check, so a
-# chunk's memory does not grow with the subset size N.
+# Entries of the products U^H a_x that one chunk of prefix-tree nodes forms
+# in the exhaustive lift check: nodes * (N - k) * m at depth k.  A chunk's
+# child bases hold at most N times as many.  On a 48-point circle at N = 4,
+# 2^14 keeps the walk's traced peak near 4 MB, 1.6 MB of it the scores; 2^15
+# takes 5.8 MB and is no faster.
 _CHUNK_ENTRIES = 1 << 14
 # Largest subset count a lift-check side maximizes exhaustively.
 EXHAUSTIVE_CAP = 200_000
@@ -257,29 +266,85 @@ def _combination(rank: int, m: int, count: int) -> list[int]:
     return combo
 
 
+def _chunk_nodes(dim: int, m: int) -> int:
+    """Nodes per chunk at a prefix-tree level whose complements have dimension dim."""
+    return max(1, _CHUNK_ENTRIES // (dim * m))
+
+
+def _subset_scores(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> np.ndarray:
+    """log |det cols[:, S]| - n * sum Q(S) for every count-subset S, lexicographically.
+
+    A walk down the prefix tree of the subsets, one level at a time, by
+    |det cols[:, S]| = prod_k |P_k a_{s_k}|, where a_x is column x and P_k
+    projects onto the orthogonal complement of a_{s_1}, ..., a_{s_{k-1}}.
+    A node at depth k holds an orthonormal basis U (count x (count - k)) of
+    its complement, its partial score and its last index.  Child x > last
+    gets alpha = U^H a_x and the partial score + log |alpha| - n Q(x); above
+    the leaves it also gets the basis U H(alpha)[:, 1:], from the Householder
+    reflector H(alpha) that maps alpha to a multiple of e_1.  Each level is
+    processed in chunks of ``_chunk_nodes`` nodes with batched numpy
+    operations.  A chunk emits its children row-major, which is lexicographic
+    order, and the walk finishes a chunk's subtree before the next chunk.  A
+    subset holding a point of non-finite Q scores -inf.
+    """
+    m = cols.shape[1]
+    cost = np.where(np.isfinite(q), n * q, math.inf)
+    scores = np.empty(math.comb(m, count))
+    filled = 0
+    # Blocks of nodes: the rows U^H of their bases, partial scores, last indices.
+    stack = [(np.eye(count, dtype=complex)[None], np.zeros(1), np.full(1, -1))]
+    while stack:
+        rows, partial, last = stack.pop()
+        dim = rows.shape[1]
+        size = _chunk_nodes(dim, m)
+        if len(last) > size:
+            stack.extend(
+                (rows[i:i + size], partial[i:i + size], last[i:i + size])
+                for i in reversed(range(0, len(last), size))
+            )
+            continue
+        stop = m - dim + 1  # room for the dim - 1 indices still to come
+        keep = np.arange(stop) > last[:, None]
+        products = rows @ cols[:, :stop]
+        if dim == 1:
+            with np.errstate(divide="ignore"):
+                score = partial[:, None] + np.log(np.abs(products[:, 0])) - cost[:stop]
+            score = score[keep]
+            scores[filled:filled + len(score)] = score
+            filled += len(score)
+            continue
+        parent, child = np.nonzero(keep)
+        alpha = products.transpose(0, 2, 1)[keep]
+        norm = np.linalg.norm(alpha, axis=1)
+        with np.errstate(divide="ignore"):
+            score = partial[parent] + np.log(norm) - cost[child]
+        # H = I - beta v v^H with v = alpha + e^{i arg alpha_1} |alpha| e_1,
+        # and the child's rows are H[1:, :] U^H = U^H[1:] - beta v[1:] (v^H U^H).
+        lead = np.abs(alpha[:, 0])
+        v = alpha.copy()
+        v[:, 0] += np.exp(1j * np.angle(alpha[:, 0])) * norm
+        with np.errstate(divide="ignore"):
+            beta = np.where(norm > 0, 1.0 / (norm * (norm + lead)), 0.0)
+        up = rows[parent]
+        vh_rows = (v.conj()[:, None, :] @ up)[:, 0]
+        scaled = (beta[:, None] * v[:, 1:])[:, :, None]
+        child_rows = up[:, 1:] - scaled * vh_rows[:, None]
+        stack.append((child_rows, score, child))
+    return scores
+
+
 def _exhaustive_max(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
     """Max of log |det cols[:, S]| - n * sum Q(S) over count-subsets S.
 
-    Subsets are scored in lexicographic chunks, one batched LU ``slogdet``
-    per chunk.  The value reported is the pivoted QR of the best-scoring
-    subset, whose rank rule alone judges singularity: if it rejects that
-    subset, the next scores are tried in decreasing order (ties in
-    lexicographic order).  Subsets holding a point of non-finite Q are skipped.
+    ``_subset_scores`` scores every subset by projections down the prefix
+    tree of the subsets.  The value reported
+    is the pivoted QR of the best-scoring subset, whose rank rule alone
+    judges singularity: if it rejects that subset, the next scores are tried
+    in decreasing order (ties in lexicographic order).  Subsets holding a
+    point of non-finite Q are skipped.
     """
     m = cols.shape[1]
-    total = math.comb(m, count)
-    size = max(1, _CHUNK_ENTRIES // count**2)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(m), count))
-    rows = cols.T  # a subset's rows form the transpose: same |det|
-    scores = np.empty(total)
-    for start in range(0, total, size):
-        k = min(size, total - start)
-        idx = np.fromiter(flat, dtype=np.intp, count=k * count).reshape(k, count)
-        _, log_abs = np.linalg.slogdet(rows[idx])  # -inf where sign is 0
-        q_sum = q[idx].sum(axis=1)
-        score = log_abs - n * q_sum
-        score[~np.isfinite(q_sum)] = -math.inf
-        scores[start:start + k] = score
+    scores = _subset_scores(cols, count, n, q)
     for rank in _descending(scores):
         if scores[rank] == -math.inf:
             break

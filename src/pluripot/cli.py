@@ -93,25 +93,27 @@ def to_json(obj, indent: int = 0) -> str:
     raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
 
 
+class ConfigError(InvalidInputError):
+    """A config file that cannot be read, or a key of the wrong type or range."""
+
+
 def parse_config(path: str) -> dict:
-    """Flat key = value file; values typed as int, float, bool, or str."""
+    """Flat key = value UTF-8 file; values typed as int, float, bool, or str."""
     cfg: dict = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
-                    raise InvalidInputError(
-                        f"{path}:{lineno}: expected key = value"
-                    )
+                    raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, val = (s.strip() for s in line.split("=", 1))
                 if not key:
-                    raise InvalidInputError(f"{path}:{lineno}: empty key")
+                    raise ConfigError(f"{path}:{lineno}: empty key")
                 cfg[key] = _parse_value(val)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read config: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}")
     return cfg
 
 
@@ -130,6 +132,24 @@ def _parse_value(val: str):
     return val
 
 
+def _number(cfg: dict, key: str, kind: type, default=None, least=None):
+    """cfg[key] as an int or a float, or ``default`` when the key is absent.
+
+    A value that is not a number, a fractional value for an int key and a
+    value below ``least`` raise ConfigError naming the key.
+    """
+    if key not in cfg:
+        return default
+    val = cfg[key]
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if not number or (kind is int and not float(val).is_integer()):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r} must be {noun}, got {val!r}")
+    if least is not None and val < least:
+        raise ConfigError(f"key {key!r} must be >= {least}, got {val!r}")
+    return kind(val)
+
+
 def config_hash(cfg: dict) -> str:
     canon = "\n".join(f"{k} = {cfg[k]}" for k in sorted(cfg))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -144,18 +164,28 @@ def _weight_from_config(cfg: dict) -> AdmissibleWeight:
     raise InvalidInputError(f"unknown weight {kind!r}")
 
 
+# The numeric geometry keys and their types; build_set reads them.
+_GEOMETRY_KEYS = {"radius": float, "a": float, "b": float,
+                  "m": int, "m_r": int, "m_theta": int, "d": int}
+
+
 def _set_from_config(cfg: dict):
-    spec = {"kind": cfg.get("geometry")}
-    for key in ("radius", "m", "m_r", "m_theta", "a", "b", "rule", "d"):
-        if key in cfg:
-            spec[key] = cfg[key]
-    return build_set(spec)
+    spec = {key: _number(cfg, key, kind)
+            for key, kind in _GEOMETRY_KEYS.items() if key in cfg}
+    spec["kind"] = cfg.get("geometry")
+    if "rule" in cfg:
+        spec["rule"] = cfg["rule"]
+    try:
+        return build_set(spec)
+    except KeyError as exc:
+        kind, key = spec["kind"], exc.args[0]
+        raise ConfigError(f"geometry {kind!r} needs key {key!r}") from None
 
 
 def _model_from_config(cfg: dict) -> ExtremalModel:
     name = cfg.get("model")
     if name == "disk":
-        return disk(float(cfg.get("model_radius", 1.0)))
+        return disk(_number(cfg, "model_radius", float, 1.0))
     if name == "weighted_disk":
         return weighted_disk()
     raise InvalidInputError(f"unknown or missing model {name!r}")
@@ -164,7 +194,7 @@ def _model_from_config(cfg: dict) -> ExtremalModel:
 def cmd_fekete(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
-    seq = diameter_sequence(cand, weight, int(cfg.get("n_max", 10)))
+    seq = diameter_sequence(cand, weight, _number(cfg, "n_max", int, 10, 1))
     return {
         "sequence": seq,
         "delta_extrapolated": extrapolate_diameter(seq),
@@ -175,7 +205,7 @@ def cmd_optmeas(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     reports = []
-    for n in range(1, int(cfg.get("n_max", 3)) + 1):
+    for n in range(1, _number(cfg, "n_max", int, 3, 1) + 1):
         rep = solve_optimal_measure(cand, weight, n)
         entry = rep.to_dict()
         entry["certificate"] = support_certificate(rep.measure, weight, n)
@@ -188,7 +218,7 @@ def cmd_cheb(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     class_tag = cfg.get("class", "plain")
-    n_max = int(cfg.get("n_max", 4))
+    n_max = _number(cfg, "n_max", int, 4, 1)
     trend = []
     all_records = []
     for n in range(1, n_max + 1):
@@ -210,7 +240,7 @@ def cmd_cheb(cfg: dict) -> dict:
 def cmd_tfd(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
-    n_max = int(cfg.get("n_max", 8))
+    n_max = _number(cfg, "n_max", int, 8, 1)
 
     fekete_seq = diameter_sequence(cand, weight, n_max)
     fekete_route = [
@@ -228,7 +258,7 @@ def cmd_tfd(cfg: dict) -> dict:
 
     cheb_route = []
     class_tag = "plain" if weight.kind == "zero" else "weighted"
-    cheb_cap = int(cfg.get("cheb_n_max", min(n_max, 6)))
+    cheb_cap = _number(cfg, "cheb_n_max", int, min(n_max, 6), 0)
     log_y_total = 0.0
     for n in range(1, cheb_cap + 1):
         gm, _ = tau_geometric_mean(cand, weight, class_tag, n)
@@ -236,7 +266,7 @@ def cmd_tfd(cfg: dict) -> dict:
         log_y_total += r_n * math.log(gm)
         cheb_route.append({"n": n, "delta": math.exp(log_y_total / l_n)})
 
-    lift_cap = int(cfg.get("lift_n_max", min(n_max, 3)))
+    lift_cap = _number(cfg, "lift_n_max", int, min(n_max, 3), 0)
     lift_route = lift_identity_check(cand, weight, lift_cap, fekete_seq=fekete_seq)
 
     return {
@@ -254,7 +284,7 @@ def cmd_tfd(cfg: dict) -> dict:
 def cmd_bergman(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
-    n_max = int(cfg.get("n_max", 8))
+    n_max = _number(cfg, "n_max", int, 8, 1)
     if cand.masses is None:
         raise InvalidInputError("bergman subcommand needs quadrature masses")
     ref = DiscreteMeasure.from_reference(cand)
@@ -277,7 +307,7 @@ def cmd_bergman(cfg: dict) -> dict:
 def cmd_energy_check(cfg: dict) -> dict:
     model = _model_from_config(cfg)
     cand = _set_from_config(cfg) if "geometry" in cfg else None
-    report = rumely_check(model, cand, int(cfg.get("n_max", 16)))
+    report = rumely_check(model, cand, _number(cfg, "n_max", int, 16, 1))
     report["dw_vs_deltaw"] = dw_vs_deltaw_check(model)
     return report
 
@@ -285,7 +315,7 @@ def cmd_energy_check(cfg: dict) -> dict:
 def cmd_diag(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
-    n = int(cfg.get("n", 4))
+    n = _number(cfg, "n", int, 4, 1)
     mu = empirical_measure(search_fekete(cand, n, weight), cand)
     report = f_n_path(mu, weight, lambda pts: np.real(pts[:, 0]), n)
     out = {"path": report.to_dict(),
@@ -327,13 +357,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-    except PluripotError as exc:
-        sys.stdout.write(to_json({"error": "config", "message": str(exc)}) + "\n")
-        return EXIT_CONFIG
-    try:
         result = COMMANDS[args.subcommand](cfg)
         if args.points_csv and "geometry" in cfg:
             export_csv(_set_from_config(cfg), args.points_csv)
+    except ConfigError as exc:
+        sys.stdout.write(to_json({"error": "config", "message": str(exc)}) + "\n")
+        return EXIT_CONFIG
     except PluripotError as exc:
         sys.stdout.write(
             to_json({"error": "computation", "message": str(exc)}) + "\n"

@@ -183,16 +183,16 @@ def build_set(spec: dict) -> CandidateSet:
     """
     kind = spec.get("kind")
     if kind == "circle":
-        return circle(spec.get("radius", 1.0), int(spec["m"]))
+        return circle(spec.get("radius", 1.0), spec["m"])
     if kind == "interval":
         return interval(
-            spec.get("a", -1.0), spec.get("b", 1.0), int(spec["m"]),
+            spec.get("a", -1.0), spec.get("b", 1.0), spec["m"],
             spec.get("rule", "equispaced"),
         )
     if kind == "disk":
-        return disk(spec.get("radius", 1.0), int(spec["m_r"]), int(spec["m_theta"]))
+        return disk(spec.get("radius", 1.0), spec["m_r"], spec["m_theta"])
     if kind == "torus":
-        return torus(int(spec.get("d", 1)), int(spec["m"]))
+        return torus(spec.get("d", 1), spec["m"])
     raise InvalidInputError(f"unknown geometry kind {kind!r}")
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.optimize import OptimizeWarning
 
 from pluripot import cheb, domains, vdm
-from pluripot.basis import dimension_counts
+from pluripot.basis import dimension_counts, enumerate_basis
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import InvalidInputError
 
@@ -222,11 +223,15 @@ def _assert_matches_brute_force(cand, w, n_max, m_t):
 
 
 def test_batched_max_across_chunk_edges(monkeypatch):
-    # 15 pairs or 6 triples per chunk: no count of subsets below is a multiple.
-    monkeypatch.setattr(cheb, "_CHUNK_ENTRIES", 60)
+    # Depth k of the prefix tree over n_pts-subsets of m points holds
+    # C(m - n_pts + k, k) nodes, walked in chunks of _chunk_nodes(n_pts - k, m)
+    # nodes.  Below the root every depth needs two or more chunks of 2 to 9.
+    monkeypatch.setattr(cheb, "_CHUNK_ENTRIES", 120)
     cand = domains.circle(1.1, 13)
     for m, n_pts in ((13, 2), (13, 3), (26, 2), (26, 3)):
-        assert math.comb(m, n_pts) % (60 // n_pts**2) != 0
+        for k in range(1, n_pts):
+            per_chunk = cheb._chunk_nodes(n_pts - k, m)
+            assert 2 <= per_chunk < math.comb(m - n_pts + k, k), (m, n_pts, k)
     _assert_matches_brute_force(cand, AdmissibleWeight.quadratic(), 2, 2)
 
 
@@ -245,6 +250,70 @@ def test_batched_max_walks_past_rank_deficient_subsets():
     best = pairs[int(np.argmax(scores))]
     assert vdm.log_abs_homogeneous_vdm(lift.points[list(best)], 1).is_zero
     _assert_matches_brute_force(cand, w, 1, 4)
+
+
+def _assert_scores_match_slogdet(cols, n, q):
+    """Scores in combinations order equal slogdet - n sum Q near the maximum."""
+    count, m = cols.shape
+    combos = [list(c) for c in itertools.combinations(range(m), count)]
+    got = cheb._subset_scores(cols, count, n, q)
+    assert got.shape == (len(combos),)
+    finite = np.array([np.isfinite(q[c]).all() for c in combos])
+    assert np.all(got[~finite] == -np.inf)
+    with np.errstate(invalid="ignore"):  # inf - inf where Q = +inf
+        want = np.array([np.linalg.slogdet(cols[:, c])[1] - n * q[c].sum()
+                         for c in combos])
+        hadamard = np.array([np.log(np.linalg.norm(cols[:, c], axis=0)).sum()
+                             - n * q[c].sum() for c in combos])
+    singular = finite & np.array([vdm._logdet_qr(cols[:, c]).is_zero for c in combos])
+    # A subset the rank rule rejects scores rounding noise by either route,
+    # far below Hadamard's bound prod |a_s|.
+    assert np.all(got[singular] < hadamard[singular] - 30)
+    regular = finite & ~singular
+    near = regular & (want >= want[regular].max() - 30)
+    assert near.sum() > 0
+    assert np.abs(got[near] - want[near]).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "seed, d, n, m",
+    [(0, 1, 3, 12), (1, 1, 5, 9), (2, 2, 1, 14), (3, 2, 2, 11)],
+)
+def test_subset_scores_match_slogdet(seed, d, n, m):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    q = rng.uniform(-0.5, 0.5, m)
+    q[rng.integers(m)] = np.inf
+    cols = vdm.monomial_values(enumerate_basis(n, d).indices, pts)
+    _assert_scores_match_slogdet(cols, n, q)
+
+
+def test_subset_scores_on_rank_deficient_lift_pairs():
+    # The lift of test_batched_max_walks_past_rank_deficient_subsets: pairs
+    # over one base point are singular.
+    centre = 0.3 + 0.7j
+    cand = domains.custom(np.array([centre, -0.6 + 0.2j, 0.1 - 0.8j])[:, None])
+    w = AdmissibleWeight.custom(
+        lambda p: np.where(np.isclose(p[:, 0], centre), -25.0, 20.0)
+    )
+    lift, _ = cheb.homogeneous_lift(cand, w, 4)
+    block = vdm.monomial_values(vdm.homogeneous_basis(1, 2).indices, lift.points)
+    _assert_scores_match_slogdet(block, 1, np.zeros(len(lift)))
+
+
+def test_exhaustive_max_traced_peak():
+    # 194,580 scores (1.6 MB) and one chunk per depth of the walk.
+    cols = vdm.monomial_values(
+        enumerate_basis(3, 1).indices, domains.circle(1.0, 48).points
+    )
+    tracemalloc.start()
+    try:
+        value = cheb._exhaustive_max(cols, 4, 3, np.zeros(48))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(math.log(16.0), rel=1e-14)  # 4 roots of unity
+    assert peak < 6e6
 
 
 def test_batched_max_skips_infinite_q(monkeypatch):

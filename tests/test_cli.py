@@ -189,6 +189,16 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert doc["error"] == "config"
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"geometry = circle\nm = 16\nname = caf\xe9\n")
+    code = cli.main(["fekete", "--config", str(cfg)])
+    assert code == cli.EXIT_CONFIG
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "config"
+    assert doc["message"].startswith("cannot read config: ")
+
+
 def test_exit_code_compute_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("geometry = circle\nradius = 1.0\nm = 3\nn_max = 6\n")
@@ -350,3 +360,47 @@ def test_cheb_unknown_class_is_a_compute_error(tmp_path, capsys):
     assert code == cli.EXIT_COMPUTE
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"error": "computation", "message": "unknown class 'pretzel'"}
+
+
+@pytest.mark.parametrize(
+    "sub, text, message",
+    [
+        ("fekete", "n_max = 0\n", "key 'n_max' must be >= 1, got 0"),
+        ("tfd", "n_max = 0\n", "key 'n_max' must be >= 1, got 0"),
+        ("diag", "n = 0\n", "key 'n' must be >= 1, got 0"),
+        ("fekete", "n_max = two\n", "key 'n_max' must be an integer, got 'two'"),
+        ("fekete", "n_max = 2.5\n", "key 'n_max' must be an integer, got 2.5"),
+        ("tfd", "n_max = 3\nlift_n_max = 1.5\n",
+         "key 'lift_n_max' must be an integer, got 1.5"),
+        ("fekete", "m = ten\n", "key 'm' must be an integer, got 'ten'"),
+        ("cheb", "radius = big\n", "key 'radius' must be a number, got 'big'"),
+    ],
+    ids=["fekete-n_max-0", "tfd-n_max-0", "diag-n-0", "non-numeric", "fractional",
+         "fractional-cap", "non-numeric-m", "non-numeric-radius"],
+)
+def test_bad_numeric_key_is_a_config_error(tmp_path, capsys, sub, text, message):
+    # A later line overrides an earlier line of the same key.
+    code, out = run_cli(tmp_path, "badkey",
+                        "geometry = circle\nradius = 1.0\nm = 16\nn_max = 2\n" + text,
+                        sub)
+    assert code == cli.EXIT_CONFIG
+    assert not out.exists()
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "config", "message": message}
+
+
+def test_missing_geometry_key_is_a_config_error(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "nokey", "geometry = disk\nm_r = 3\nn_max = 2\n",
+                      "fekete")
+    assert code == cli.EXIT_CONFIG
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "config", "message": "geometry 'disk' needs key 'm_theta'"}
+
+
+def test_integral_float_reads_as_int(tmp_path):
+    code, out = run_cli(tmp_path, "intfloat",
+                        "geometry = circle\nradius = 1.0\nm = 16.0\nn_max = 2.0\n",
+                        "fekete")
+    assert code == cli.EXIT_OK
+    seq = json.loads(out.read_text())["results"]["sequence"]
+    assert [s["n"] for s in seq] == [1, 2]
