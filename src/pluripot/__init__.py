@@ -7,7 +7,7 @@ Monge-Ampere energy identities, with built-in cross-checks.
 
 __version__ = "0.1.0"
 
-from .basis import MultiIndexBasis, dimension_counts, enumerate_basis
+from .basis import degree_block, dimension_counts, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, build_set
 from .errors import (
     DegenerateMeasureError,
@@ -19,7 +19,7 @@ from .errors import (
 from .gram import DiscreteMeasure, GramSystem, gram_matrix
 
 __all__ = [
-    "MultiIndexBasis",
+    "degree_block",
     "dimension_counts",
     "enumerate_basis",
     "AdmissibleWeight",

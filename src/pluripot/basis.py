@@ -3,68 +3,49 @@
 Everything downstream (Vandermonde matrices, Gram systems, Chebyshev
 classes) is expressed in the monomial basis enumerated here, so the order
 is fixed once and for all: ascending total degree, lexicographic within
-each degree block with the first coordinate weighted heaviest.
+each degree block with the first coordinate weighted heaviest.  This is the
+only module that knows the order: callers ask for the full basis or for one
+degree block, never slice one out of the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
 
 
-def _homogeneous_indices(degree: int, d: int) -> list[tuple[int, ...]]:
-    """All multi-indices in N^d with |alpha| = degree, lex order.
-
-    First coordinate descends fastest, matching e.g. (2,0), (1,1), (0,2).
-    """
-    if d == 1:
-        return [(degree,)]
-    out = []
-    for a0 in range(degree, -1, -1):
-        for tail in _homogeneous_indices(degree - a0, d - 1):
-            out.append((a0,) + tail)
-    return out
-
-
-@dataclass(frozen=True)
-class MultiIndexBasis:
-    """Ordered monomial basis of polynomials of degree <= n in d variables."""
-
-    dimension: int
-    degree: int
-    indices: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    @property
-    def size(self) -> int:
-        """N = m_n, the number of basis monomials."""
-        return len(self.indices)
-
-    def degrees(self) -> list[int]:
-        return [sum(a) for a in self.indices]
-
-    def block(self, k: int) -> list[tuple[int, ...]]:
-        """The multi-indices of total degree exactly k."""
-        return [a for a in self.indices if sum(a) == k]
-
-
-def enumerate_basis(n: int, d: int) -> MultiIndexBasis:
-    """Enumerate the graded-lex monomial basis of P_n in d variables.
-
-    Deterministic; degrees are nondecreasing along the list.
-    """
+def _check(n: int, d: int) -> None:
     if d < 1:
         raise InvalidInputError(f"dimension must be >= 1, got {d}")
     if n < 0:
         raise InvalidInputError(f"degree must be >= 0, got {n}")
-    indices: list[tuple[int, ...]] = []
-    for k in range(n + 1):
-        indices.extend(_homogeneous_indices(k, d))
-    return MultiIndexBasis(dimension=d, degree=n, indices=tuple(indices))
+
+
+def _block(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    if d == 1:
+        return ((n,),)
+    return tuple(
+        (a0,) + tail for a0 in range(n, -1, -1) for tail in _block(n - a0, d - 1)
+    )
+
+
+def degree_block(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """All multi-indices in N^d with |alpha| = n (h_n of them), lex order.
+
+    First coordinate descends fastest, matching e.g. (2,0), (1,1), (0,2).
+    """
+    _check(n, d)
+    return _block(n, d)
+
+
+def enumerate_basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The graded-lex monomial basis of P_n in d variables (m_n multi-indices).
+
+    Deterministic; the degree blocks 0, 1, ..., n follow one another.
+    """
+    _check(n, d)
+    return tuple(alpha for k in range(n + 1) for alpha in _block(k, d))
 
 
 def dimension_counts(n: int, d: int) -> tuple[int, int, int, int]:
@@ -74,10 +55,7 @@ def dimension_counts(n: int, d: int) -> tuple[int, int, int, int]:
     exactly n, l_n the sum of degrees over all m_n monomials, and
     r_n = n * h_n the degree sum over the top block.  Exact integers.
     """
-    if d < 1:
-        raise InvalidInputError(f"dimension must be >= 1, got {d}")
-    if n < 0:
-        raise InvalidInputError(f"degree must be >= 0, got {n}")
+    _check(n, d)
     m_n = math.comb(n + d, n)
     h_n = 1 if n == 0 else m_n - math.comb(n - 1 + d, n - 1)
     l_n = d * math.comb(d + n, d + 1)

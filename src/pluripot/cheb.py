@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import dimension_counts, enumerate_basis
+from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, weight_power
 from .errors import InvalidInputError, PluripotError
 from .fekete import search_fekete
-from .vdm import _logdet_qr, diameter_exponent, homogeneous_basis, monomial_values
+from .vdm import _logdet_qr, diameter_exponent, monomial_values
 
 CLASSES = ("plain", "homogeneous", "weighted")
 INITIAL_FACETS = 16
@@ -74,12 +74,9 @@ class ChebyshevRecord:
 
 def _class_monomials(alpha: tuple[int, ...], d: int, class_tag: str):
     """Monomials that may be recombined with e_alpha, per class rules."""
-    deg = sum(alpha)
-    full = enumerate_basis(deg, d).indices
-    start = 0
-    if class_tag == "homogeneous":
-        start = len(full) - dimension_counts(deg, d)[1]  # the degree-deg block
-    return full[start:full.index(alpha)]
+    monomials = degree_block if class_tag == "homogeneous" else enumerate_basis
+    full = monomials(sum(alpha), d)
+    return full[:full.index(alpha)]
 
 
 def linprog(*args, **kwargs):
@@ -222,7 +219,7 @@ def tau_geometric_mean(
     """Geometric mean of tau(alpha) over the degree-n block."""
     if n < 1:
         raise InvalidInputError("degree must be >= 1")
-    block = homogeneous_basis(n, cand.dimension).indices
+    block = degree_block(n, cand.dimension)
     records = [chebyshev_constant(cand, a, class_tag, weight) for a in block]
     logs = [math.log(r.tau) for r in records]
     return math.exp(sum(logs) / len(logs)), records
@@ -391,9 +388,8 @@ def lift_identity_check(
 
     out = []
     for n in range(1, n_max + 1):
-        indices = enumerate_basis(n, d).indices
-        n_pts = len(indices)
-        assert dimension_counts(n, d + 1)[1] == n_pts  # h_n^{(d+1)} = m_n^{(d)}
+        indices = enumerate_basis(n, d)
+        n_pts = len(indices)  # = h_n in d + 1 variables, the lift side's size
         if usable < n_pts:
             raise InvalidInputError(
                 f"degree {n} needs {n_pts} points of finite Q, got {usable}"
@@ -407,7 +403,7 @@ def lift_identity_check(
             lhs_log = search(n)
             lhs_method = "search"
         if math.comb(len(lift), n_pts) <= EXHAUSTIVE_CAP:
-            block = monomial_values(homogeneous_basis(n, d + 1).indices, lift.points)
+            block = monomial_values(degree_block(n, d + 1), lift.points)
             rhs_log = _exhaustive_max(block, n_pts, n, np.zeros(len(lift)))
             rhs_method = "exhaustive"
         else:

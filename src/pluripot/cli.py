@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -353,13 +354,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, write) -> None:
+    """Call write(path); an OSError there is a config error naming the path."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
         result = COMMANDS[args.subcommand](cfg)
         if args.points_csv and "geometry" in cfg:
-            export_csv(_set_from_config(cfg), args.points_csv)
+            cand = _set_from_config(cfg)
+            _write(args.points_csv, lambda path: export_csv(cand, path))
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "module_version": __version__,
+            "subcommand": args.subcommand,
+            "config_hash": config_hash(cfg),
+            # The v1 envelope requires a seed; no computation draws a random number.
+            "seed": 0,
+            "results": result,
+        }
+        text = to_json(envelope) + "\n"
+        if args.out:
+            _write(args.out, lambda path: pathlib.Path(path).write_text(text))
     except ConfigError as exc:
         sys.stdout.write(to_json({"error": "config", "message": str(exc)}) + "\n")
         return EXIT_CONFIG
@@ -368,20 +390,7 @@ def main(argv=None) -> int:
             to_json({"error": "computation", "message": str(exc)}) + "\n"
         )
         return EXIT_COMPUTE
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "module_version": __version__,
-        "subcommand": args.subcommand,
-        "config_hash": config_hash(cfg),
-        # The v1 envelope requires a seed; no computation draws a random number.
-        "seed": 0,
-        "results": result,
-    }
-    text = to_json(envelope) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return EXIT_OK
 

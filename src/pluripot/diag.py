@@ -149,7 +149,7 @@ def weak_star_distance(
         raise InvalidInputError("dimension mismatch")
     if isinstance(ref, DiscreteMeasure) and ref.candidates.dimension != d:
         raise InvalidInputError("dimension mismatch")
-    indices = enumerate_basis(max_moment, d).indices
+    indices = enumerate_basis(max_moment, d)
     if isinstance(ref, DiscreteMeasure):
         ref_moments = _moment_matrix(ref, indices)
     else:

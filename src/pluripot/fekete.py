@@ -39,9 +39,6 @@ class FeketeConfiguration:
     indices: tuple[int, ...]
     log_weighted_vdm: float
 
-    def points(self, cand: CandidateSet) -> np.ndarray:
-        return cand.points[list(self.indices)]
-
 
 def search_fekete(
     cand: CandidateSet,
@@ -67,9 +64,7 @@ def search_fekete(
         raise InvalidInputError(
             f"weight vanishes on too many candidates: {usable} < {n_pts}"
         )
-    r, piv = scipy.linalg.qr(
-        _basis_columns(cand.points, q, n)[1], mode="r", pivoting=True
-    )
+    r, piv = scipy.linalg.qr(_basis_columns(cand.points, q, n), mode="r", pivoting=True)
     logw = log_abs_weighted_vdm(cand.points[piv[:n_pts]], n, weight)
     if logw.is_zero:
         raise InvalidInputError("greedy selection is degenerate; enlarge the grid")

@@ -22,7 +22,7 @@ from .domains import (
     weight_power,
 )
 from .errors import DegenerateMeasureError, InvalidInputError
-from .vdm import monomial_values
+from .vdm import diameter_exponent, monomial_values
 
 # Smallest accepted equilibrated Cholesky pivot L_ii^2 / G_ii: the share of
 # basis function i's L2(mu) norm that the lower basis functions leave
@@ -67,26 +67,23 @@ class GramSystem:
     matrix: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
     log_det: float
-    basis_indices: tuple = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
 
-def _basis_columns(
-    points: np.ndarray, q: np.ndarray, n: int
-) -> tuple[tuple, np.ndarray]:
-    """Degree-n basis indices and the monomials (rows) at every point.
+def _basis_columns(points: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """The degree-n basis monomials (rows) at every point.
 
     Each point's column is scaled by w^n; q holds Q at the (M, d) points.
     """
-    indices = enumerate_basis(n, points.shape[1]).indices
-    return indices, monomial_values(indices, points) * weight_power(q, n)
+    indices = enumerate_basis(n, points.shape[1])
+    return monomial_values(indices, points) * weight_power(q, n)
 
 
 def _gram_from_columns(
-    indices: tuple,
+    dimension: int,
     cols: np.ndarray,
     masses: np.ndarray,
     weight: AdmissibleWeight,
@@ -121,12 +118,11 @@ def _gram_from_columns(
     log_det = 2.0 * float(np.sum(np.log(diag)))
     return GramSystem(
         degree=n,
-        dimension=len(indices[0]),
+        dimension=dimension,
         weight=weight,
         matrix=g,
         chol=chol,
         log_det=log_det,
-        basis_indices=indices,
     )
 
 
@@ -135,8 +131,8 @@ def gram_matrix(
 ) -> GramSystem:
     """G_ij = sum_k mass_k e_i(z_k) conj(e_j(z_k)) exp(-2 n Q(z_k))."""
     points = mu.candidates.points
-    indices, cols = _basis_columns(points, weight(points), n)
-    return _gram_from_columns(indices, cols, mu.masses, weight, n)
+    cols = _basis_columns(points, weight(points), n)
+    return _gram_from_columns(points.shape[1], cols, mu.masses, weight, n)
 
 
 def _whitened_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
@@ -151,16 +147,11 @@ def _whitened_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
     return y
 
 
-def _bergman_from_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
-    """B = |L^{-1} c|^2 for each w^n-scaled monomial column c."""
-    return np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
-
-
 def bergman_function(sys: GramSystem, eval_points: np.ndarray) -> np.ndarray:
     """B(z) = exp(-2nQ(z)) P(z)* G^{-1} P(z) at each evaluation point."""
     pts = as_points(eval_points)
-    _, cols = _basis_columns(pts, sys.weight(pts), sys.degree)
-    return _bergman_from_columns(sys, cols)
+    cols = _basis_columns(pts, sys.weight(pts), sys.degree)
+    return np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
 
 
 def bm_constant(sys: GramSystem, cand: CandidateSet) -> tuple[float, np.ndarray]:
@@ -174,8 +165,7 @@ def normalized_log_det(sys: GramSystem) -> float:
     """(d+1)/(2 d n N) * log det G; estimates log of the transfinite diameter."""
     if sys.degree < 1:
         raise InvalidInputError("normalized log-det needs degree >= 1")
-    d, n, n_dim = sys.dimension, sys.degree, sys.size
-    return (d + 1) / (2.0 * d * n * n_dim) * sys.log_det
+    return diameter_exponent(sys.degree, sys.dimension) / 2 * sys.log_det
 
 
 def free_energy(mu: DiscreteMeasure, weight: AdmissibleWeight, n: int) -> float:

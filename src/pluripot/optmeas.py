@@ -136,12 +136,12 @@ def solve_optimal_measure(
     if max_iter is None:
         max_iter = 10 * len(cand) * max(n, 1) * (n + 1)
 
-    indices, cols = _basis_columns(cand.points, q, n)
+    cols = _basis_columns(cand.points, q, n)
     sys: GramSystem | None = None
     gap = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        sys = _gram_from_columns(indices, cols, masses, weight, n)
+        sys = _gram_from_columns(cand.dimension, cols, masses, weight, n)
         y = _whitened_columns(sys, cols)
         b = np.sum(np.abs(y) ** 2, axis=0)
         gap = float(b.max() - sys.size)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .basis import MultiIndexBasis, dimension_counts, enumerate_basis
+from .basis import degree_block, dimension_counts, enumerate_basis
 from .domains import AdmissibleWeight, as_points
 from .errors import InvalidInputError
 
@@ -84,17 +84,20 @@ def _logdet_qr(mat: np.ndarray) -> LogDet:
     return LogDet(log_abs, False, float(cond))
 
 
+def _log_abs_det(points: np.ndarray, indices, what: str) -> LogDet:
+    """log |det [e_alpha(z_j)]| over ``indices``, one point per index."""
+    if len(points) != len(indices):
+        raise InvalidInputError(
+            f"{what} in dimension {points.shape[1]} needs {len(indices)}"
+            f" points, got {len(points)}"
+        )
+    return _logdet_qr(monomial_values(indices, points))
+
+
 def log_abs_vdm(points: np.ndarray, n: int) -> LogDet:
     """log |VDM| for N = m_n points in C^d at degree n."""
     points = as_points(points)
-    d = points.shape[1]
-    m_n = dimension_counts(n, d)[0]
-    if points.shape[0] != m_n:
-        raise InvalidInputError(
-            f"degree {n} in dimension {d} needs {m_n} points, got {points.shape[0]}"
-        )
-    basis = enumerate_basis(n, d)
-    return _logdet_qr(monomial_values(basis.indices, points))
+    return _log_abs_det(points, enumerate_basis(n, points.shape[1]), f"degree {n}")
 
 
 def log_abs_weighted_vdm(
@@ -119,22 +122,8 @@ def diameter_exponent(n: int, d: int) -> float:
     return (d + 1) / (d * n * m_n)
 
 
-def homogeneous_basis(n: int, d: int) -> MultiIndexBasis:
-    """The degree-n block of the graded-lex basis (h_n monomials)."""
-    full = enumerate_basis(n, d).indices
-    h_n = dimension_counts(n, d)[1]
-    return MultiIndexBasis(dimension=d, degree=n, indices=full[len(full) - h_n:])
-
-
 def log_abs_homogeneous_vdm(points: np.ndarray, n: int) -> LogDet:
     """log |det| over the degree-n monomials at h_n points in C^d."""
     points = as_points(points)
-    d = points.shape[1]
-    h_n = dimension_counts(n, d)[1]
-    if points.shape[0] != h_n:
-        raise InvalidInputError(
-            f"homogeneous degree {n} in dimension {d} needs {h_n} points,"
-            f" got {points.shape[0]}"
-        )
-    basis = homogeneous_basis(n, d)
-    return _logdet_qr(monomial_values(basis.indices, points))
+    block = degree_block(n, points.shape[1])
+    return _log_abs_det(points, block, f"homogeneous degree {n}")

@@ -7,10 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning
 
 from pluripot import cheb, domains, vdm
-from pluripot.basis import dimension_counts, enumerate_basis
+from pluripot.basis import degree_block, dimension_counts, enumerate_basis
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import InvalidInputError
 
@@ -137,6 +139,24 @@ def test_lift_drops_zero_weight_points():
     assert dropped == 1 and len(lifted) == 4
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_lift_identity_on_one_configuration(seed, n, d):
+    # Lifting (t, t lambda) maps the P_n basis in d variables onto the
+    # degree-n block in d + 1, monomial by monomial: z^(n-|a|, a) =
+    # t^n lambda^a.  So the homogeneous VDM of the lift is |W(S)|.
+    rng = np.random.default_rng(seed)
+    m_n = dimension_counts(n, d)[0]
+    base = rng.normal(size=(m_n, d)) + 1j * rng.normal(size=(m_n, d))
+    w = AdmissibleWeight.quadratic()
+    m_t = 8
+    lift, _ = cheb.homogeneous_lift(domains.custom(base), w, m_t)
+    one_phase = np.arange(m_n) * m_t + rng.integers(m_t, size=m_n)
+    homogeneous = vdm.log_abs_homogeneous_vdm(lift.points[one_phase], n)
+    weighted = vdm.log_abs_weighted_vdm(base, n, w)
+    assert homogeneous.log_abs == pytest.approx(weighted.log_abs, rel=1e-10)
+
+
 def test_lift_identity_exhaustive():
     cand = domains.circle(1.0, 10)
     w = AdmissibleWeight.quadratic()
@@ -244,7 +264,7 @@ def test_batched_max_walks_past_rank_deficient_subsets():
         lambda p: np.where(np.isclose(p[:, 0], centre), -25.0, 20.0)
     )
     lift, _ = cheb.homogeneous_lift(cand, w, 4)
-    block = vdm.monomial_values(vdm.homogeneous_basis(1, 2).indices, lift.points)
+    block = vdm.monomial_values(degree_block(1, 2), lift.points)
     pairs = list(itertools.combinations(range(len(lift)), 2))
     scores = [np.linalg.slogdet(block[:, list(c)])[1] for c in pairs]
     best = pairs[int(np.argmax(scores))]
@@ -284,7 +304,7 @@ def test_subset_scores_match_slogdet(seed, d, n, m):
     pts = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     q = rng.uniform(-0.5, 0.5, m)
     q[rng.integers(m)] = np.inf
-    cols = vdm.monomial_values(enumerate_basis(n, d).indices, pts)
+    cols = vdm.monomial_values(enumerate_basis(n, d), pts)
     _assert_scores_match_slogdet(cols, n, q)
 
 
@@ -297,15 +317,13 @@ def test_subset_scores_on_rank_deficient_lift_pairs():
         lambda p: np.where(np.isclose(p[:, 0], centre), -25.0, 20.0)
     )
     lift, _ = cheb.homogeneous_lift(cand, w, 4)
-    block = vdm.monomial_values(vdm.homogeneous_basis(1, 2).indices, lift.points)
+    block = vdm.monomial_values(degree_block(1, 2), lift.points)
     _assert_scores_match_slogdet(block, 1, np.zeros(len(lift)))
 
 
 def test_exhaustive_max_traced_peak():
     # 194,580 scores (1.6 MB) and one chunk per depth of the walk.
-    cols = vdm.monomial_values(
-        enumerate_basis(3, 1).indices, domains.circle(1.0, 48).points
-    )
+    cols = vdm.monomial_values(enumerate_basis(3, 1), domains.circle(1.0, 48).points)
     tracemalloc.start()
     try:
         value = cheb._exhaustive_max(cols, 4, 3, np.zeros(48))

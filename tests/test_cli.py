@@ -199,6 +199,19 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert doc["message"].startswith("cannot read config: ")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--points-csv"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, flag):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("geometry = circle\nradius = 1.0\nm = 16\nn_max = 2\n")
+    target = tmp_path / "missing" / "x"
+    code = cli.main(["fekete", "--config", str(cfg), flag, str(target)])
+    assert code == cli.EXIT_CONFIG
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "config",
+                   "message": f"cannot write {target}: No such file or directory"}
+    assert not target.parent.exists()
+
+
 def test_exit_code_compute_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("geometry = circle\nradius = 1.0\nm = 3\nn_max = 6\n")

@@ -89,7 +89,7 @@ def test_exchange_ends_at_a_local_maximum(make, weight, n_max):
     cand = make()
     for n in range(1, n_max + 1):
         cfg = fekete.search_fekete(cand, n, weight)
-        _, amat = _basis_columns(cand.points, weight(cand.points), n)
+        amat = _basis_columns(cand.points, weight(cand.points), n)
         coef = np.linalg.solve(amat[:, list(cfg.indices)], amat)
         coef[:, list(cfg.indices)] = 0.0
         assert np.abs(coef).max() <= 1 + 1e-9, n

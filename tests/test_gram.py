@@ -57,7 +57,7 @@ def test_gram_brute_force_small():
     w = AdmissibleWeight.quadratic()
     n = 1
     sys = gram_matrix(mu, w, n)
-    e = vdm.monomial_values(enumerate_basis(n, 1).indices, pts[:, None])
+    e = vdm.monomial_values(enumerate_basis(n, 1), pts[:, None])
     scale = masses * np.exp(-2.0 * n * np.abs(pts) ** 2)
     expected = (e * scale) @ e.conj().T
     assert np.allclose(sys.matrix, expected, atol=1e-14)
@@ -196,7 +196,7 @@ def test_bergman_nonnegative_and_trace(seed):
     except DegenerateMeasureError:
         # Refused only if the unit-diagonal Gram is that ill-conditioned:
         # every pivot share is at least its smallest eigenvalue.
-        indices = enumerate_basis(n, 1).indices
+        indices = enumerate_basis(n, 1)
         cols = vdm.monomial_values(indices, mu.candidates.points) * np.exp(
             -n * weight(mu.candidates.points)
         )
@@ -215,7 +215,7 @@ def test_whitened_columns_match_solve_triangular(part):
     mu, weight, n = _random_instance(3, n=3)
     sys = gram_matrix(mu, weight, n)
     pts = mu.candidates.points
-    _, cols = _basis_columns(pts, weight(pts), n)
+    cols = _basis_columns(pts, weight(pts), n)
     if part == "real":
         cols = np.ascontiguousarray(cols.real)
     expected = scipy.linalg.solve_triangular(sys.chol, cols, lower=True)

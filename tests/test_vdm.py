@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pluripot import vdm
-from pluripot.basis import dimension_counts
+from pluripot.basis import degree_block
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import InvalidInputError
 
@@ -104,10 +104,15 @@ def test_diameter_exponent_and_nth_order_diameter():
     assert delta == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
 
-def test_homogeneous_basis_block():
-    hb = vdm.homogeneous_basis(2, 2)
-    assert hb.indices == ((2, 0), (1, 1), (0, 2))
-    assert len(hb.indices) == dimension_counts(2, 2)[1]
+def test_homogeneous_vdm_degree_block():
+    # degree-2 block in d=2 is (z1^2, z1 z2, z2^2), h_2 = 3 points
+    assert degree_block(2, 2) == ((2, 0), (1, 1), (0, 2))
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    x, y = pts.T
+    brute = np.linalg.slogdet(np.stack([x**2, x * y, y**2]))[1]
+    ld = vdm.log_abs_homogeneous_vdm(pts, 2)
+    assert ld.log_abs == pytest.approx(brute, rel=1e-12)
 
 
 def test_homogeneous_vdm_d2_oracle():
