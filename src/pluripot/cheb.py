@@ -1,15 +1,15 @@
 """Directional Chebyshev constants and the homogeneous lift.
 
 The discrete minimax over a candidate grid is solved as a linear program:
-the complex modulus is outer-approximated by half-plane facets, and facets
-are added at the phases where the current polynomial peaks until the
-re-evaluated maximum matches the LP bound.  Reported values are therefore
-true achieved maxima of an explicit polynomial: upper bounds on the
-continuous optimum over the grid, within 1e-9 relative when the record's
-``converged`` is true.  A refinement that stops at ``_REFINE_ROUNDS`` says
-so with ``converged`` false.  HiGHS's feasibility tolerances are absolute,
-so a small minimax value can cap: ``circle(0.5, 201)`` does at k = 5 and
-7-10, with a worst relative error of 4.3e-8 (at k = 10).
+the complex modulus is outer-approximated by half-plane facets.  The first
+facets form a square around each value, at the residual phase of a Lawson
+(iteratively reweighted least-squares) approximant, and facets are added at
+the phases where the current polynomial peaks until the re-evaluated
+maximum matches the LP bound.  Reported values are therefore true achieved
+maxima of an explicit polynomial: upper bounds on the continuous optimum
+over the grid, within 1e-9 relative when the record's ``converged`` is
+true.  A refinement that stops at ``_REFINE_ROUNDS`` says so with
+``converged`` false.
 
 The homogeneous-lift check maximizes each side exhaustively when it has at
 most ``EXHAUSTIVE_CAP`` subsets.  Every subset is scored by one walk down
@@ -33,7 +33,8 @@ from .fekete import search_fekete
 from .vdm import _logdet_qr, diameter_exponent, monomial_values
 
 CLASSES = ("plain", "homogeneous", "weighted")
-INITIAL_FACETS = 16
+INITIAL_FACETS = 4
+_LAWSON_STEPS = 30
 _REFINE_ROUNDS = 60
 _REFINE_TOL = 1e-9
 # HiGHS's default feasibility tolerances (1e-7, absolute) leave the LP bound
@@ -45,6 +46,9 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-9,
 }
+# HiGHS's default dual edge weights failed on 5 of 360 complex constants (k <= 4)
+# of moved 64-point ellipses, devex on none; devex failed on a real one.
+_COMPLEX_OPTIONS = {**_HIGHS_OPTIONS, "simplex_dual_edge_weight_strategy": "devex"}
 # Entries of the products U^H a_x that one chunk of prefix-tree nodes forms
 # in the exhaustive lift check: nodes * (N - k) * m at depth k.  A chunk's
 # child bases hold at most N times as many.  On a 48-point circle at N = 4,
@@ -99,15 +103,32 @@ def _solve_minimax(
     e = lower[keep] * scale[keep, None]
     if j == 0:
         return float(np.max(np.abs(t))), np.zeros(0, dtype=complex), True
+    # HiGHS's tolerances are absolute: the LP sees unit-peak target and columns.
+    norm = unit = float(np.max(np.abs(t))) or 1.0
+    col = np.abs(e).max(axis=0)
+    col[col == 0] = 1.0
+    t, e = t / norm, e / col
 
-    real_case = (
-        np.max(np.abs(t.imag)) == 0.0 and np.max(np.abs(e.imag), initial=0.0) == 0.0
-    )
+    real_case = not (t.imag.any() or e.imag.any())
     if real_case:
-        phases = [np.zeros(len(t)), np.full(len(t), np.pi)]
+        base, count = np.zeros(len(t)), 2
     else:
-        phases = [np.full(len(t), 2 * np.pi * f / INITIAL_FACETS)
-                  for f in range(INITIAL_FACETS)]
+        # Lawson's iteration: its residual phases place the first facets.
+        w = np.full(len(t), 1.0 / len(t))
+        for _ in range(_LAWSON_STEPS):
+            root = np.sqrt(w)
+            c = np.linalg.lstsq(e * root[:, None], -t * root, rcond=None)[0]
+            vals = t + e @ c
+            w = w * np.abs(vals)
+            if w.sum() == 0:
+                break
+            w /= w.sum()
+        base, count = np.angle(vals), INITIAL_FACETS
+        # Lawson's peak is near the minimax: dividing it out puts the LP's
+        # value near 1.  A zero minimax, up to rounding, is not divided out.
+        size = float(np.abs(vals).max())
+        if size > _REFINE_TOL:
+            t, e, unit = t / size, e / size, unit * size
 
     rows_a: list[np.ndarray] = []
     rows_b: list[np.ndarray] = []
@@ -121,14 +142,12 @@ def _solve_minimax(
         rows_a.append(block)
         rows_b.append(-(t[idx] * rot[:, 0]).real)
 
-    all_idx = np.arange(len(t))
-    for th in phases:
-        add_facets(th, all_idx)
+    for f in range(count):
+        add_facets(base + 2 * np.pi * f / count, np.arange(len(t)))
 
     cost = np.zeros(2 * j + 1)
     cost[-1] = 1.0
     bounds = [(None, None)] * (2 * j) + [(0, None)]
-    c_best = np.zeros(j, dtype=complex)
     converged = False
     for _ in range(_REFINE_ROUNDS):
         res = linprog(
@@ -137,7 +156,7 @@ def _solve_minimax(
             b_ub=np.concatenate(rows_b),
             bounds=bounds,
             method="highs",
-            options=_HIGHS_OPTIONS,
+            options=_HIGHS_OPTIONS if real_case else _COMPLEX_OPTIONS,
         )
         if res.status != 0:
             raise PluripotError(f"minimax LP failed: {res.message}")
@@ -147,12 +166,14 @@ def _solve_minimax(
         vals = t + e @ c_best
         r = np.abs(vals)
         peak = float(r.max())
-        if real_case or peak <= s_opt * (1 + _REFINE_TOL) + 1e-300:
+        # A few ulps of the evaluation's scale: a zero minimax is not missed.
+        floor = 4 * np.finfo(float).eps * np.max(np.abs(t) + np.abs(e) @ np.abs(c_best))
+        if real_case or peak <= s_opt * (1 + _REFINE_TOL) + floor:
             converged = True
             break
         cut = np.nonzero(r > s_opt * (1 + 1e-12))[0]
         add_facets(np.angle(vals[cut]), cut)
-    return peak, c_best, converged
+    return peak * unit, c_best * norm / col, converged
 
 
 def chebyshev_constant(

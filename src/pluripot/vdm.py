@@ -20,8 +20,6 @@ from .errors import InvalidInputError
 
 # R-diagonal entries below max|diag| * this factor mean numerical rank loss.
 _RANK_TOL = 1e-13
-# Diagonal-decay ratio beyond which the value is flagged as ill-conditioned.
-_CONDITION_FLAG = 1e6
 
 
 @dataclass(frozen=True)
@@ -35,10 +33,6 @@ class LogDet:
     @property
     def value(self) -> float:
         return -math.inf if self.is_zero else self.log_abs
-
-    @property
-    def flagged(self) -> bool:
-        return self.condition > _CONDITION_FLAG
 
 
 def monomial_values(indices, points: np.ndarray) -> np.ndarray:

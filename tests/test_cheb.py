@@ -1,5 +1,6 @@
 """Chebyshev constants: interval/circle oracles, classes, homogeneous lift."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -36,19 +37,91 @@ def test_circle_constants_exact():
             assert rec.tau == pytest.approx(r, rel=1e-6)
 
 
-@pytest.mark.parametrize("r", [0.8, 1.0, 1.2])
-def test_circle_constants_converge_to_refine_tol(r):
+def _ellipse():
+    theta = 2 * np.pi * np.arange(64) / 64
+    return (np.cos(theta) + 0.5j * np.sin(theta))[:, None]
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    calls = []
+    solve = cheb.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cheb, "linprog", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r", [0.5, 0.8, 1.0, 1.2])
+def test_circle_constants_converge_to_refine_tol(r, lp_calls):
+    # circle(0.5, 201) capped at k = 5 and 7-10 with 16 fixed-phase facets.
+    # The Lawson-seeded facets are tight at the first LP.
     cand = domains.circle(r, 201)
-    for k in range(1, 9):
+    for k in range(1, 11):
         rec = cheb.chebyshev_constant(cand, (k,))
         assert rec.converged, k
         assert rec.value == pytest.approx(r**k, rel=1e-9), k
+    assert len(lp_calls) == 10
 
 
 def test_refinement_cap_is_reported(monkeypatch):
+    # The ellipse at k = 1 needs about 20 LP rounds from its Lawson seed.
     monkeypatch.setattr(cheb, "_REFINE_ROUNDS", 1)
-    rec = cheb.chebyshev_constant(domains.circle(1.0, 201), (6,))
+    rec = cheb.chebyshev_constant(domains.custom(_ellipse()), (1,))
     assert rec.converged is False
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_zero_constant_converges(lp_calls, k):
+    # z^3 = 1 on the cube roots of unity, so Y(k) = 0 for k >= 3.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = cheb.chebyshev_constant(domains.circle(1.0, 3), (k,))
+    assert rec.converged
+    assert rec.value <= 1e-13
+    assert len(lp_calls) <= 2
+
+
+def test_torus_constants_are_one():
+    cand = domains.torus(2, 32)
+    for alpha in enumerate_basis(3, 2)[1:]:
+        rec = cheb.chebyshev_constant(cand, alpha)
+        assert rec.converged, alpha
+        assert rec.value == pytest.approx(1.0, rel=1e-9), alpha
+
+
+@functools.cache
+def _ellipse_constant(k):
+    rec = cheb.chebyshev_constant(domains.custom(_ellipse()), (k,))
+    assert rec.converged, k
+    return rec.value
+
+
+@given(
+    st.floats(0.0, 2 * np.pi),
+    st.floats(0.3, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=2, deadline=None)
+def test_constants_are_invariant_under_similarity(phi, rho, seed):
+    # Y(k) of e^{i phi} K and of a permutation of K equals Y(k) of K, and
+    # Y(k) of rho K is rho^k Y(k).  Unlike a circle, the ellipse moves under
+    # a generic rotation.
+    pts = _ellipse()
+    moved = {
+        "rotation": (np.exp(1j * phi) * pts, 1.0),
+        "dilation": (rho * pts, rho),
+        "permutation": (np.random.default_rng(seed).permutation(pts), 1.0),
+    }
+    for k in range(1, 5):
+        for name, (image, factor) in moved.items():
+            rec = cheb.chebyshev_constant(domains.custom(image), (k,))
+            assert rec.converged, (name, k)
+            expected = factor**k * _ellipse_constant(k)
+            assert rec.value == pytest.approx(expected, rel=1e-9), (name, k)
 
 
 def test_highs_accepts_the_lp_options():
@@ -71,12 +144,14 @@ def test_weighted_class_scales_by_weight():
     # on the circle with Q = |z|^2 = 1, weighted Y(alpha) = e^{-deg} * plain
     cand = domains.circle(1.0, 64)
     w = AdmissibleWeight.quadratic()
-    for k in (1, 2):
+    for k in range(1, 5):
         plain = cheb.chebyshev_constant(cand, (k,))
         weighted = cheb.chebyshev_constant(cand, (k,), "weighted", w)
+        assert plain.converged and weighted.converged, k
         assert weighted.value == pytest.approx(
             math.exp(-k) * plain.value, rel=1e-9
         )
+        assert weighted.value == pytest.approx(math.exp(-k), rel=1e-9)
 
 
 def test_coefficients_witness_the_value():
