@@ -12,7 +12,6 @@ from .domains import AdmissibleWeight, CandidateSet, build_set
 from .errors import (
     DegenerateMeasureError,
     InvalidInputError,
-    NotConvergedError,
     PluripotError,
     UnsupportedModelError,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "PluripotError",
     "InvalidInputError",
     "DegenerateMeasureError",
-    "NotConvergedError",
     "UnsupportedModelError",
     "__version__",
 ]

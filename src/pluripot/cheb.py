@@ -237,12 +237,16 @@ def tau_geometric_mean(
     class_tag: str,
     n: int,
 ) -> tuple[float, list[ChebyshevRecord]]:
-    """Geometric mean of tau(alpha) over the degree-n block."""
+    """Geometric mean of tau(alpha) over the degree-n block.
+
+    It is 0 when some tau is, as when a monic polynomial of degree n
+    vanishes on a grid of at most n points.
+    """
     if n < 1:
         raise InvalidInputError("degree must be >= 1")
     block = degree_block(n, cand.dimension)
     records = [chebyshev_constant(cand, a, class_tag, weight) for a in block]
-    logs = [math.log(r.tau) for r in records]
+    logs = [math.log(r.tau) if r.tau > 0 else -math.inf for r in records]
     return math.exp(sum(logs) / len(logs)), records
 
 

@@ -41,7 +41,7 @@ from .fekete import (
     search_fekete,
 )
 from .gram import DiscreteMeasure, bm_constant, gram_matrix, normalized_log_det
-from .optmeas import solve_optimal_measure, support_certificate
+from .optmeas import solve_optimal_measure
 
 SCHEMA_VERSION = "1"
 
@@ -205,14 +205,9 @@ def cmd_fekete(cfg: dict) -> dict:
 def cmd_optmeas(cfg: dict) -> dict:
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
-    reports = []
-    for n in range(1, _number(cfg, "n_max", int, 3, 1) + 1):
-        rep = solve_optimal_measure(cand, weight, n)
-        entry = rep.to_dict()
-        entry["certificate"] = support_certificate(rep.measure, weight, n)
-        entry["masses"] = rep.measure.masses.tolist()
-        reports.append(entry)
-    return {"reports": reports}
+    n_max = _number(cfg, "n_max", int, 3, 1)
+    return {"reports": [solve_optimal_measure(cand, weight, n).to_dict()
+                        for n in range(1, n_max + 1)]}
 
 
 def cmd_cheb(cfg: dict) -> dict:
@@ -264,7 +259,8 @@ def cmd_tfd(cfg: dict) -> dict:
     for n in range(1, cheb_cap + 1):
         gm, _ = tau_geometric_mean(cand, weight, class_tag, n)
         _, _, l_n, r_n = dimension_counts(n, cand.dimension)
-        log_y_total += r_n * math.log(gm)
+        # A zero constant makes delta 0 from its degree on.
+        log_y_total += r_n * math.log(gm) if gm > 0 else -math.inf
         cheb_route.append({"n": n, "delta": math.exp(log_y_total / l_n)})
 
     lift_cap = _number(cfg, "lift_n_max", int, min(n_max, 3), 0)

@@ -79,8 +79,12 @@ def f_n_path(
     if t_grid is None:
         t_grid = DEFAULT_T_GRID.copy()
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0):
+    steps = np.diff(t_grid)
+    if np.any(steps <= 0):
         raise InvalidInputError("t grid must be strictly increasing")
+    # The second differences divide by the one spacing squared.
+    if not np.allclose(steps, steps[:1], rtol=1e-9, atol=0.0):
+        raise InvalidInputError("t grid must be uniformly spaced")
     cand = mu.candidates
     d = cand.dimension
     u_vals = np.asarray(u_fn(cand.points), dtype=float)
@@ -106,8 +110,7 @@ def f_n_path(
         for t in t_grid
     ])
     if len(t_grid) >= 3:
-        h = t_grid[1] - t_grid[0]
-        second = (values[:-2] - 2 * values[1:-1] + values[2:]) / h**2
+        second = (values[:-2] - 2 * values[1:-1] + values[2:]) / steps[0] ** 2
     else:
         second = np.zeros(0)
     return PathReport(
@@ -162,12 +165,18 @@ def radial_cdf_distance(mu: DiscreteMeasure, model: ExtremalModel) -> float:
     if mu.candidates.dimension != 1:
         raise InvalidInputError("radial CDF distance is one-dimensional")
     rho = np.abs(mu.candidates.points[:, 0])
-    order = np.argsort(rho)
-    rho = rho[order]
-    cum = np.cumsum(mu.masses[order])
-    ref = equilibrium_cdf(model, rho)
+    if model.kind == "disk":
+        # Radii within rounding of the disk's radius lie on its circle.
+        rho[np.isclose(rho, model.radius, rtol=1e-12, atol=0.0)] = model.radius
+    radii, tie = np.unique(rho, return_inverse=True)
+    cum = np.cumsum(np.bincount(tie, weights=mu.masses))
     below = np.concatenate([[0.0], cum[:-1]])
-    return float(np.max(np.maximum(np.abs(cum - ref), np.abs(below - ref))))
+    # Between radii both CDFs are monotone and mu's is constant, so the sup
+    # is at a radius: right values against right values, left limits
+    # against left limits.
+    ref = equilibrium_cdf(model, radii)
+    ref_below = equilibrium_cdf(model, np.nextafter(radii, -np.inf))
+    return float(np.max(np.maximum(np.abs(cum - ref), np.abs(below - ref_below))))
 
 
 def bergman_measure(

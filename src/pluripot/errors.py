@@ -22,14 +22,3 @@ class DegenerateMeasureError(PluripotError):
 
 class UnsupportedModelError(PluripotError):
     """The requested closed-form model (or model pair) is not in the table."""
-
-
-class NotConvergedError(PluripotError):
-    """An iterative solver hit its cap before reaching tolerance.
-
-    The partial result, when meaningful, is attached as ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial

@@ -1,10 +1,12 @@
 """Optimal measures of degree n (D-optimal designs) with KW certificates.
 
 A probability measure maximizes det G_n iff its Bergman function tops out
-at N on K; the gap max_K B - N is the optimality certificate.  Pairwise
-vertex exchanges (Boehning 1986) drive it to zero: each moves mass between
-two nodes with a closed-form step, and a sweep of them shares one Cholesky
-factorization of the Gram.
+at N on K (Kiefer-Wolfowitz 1960); the gap max_K B - N is the optimality
+certificate.  Pairwise vertex exchanges (Boehning 1986) drive it to zero:
+each moves mass between two nodes with a closed-form step, and a sweep of
+them shares one Cholesky factorization of the Gram.  The solve's report
+carries the certificate of the B its last iterate computed: one B
+evaluation per iterate, none after the solve.
 """
 
 from __future__ import annotations
@@ -14,36 +16,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import AdmissibleWeight, CandidateSet
-from .errors import InvalidInputError, NotConvergedError
-from .gram import DiscreteMeasure, GramSystem, bergman_function, gram_matrix
+from .errors import InvalidInputError
+from .gram import DiscreteMeasure
 from .gram import _basis_columns, _gram_from_columns, _whitened_columns
-from .vdm import diameter_exponent
 
 DEFAULT_TOL = 1e-6
 MASS_FLOOR = 1e-10
 
 
-def kw_gap(
-    mu: DiscreteMeasure, weight: AdmissibleWeight, n: int
-) -> tuple[float, np.ndarray]:
-    """(max_K B - N, argmax point); zero gap certifies D-optimality."""
-    points = mu.candidates.points
-    sys = gram_matrix(mu, weight, n)
-    b = bergman_function(sys, points)
-    k = int(np.argmax(b))
-    return float(b[k] - sys.size), points[k]
-
-
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
+    """The solve's last iterate, with the certificate of its fresh B.
+
+    ``certificate`` holds B at the support nodes (masses > MASS_FLOOR) and
+    the nodes where |B - N| > tol N; a converged solve has none.
+    """
+
     measure: DiscreteMeasure
     n: int
     iterations: int
     kw_gap: float
     log_det: float
     converged: bool
+    certificate: dict
 
     def to_dict(self) -> dict:
+        """The v1 ``optmeas`` report entry of this degree."""
         hist, edges = np.histogram(self.measure.masses, bins=10, range=(0.0, 1.0))
         return {
             "n": self.n,
@@ -56,6 +54,8 @@ class SolveReport:
                 "counts": hist.tolist(),
                 "edges": edges.tolist(),
             },
+            "certificate": self.certificate,
+            "masses": self.measure.masses.tolist(),
         }
 
 
@@ -118,15 +118,14 @@ def solve_optimal_measure(
     n: int,
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
-    raise_on_cap: bool = False,
 ) -> SolveReport:
     """From the uniform measure, drive max_K B to at most N(1 + tol) and B on
     the support (masses > MASS_FLOOR) to at least N(1 - tol): ``converged``.
 
     An iteration factors the Gram once, computes B from it (only this fresh
-    B decides kw_gap, convergence and the reported log det), then runs one
-    pairwise-exchange sweep (``_exchange_sweep``; Boehning 1986, batched as in
-    REX, Harman-Filova-Richtarik 2020).
+    B decides kw_gap, convergence, the certificate and the reported log det),
+    then runs one pairwise-exchange sweep (``_exchange_sweep``; Boehning
+    1986, batched as in REX, Harman-Filova-Richtarik 2020).
     """
     q = weight(cand.points)
     masses = np.isfinite(q).astype(float)
@@ -135,83 +134,40 @@ def solve_optimal_measure(
     masses = masses / masses.sum()
     if max_iter is None:
         max_iter = 10 * len(cand) * max(n, 1) * (n + 1)
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
 
     cols = _basis_columns(cand.points, q, n)
-    sys: GramSystem | None = None
-    gap = np.inf
-    it = 0
+    n_dim = len(cols)
     for it in range(1, max_iter + 1):
         sys = _gram_from_columns(cand.dimension, cols, masses, weight, n)
         y = _whitened_columns(sys, cols)
         b = np.sum(np.abs(y) ** 2, axis=0)
-        gap = float(b.max() - sys.size)
-        deficit = float(sys.size - b[masses > MASS_FLOOR].min())
-        converged = max(gap, deficit) / sys.size <= tol
+        support = np.nonzero(masses > MASS_FLOOR)[0]
+        gap = float(b.max() - n_dim)
+        deficit = float(n_dim - b[support].min())
+        converged = max(gap, deficit) / n_dim <= tol
         if converged or it == max_iter:
             break
         _exchange_sweep(masses, y, b)
         masses = masses / masses.sum()
-    report = SolveReport(
+    certificate = {
+        "n": n,
+        "N": n_dim,
+        "support_indices": support.tolist(),
+        "B_values": b[support].tolist(),
+        "violations": [
+            {"index": int(i), "B": float(b[i]), "mass": float(masses[i])}
+            for i in support
+            if abs(b[i] - n_dim) > tol * n_dim
+        ],
+    }
+    return SolveReport(
         measure=DiscreteMeasure(cand, masses),
         n=n,
         iterations=it,
         kw_gap=gap,
         log_det=sys.log_det,
         converged=converged,
+        certificate=certificate,
     )
-    if not converged and raise_on_cap:
-        raise NotConvergedError(
-            f"kw_gap/N = {gap / sys.size:.3e}, support deficit/N = "
-            f"{deficit / sys.size:.3e}: not both <= tol after {it} iterations",
-            partial=report,
-        )
-    return report
-
-
-def support_certificate(
-    mu: DiscreteMeasure,
-    weight: AdmissibleWeight,
-    n: int,
-    tol: float = DEFAULT_TOL,
-) -> dict:
-    """B values on the support; at optimality they all equal N."""
-    sys = gram_matrix(mu, weight, n)
-    support = np.nonzero(mu.masses > MASS_FLOOR)[0]
-    b = bergman_function(sys, mu.candidates.points[support])
-    n_dim = sys.size
-    violations = [
-        {"index": int(i), "B": float(bv), "mass": float(mu.masses[i])}
-        for i, bv in zip(support, b)
-        if abs(bv - n_dim) > tol * n_dim
-    ]
-    return {
-        "n": n,
-        "N": n_dim,
-        "support_indices": [int(i) for i in support],
-        "B_values": [float(v) for v in b],
-        "violations": violations,
-    }
-
-
-def optimal_det_sequence(
-    cand: CandidateSet,
-    weight: AdmissibleWeight,
-    n_max: int,
-    tol: float = DEFAULT_TOL,
-) -> list[dict]:
-    """Normalized log-det of optimal Grams per degree (trend to log delta^w)."""
-    out = []
-    for n in range(1, n_max + 1):
-        rep = solve_optimal_measure(cand, weight, n, tol=tol)
-        out.append(
-            {
-                "n": n,
-                "normalized_log_det": (
-                    diameter_exponent(n, cand.dimension) / 2 * rep.log_det
-                ),
-                "kw_gap": rep.kw_gap,
-                "converged": rep.converged,
-                "iterations": rep.iterations,
-            }
-        )
-    return out

@@ -113,6 +113,31 @@ def test_cheb_command(tmp_path):
         assert row["tau_geometric_mean"] == pytest.approx(0.5, rel=1e-6)
 
 
+
+@pytest.mark.parametrize("m, n_max", [(2, 3), (3, 4)])
+def test_cheb_zero_constant_on_a_finite_set(tmp_path, m, n_max):
+    # prod (x - x_k) over the m grid nodes is monic of degree m and vanishes
+    # on them, so Y(m) = 0 and the geometric mean is 0 from degree m on.
+    code, out = run_cli(tmp_path, "zero", f"geometry = interval\na = -1\nb = 1\n"
+                        f"m = {m}\nn_max = {n_max}\n", "cheb")
+    assert code == cli.EXIT_OK
+    res = json.loads(out.read_text())["results"]
+    assert res["records"][m - 1]["Y"] == 0.0
+    trend = [row["tau_geometric_mean"] for row in res["tau_trend"]]
+    assert all(t > 0 for t in trend[: m - 1])
+    assert trend[m - 1] == 0.0
+    assert res["violations"] == []
+
+
+def test_tfd_zero_constant_gives_zero_chebyshev_delta(tmp_path):
+    code, out = run_cli(tmp_path, "tfdzero", "geometry = interval\na = -1\nb = 1\n"
+                        "m = 3\nn_max = 2\ncheb_n_max = 3\n", "tfd")
+    assert code == cli.EXIT_OK
+    route = json.loads(out.read_text())["results"]["chebyshev_route"]
+    assert [row["n"] for row in route] == [1, 2, 3]
+    assert route[1]["delta"] > 0
+    assert route[2]["delta"] == 0.0
+
 def test_tfd_command_routes_agree(tmp_path):
     code, out = run_cli(
         tmp_path, "tfd",

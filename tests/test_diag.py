@@ -75,6 +75,18 @@ def test_path_grid_validation():
         rep.max_second_difference()
 
 
+
+def test_path_grid_must_be_uniform():
+    # The path on a Fekete measure of the circle is affine; a non-uniform
+    # grid would make its second differences claim otherwise.
+    c = domains.circle(1.0, 64)
+    mu = fekete.empirical_measure(
+        fekete.search_fekete(c, 4, AdmissibleWeight.zero()), c
+    )
+    with pytest.raises(InvalidInputError, match="uniformly spaced"):
+        diag.f_n_path(mu, AdmissibleWeight.zero(), _u_real, 4,
+                      t_grid=np.array([-0.3, -0.2, 0.0, 0.05, 0.3]))
+
 def test_weak_star_distance_identical_is_zero():
     mu = _random_measure(3)
     assert diag.weak_star_distance(mu, mu) == 0.0
@@ -113,6 +125,22 @@ def test_radial_cdf_distance_exact_for_matching_rings():
     mu = DiscreteMeasure(domains.custom(pts), masses)
     assert diag.radial_cdf_distance(mu, model) <= masses.max() + 1e-12
 
+
+
+@pytest.mark.parametrize("r", [0.5, 0.7, 1.0, 1.1, 3.0])
+def test_radial_cdf_distance_of_circle_haar_to_its_disk(r):
+    # Haar measure on |z| = r is the equilibrium measure of disk(r); the
+    # computed |z| of its nodes differ from r by rounding.
+    mu = DiscreteMeasure.from_reference(domains.circle(r, 64))
+    assert diag.radial_cdf_distance(mu, energy.disk(r)) == 0.0
+    assert diag.radial_cdf_distance(mu, energy.disk(1.1 * r)) == 1.0
+    assert diag.radial_cdf_distance(mu, energy.disk(0.9 * r)) == 1.0
+
+
+def test_radial_cdf_distance_of_tied_radii_on_the_circle():
+    pts = np.array([1.0, 1j, -1.0, -1j])[:, None]
+    mu = DiscreteMeasure.uniform(domains.custom(pts))
+    assert diag.radial_cdf_distance(mu, energy.disk(1.0)) == 0.0
 
 def test_radial_cdf_needs_d1():
     t = domains.torus(2, 4)

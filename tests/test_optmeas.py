@@ -2,22 +2,17 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pluripot import domains
 from pluripot.domains import AdmissibleWeight
-from pluripot.errors import NotConvergedError
-from pluripot.gram import DiscreteMeasure, bergman_function, gram_matrix
-from pluripot.optmeas import (
-    DEFAULT_TOL,
-    SolveReport,
-    kw_gap,
-    optimal_det_sequence,
-    solve_optimal_measure,
-    support_certificate,
-)
+from pluripot.errors import InvalidInputError
+from pluripot.gram import DiscreteMeasure, bergman_function, bm_constant, gram_matrix
+from pluripot.optmeas import DEFAULT_TOL, solve_optimal_measure
+from pluripot.vdm import diameter_exponent
 
 THREE_POINTS = domains.custom(np.array([-1.0, 0.0, 1.0]).astype(complex)[:, None])
 ZERO = AdmissibleWeight.zero()
@@ -60,9 +55,8 @@ def _multiplicative_reference(cand, weight, n, tol=DEFAULT_TOL):
             break
         masses = masses * b / sys.size
         masses = masses / masses.sum()
-    return SolveReport(
+    return SimpleNamespace(
         measure=DiscreteMeasure(cand, masses),
-        n=n,
         iterations=it,
         kw_gap=gap,
         log_det=sys.log_det,
@@ -105,31 +99,32 @@ def test_weighted_design_on_interval():
     w = AdmissibleWeight.quadratic()
     rep = solve_optimal_measure(cand, w, 2)
     assert rep.converged
-    gap, _ = kw_gap(rep.measure, w, 2)
-    assert gap / 3 <= 1e-6
+    m_n, _ = bm_constant(gram_matrix(rep.measure, w, 2), cand)
+    assert (m_n**2 - 3) / 3 <= 1e-6
 
 
 def test_kw_gap_zero_at_circle_haar():
     # Haar measure on the circle is D-optimal for every degree
     c = domains.circle(1.0, 64)
     mu = DiscreteMeasure.from_reference(c)
-    gap, _ = kw_gap(mu, ZERO, 5)
-    assert abs(gap) <= 1e-10
+    m_n, _ = bm_constant(gram_matrix(mu, ZERO, 5), c)
+    assert abs(m_n**2 - 6) <= 1e-10
 
 
 def test_kw_gap_positive_off_optimum():
     mu = DiscreteMeasure(THREE_POINTS, np.array([0.8, 0.1, 0.1]))
-    gap, point = kw_gap(mu, ZERO, 1)
-    assert gap > 0.1
+    m_n, point = bm_constant(gram_matrix(mu, ZERO, 1), THREE_POINTS)
+    assert m_n**2 - 2 > 0.1
     assert point[0] == pytest.approx(1.0)
 
 
 def test_support_certificate():
     rep = solve_optimal_measure(THREE_POINTS, ZERO, 2)
-    cert = support_certificate(rep.measure, ZERO, 2, tol=1e-4)
-    assert cert["N"] == 3
+    cert = rep.certificate
+    assert (cert["n"], cert["N"]) == (2, 3)
+    assert cert["support_indices"] == [0, 1, 2]
     assert cert["violations"] == []
-    assert all(abs(b - 3.0) < 1e-3 for b in cert["B_values"])
+    assert all(abs(b - 3.0) <= 3.0 * DEFAULT_TOL for b in cert["B_values"])
 
 
 def test_monotone_log_det_over_iterations():
@@ -212,7 +207,15 @@ def test_converged_measure_passes_its_certificate(cand, weight, n):
     # under a one-sided (max B only) stopping test.
     rep = solve_optimal_measure(cand, weight, n)
     assert rep.converged
-    assert support_certificate(rep.measure, weight, n)["violations"] == []
+    cert = rep.certificate
+    assert cert["violations"] == []
+    # B from a Gram built afresh from the reported masses, independently of
+    # the solver's last iterate, agrees with the certificate's B.
+    support = cert["support_indices"]
+    b = bergman_function(
+        gram_matrix(rep.measure, weight, n), cand.points[support]
+    )
+    assert np.allclose(b, cert["B_values"], rtol=1e-12, atol=0)
 
 
 def test_permuted_candidates_give_the_same_optimum():
@@ -226,14 +229,18 @@ def test_permuted_candidates_give_the_same_optimum():
     assert b.log_det <= a.log_det + a.kw_gap
 
 
-def test_not_converged_raises_with_partial():
+def test_iteration_cap_reports_unconverged():
     cand = domains.interval(-1.0, 1.0, 9)
-    with pytest.raises(NotConvergedError) as exc:
-        solve_optimal_measure(
-            cand, ZERO, 2, tol=1e-14, max_iter=3, raise_on_cap=True
-        )
-    assert exc.value.partial is not None
-    assert exc.value.partial.iterations == 3
+    rep = solve_optimal_measure(cand, ZERO, 2, tol=1e-14, max_iter=3)
+    assert rep.converged is False
+    assert rep.iterations == 3
+    assert rep.certificate["violations"]
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_max_iter_below_one_is_rejected(max_iter):
+    with pytest.raises(InvalidInputError):
+        solve_optimal_measure(THREE_POINTS, ZERO, 1, max_iter=max_iter)
 
 
 def test_zero_weight_points_are_dropped():
@@ -248,15 +255,21 @@ def test_zero_weight_points_are_dropped():
 
 def test_optimal_det_sequence_trend():
     c = domains.circle(1.0, 64)
-    seq = optimal_det_sequence(c, ZERO, 4)
     # circle: Haar is optimal, det G = 1 at every degree
-    for rec in seq:
-        assert rec["converged"]
-        assert abs(rec["normalized_log_det"]) < 1e-8
+    for n in range(1, 5):
+        rep = solve_optimal_measure(c, ZERO, n)
+        assert rep.converged
+        assert abs(diameter_exponent(n, 1) / 2 * rep.log_det) < 1e-8
 
 
 def test_report_dict_round():
     rep = solve_optimal_measure(THREE_POINTS, ZERO, 1)
     d = rep.to_dict()
+    assert list(d) == [
+        "n", "algo", "iterations", "kw_gap", "log_det", "converged",
+        "mass_histogram", "certificate", "masses",
+    ]
     assert d["converged"] is True
     assert sum(d["mass_histogram"]["counts"]) == 3
+    assert d["certificate"] is rep.certificate
+    assert d["masses"] == rep.measure.masses.tolist()
