@@ -166,14 +166,14 @@ def _solve_minimax(
         vals = t + e @ c_best
         r = np.abs(vals)
         peak = float(r.max())
-        # A few ulps of the evaluation's scale: a zero minimax is not missed.
+        # A few ulps of the evaluation's scale: a peak below it is a zero minimax.
         floor = 4 * np.finfo(float).eps * np.max(np.abs(t) + np.abs(e) @ np.abs(c_best))
         if real_case or peak <= s_opt * (1 + _REFINE_TOL) + floor:
             converged = True
             break
         cut = np.nonzero(r > s_opt * (1 + 1e-12))[0]
         add_facets(np.angle(vals[cut]), cut)
-    return peak * unit, c_best * norm / col, converged
+    return (peak * unit if peak > floor else 0.0), c_best * norm / col, converged
 
 
 def chebyshev_constant(

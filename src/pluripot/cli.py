@@ -40,7 +40,7 @@ from .fekete import (
     extrapolate_diameter,
     search_fekete,
 )
-from .gram import DiscreteMeasure, bm_constant, gram_matrix, normalized_log_det
+from .gram import DiscreteMeasure, gram_and_bergman, gram_matrix, normalized_log_det
 from .optmeas import solve_optimal_measure
 
 SCHEMA_VERSION = "1"
@@ -287,15 +287,15 @@ def cmd_bergman(cfg: dict) -> dict:
     ref = DiscreteMeasure.from_reference(cand)
     rows = []
     for n in range(1, n_max + 1):
-        sys = gram_matrix(ref, weight, n)
-        m_n, argmax = bm_constant(sys, cand)
+        sys, b = gram_and_bergman(ref, weight, n)
+        m_n = float(np.sqrt(b.max()))
         rows.append(
             {
                 "n": n,
                 "N": sys.size,
                 "M_n": m_n,
                 "M_n_nth_root": m_n ** (1.0 / n),
-                "argmax": [complex(z) for z in argmax],
+                "argmax": [complex(z) for z in cand.points[np.argmax(b)]],
             }
         )
     return {"bm_sequence": rows}

@@ -20,7 +20,7 @@ from .errors import InvalidInputError, PluripotError
 from .gram import (
     DiscreteMeasure,
     GramSystem,
-    bergman_function,
+    gram_and_bergman,
     gram_matrix,
     normalized_log_det,
 )
@@ -85,25 +85,23 @@ def f_n_path(
     # The second differences divide by the one spacing squared.
     if not np.allclose(steps, steps[:1], rtol=1e-9, atol=0.0):
         raise InvalidInputError("t grid must be uniformly spaced")
-    cand = mu.candidates
-    d = cand.dimension
-    u_vals = np.asarray(u_fn(cand.points), dtype=float)
+    d = mu.candidates.dimension
+    u_vals = np.asarray(u_fn(mu.candidates.points), dtype=float)
 
-    def gram_at(t: float) -> GramSystem:
+    def gram_at(t: float, build=gram_matrix):
         try:
-            return gram_matrix(mu, _tilted_weight(weight, u_fn, t), n)
+            return build(mu, _tilted_weight(weight, u_fn, t), n)
         except PluripotError as exc:
             raise PluripotError(f"degenerate Gram at t = {t}: {exc}") from exc
 
     def f_of(sys: GramSystem) -> float:
         return -normalized_log_det(sys)
 
-    systems = [gram_at(t) for t in t_grid]
-    values = np.array([f_of(sys) for sys in systems])
+    grid = [gram_at(t, gram_and_bergman) for t in t_grid]
+    values = np.array([f_of(sys) for sys, _ in grid])
     analytic = [
-        (d + 1) / (d * sys.size)
-        * float(np.sum(mu.masses * u_vals * bergman_function(sys, cand.points)))
-        for sys in systems
+        (d + 1) / (d * sys.size) * float(np.sum(mu.masses * u_vals * b))
+        for sys, b in grid
     ]
     fd = np.array([
         (f_of(gram_at(t + fd_step)) - f_of(gram_at(t - fd_step))) / (2 * fd_step)
@@ -185,8 +183,7 @@ def bergman_measure(
     n: int,
 ) -> DiscreteMeasure:
     """The probability measure (1/N) B dmu (trace identity gives mass 1)."""
-    sys = gram_matrix(mu, weight, n)
-    b = bergman_function(sys, mu.candidates.points)
+    sys, b = gram_and_bergman(mu, weight, n)
     masses = mu.masses * b / sys.size
     total = masses.sum()
     if not math.isclose(total, 1.0, rel_tol=1e-9):

@@ -6,9 +6,9 @@ once.  A column-pivoted QR, A P = Q R, picks the initial configuration V
 Sommariva and Vianello).  The same R gives C = V^{-1} A = R11^{-1} R in
 pivot order, whose entry |C_jc| is the factor by which |det V| changes when
 selected point j is swapped for candidate c.  Single-point exchanges read
-their gains from C and update it by one Gauss-Jordan step per swap (the
-"maxvol" update of Goreinov et al.), up to a local maximum of the weighted
-Vandermonde modulus.  Global optimality is not claimed.
+their gains from C and update it per swap by one Gauss-Jordan step, one
+in-place BLAS rank-1 update (the "maxvol" update of Goreinov et al.), up to
+a local maximum of the weighted Vandermonde modulus, not a global one.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ def search_fekete(
         raise InvalidInputError("greedy selection is degenerate; enlarge the grid")
     # C = R11^{-1} R in pivot order, formed in R's own buffer (so R11 is
     # copied first) as the right-side solve C^T = R^T R11^{-T}: no copy of A
-    # or R stays beside it, and the rows of C, which the sweeps read and
-    # update, are contiguous.
-    trsm = scipy.linalg.get_blas_funcs("trsm", (r,))
-    r11 = r[:, :n_pts].copy()
-    coef = trsm(1.0, r11, r.T, side=1, trans_a=1, overwrite_b=True).T
+    # or R stays beside it, C's rows are contiguous, and ger updates coef.T
+    # (column-major C^T) in place, with a copy of row j as x (not aliased).
+    rank1 = "geru" if np.iscomplexobj(r) else "ger"
+    trsm, ger = scipy.linalg.get_blas_funcs(("trsm", rank1), (r,))
+    coef = trsm(1.0, r[:, :n_pts].copy(), r.T, side=1, trans_a=1, overwrite_b=True).T
     selected = list(range(n_pts))  # positions in pivot order
     swapped = False
     for _ in range(max_sweeps):
@@ -92,7 +92,7 @@ def search_fekete(
                 coef[j] /= coef[j, c]
                 col = coef[:, c].copy()
                 col[j] = 0.0
-                coef -= np.outer(col, coef[j])
+                ger(-1.0, coef[j].copy(), col, a=coef.T, overwrite_a=True)
                 selected[j] = c
                 improved = True
         if not improved:

@@ -154,11 +154,14 @@ def bergman_function(sys: GramSystem, eval_points: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
 
 
-def bm_constant(sys: GramSystem, cand: CandidateSet) -> tuple[float, np.ndarray]:
-    """Best sup-over-L2 constant M_n = max_K sqrt(B), with the argmax point."""
-    b = bergman_function(sys, cand.points)
-    k = int(np.argmax(b))
-    return float(np.sqrt(b[k])), cand.points[k]
+def gram_and_bergman(
+    mu: DiscreteMeasure, weight: AdmissibleWeight, n: int
+) -> tuple[GramSystem, np.ndarray]:
+    """gram_matrix(mu, weight, n) and B at mu's points, from one basis evaluation."""
+    points = mu.candidates.points
+    cols = _basis_columns(points, weight(points), n)
+    sys = _gram_from_columns(points.shape[1], cols, mu.masses, weight, n)
+    return sys, np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
 
 
 def normalized_log_det(sys: GramSystem) -> float:

@@ -129,6 +129,27 @@ def test_cheb_zero_constant_on_a_finite_set(tmp_path, m, n_max):
     assert res["violations"] == []
 
 
+@pytest.mark.parametrize(
+    "geometry, m",
+    [("interval\na = -1\nb = 1", 6), ("circle\nradius = 1", 5)],
+    ids=["interval6", "circle5"],
+)
+def test_cheb_degree_at_least_m_reads_exactly_zero(tmp_path, geometry, m):
+    # Here the LP's minimax at degree >= m is rounding-level (up to 1e-15),
+    # not an exact 0; it must read 0 and raise no submultiplicativity
+    # violations between rounding-level values.
+    code, out = run_cli(tmp_path, "zero", f"geometry = {geometry}\nm = {m}\n"
+                        "n_max = 8\n", "cheb")
+    assert code == cli.EXIT_OK
+    res = json.loads(out.read_text())["results"]
+    ys = [row["Y"] for row in res["records"]]
+    assert all(y > 0.01 for y in ys[: m - 1])
+    assert ys[m - 1:] == [0.0] * (9 - m)
+    trend = [row["tau_geometric_mean"] for row in res["tau_trend"]]
+    assert trend[m - 1:] == [0.0] * (9 - m)
+    assert res["violations"] == []
+
+
 def test_tfd_zero_constant_gives_zero_chebyshev_delta(tmp_path):
     code, out = run_cli(tmp_path, "tfdzero", "geometry = interval\na = -1\nb = 1\n"
                         "m = 3\nn_max = 2\ncheb_n_max = 3\n", "tfd")

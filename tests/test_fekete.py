@@ -74,18 +74,26 @@ def _random_c2():
     return domains.custom(rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2)))
 
 
+def _chebyshev_square():
+    return domains.product([domains.interval(-1.0, 1.0, 21, "chebyshev")] * 2)
+
+
 @pytest.mark.parametrize(
     "make, weight, n_max",
     [
         (lambda: domains.torus(2, 21), AdmissibleWeight.zero(), 6),
         (lambda: domains.disk(1.0, 30, 24), AdmissibleWeight.quadratic(), 8),
         (_random_c2, AdmissibleWeight.zero(), 4),
+        (lambda: domains.interval(-1.0, 1.0, 401), AdmissibleWeight.zero(), 14),
+        (_chebyshev_square, AdmissibleWeight.zero(), 8),
     ],
-    ids=["torus", "disk-quadratic", "random-c2"],
+    ids=["torus", "disk-quadratic", "random-c2", "interval401", "chebyshev-square"],
 )
 def test_exchange_ends_at_a_local_maximum(make, weight, n_max):
-    # The search updates C = V^{-1} A in place; recomputed from scratch, no
-    # unselected candidate may still offer a gain |C_jc| above 1.
+    # The search updates C = V^{-1} A in place, by one BLAS rank-1 call per
+    # swap (geru on the complex sets, ger on the two real ones, which swap
+    # from n = 3 on); recomputed from scratch, no unselected candidate may
+    # still offer a gain |C_jc| above 1.
     cand = make()
     for n in range(1, n_max + 1):
         cfg = fekete.search_fekete(cand, n, weight)
@@ -102,6 +110,24 @@ def test_exact_tie_goes_to_the_lowest_candidate():
     sq = domains.product([domains.interval(-1.0, 1.0, 11)] * 2)
     cfg = fekete.search_fekete(sq, 3, AdmissibleWeight.zero())
     assert sorted(cfg.indices) == [0, 5, 10, 24, 30, 66, 76, 110, 115, 120]
+
+
+TORUS_41_N12 = [
+    0, 9, 28, 61, 76, 97, 130, 148, 155, 162, 168, 218, 227, 248, 276, 283,
+    297, 305, 314, 363, 376, 383, 410, 434, 455, 480, 504, 510, 514, 528, 573,
+    583, 607, 632, 642, 663, 687, 694, 701, 718, 722, 753, 773, 780, 791, 839,
+    866, 871, 891, 895, 926, 942, 987, 998, 1003, 1013, 1022, 1073, 1092,
+    1099, 1118, 1130, 1144, 1151, 1164, 1189, 1210, 1220, 1280, 1287, 1300,
+    1338, 1349, 1359, 1366, 1397, 1414, 1417, 1427, 1453, 1477, 1487, 1515,
+    1525, 1544, 1576, 1589, 1604, 1614, 1635, 1664,
+]
+
+
+def test_torus_search_selection_is_pinned():
+    # The 41 x 41 torus at n = 12 takes hundreds of swaps, so a change in
+    # how C is updated that alters a single gain comparison moves this set.
+    cfg = fekete.search_fekete(domains.torus(2, 41), 12, AdmissibleWeight.zero())
+    assert sorted(cfg.indices) == TORUS_41_N12
 
 
 def test_greedy_skips_zero_weight_points():

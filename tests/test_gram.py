@@ -19,8 +19,8 @@ from pluripot.gram import (
     _basis_columns,
     _whitened_columns,
     bergman_function,
-    bm_constant,
     free_energy,
+    gram_and_bergman,
     gram_matrix,
     normalized_log_det,
 )
@@ -76,13 +76,14 @@ def test_trace_identity_random_instances():
 
 
 def test_bergman_constant_on_circle():
-    # Haar measure on the circle: B = N everywhere, so M_n = sqrt(N).
+    # Haar measure on the circle: B = N everywhere, so M_n = sqrt(N).  One
+    # basis evaluation gives gram_matrix's Gram and bergman_function's B.
     c = domains.circle(1.0, 64)
     mu = DiscreteMeasure.from_reference(c)
-    sys = gram_matrix(mu, AdmissibleWeight.zero(), 4)
-    m_n, argmax = bm_constant(sys, c)
-    assert m_n == pytest.approx(math.sqrt(5.0), rel=1e-12)
-    assert abs(argmax[0]) == pytest.approx(1.0)
+    sys, b = gram_and_bergman(mu, AdmissibleWeight.zero(), 4)
+    assert math.sqrt(b.max()) == pytest.approx(math.sqrt(5.0), rel=1e-12)
+    assert np.array_equal(sys.matrix, gram_matrix(mu, AdmissibleWeight.zero(), 4).matrix)
+    assert np.array_equal(b, bergman_function(sys, c.points))
 
 
 def _brute_force_log_z(pts, masses, weight, n):
