@@ -2,14 +2,16 @@
 
 The discrete minimax over a candidate grid is solved as a linear program:
 the complex modulus is outer-approximated by half-plane facets.  The first
-facets form a square around each value, at the residual phase of a Lawson
-(iteratively reweighted least-squares) approximant, and facets are added at
-the phases where the current polynomial peaks until the re-evaluated
-maximum matches the LP bound.  Reported values are therefore true achieved
-maxima of an explicit polynomial: upper bounds on the continuous optimum
-over the grid, within 1e-9 relative when the record's ``converged`` is
-true.  A refinement that stops at ``_REFINE_ROUNDS`` says so with
-``converged`` false.
+facets sit at the residual phases of a Lawson (iteratively reweighted
+least-squares) approximant: one per point once its bracket [sqrt(sum
+w|r|^2), max|r|] closes to 1e-9 on M > 2J points for J coefficients, else
+a square around each value.  Facets are added at the phases where the
+current polynomial peaks until the re-evaluated maximum matches the LP
+bound.  Reported values are therefore true achieved maxima of an explicit
+polynomial: upper bounds on the continuous optimum over the grid, within
+1e-9 relative when the record's ``converged`` is true, and 0 with no LP
+when a least-squares peak is rounding-level.  A refinement that stops at
+``_REFINE_ROUNDS`` says so with ``converged`` false.
 
 The homogeneous-lift check maximizes each side exhaustively when it has at
 most ``EXHAUSTIVE_CAP`` subsets.  Every subset is scored by one walk down
@@ -42,9 +44,13 @@ _REFINE_TOL = 1e-9
 # the round cap.  1e-10 is the smallest tolerance HiGHS accepts.  A dual
 # tolerance of 1e-10 too made HiGHS fail on the first LP of two of 400 swept
 # circle cases (m <= 400, 0.5 <= r <= 2, k <= 10); 1e-9 failed on none.
+# Presolve only costs time on these dense LPs; without it those 400 circles,
+# the 360 ellipse constants below and interval(-1, 1, 841, chebyshev) at
+# k <= 8 converge within 1e-9 of their closed forms with no HiGHS failure.
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-9,
+    "presolve": False,
 }
 # HiGHS's default dual edge weights failed on 5 of 360 complex constants (k <= 4)
 # of moved 64-point ellipses, devex on none; devex failed on a real one.
@@ -109,24 +115,34 @@ def _solve_minimax(
     col[col == 0] = 1.0
     t, e = t / norm, e / col
 
+    def floor(c: np.ndarray) -> float:
+        # Rounding error of a (J + 1)-term sum: a peak below it is a zero minimax.
+        return (j + 1) * np.finfo(float).eps * np.max(np.abs(t) + np.abs(e) @ np.abs(c))
     real_case = not (t.imag.any() or e.imag.any())
+    # Lawson's iteration; a real problem takes only its unweighted first step.
+    w = np.full(len(t), 1.0 / len(t))
+    for _ in range(1 if real_case else _LAWSON_STEPS):
+        root = np.sqrt(w)
+        c = np.linalg.lstsq(e * root[:, None], -t * root, rcond=None)[0]
+        vals = t + e @ c
+        r = np.abs(vals)
+        size = float(r.max())
+        if size <= floor(c):
+            return 0.0, c * norm / col, True
+        # c minimizes sum w|r|^2 with sum w = 1: its root bounds the minimax below.
+        certified = size <= math.sqrt(w @ r**2) * (1 + _REFINE_TOL)
+        w = w * r
+        if certified or w.sum() == 0:
+            break
+        w /= w.sum()
     if real_case:
         base, count = np.zeros(len(t)), 2
     else:
-        # Lawson's iteration: its residual phases place the first facets.
-        w = np.full(len(t), 1.0 / len(t))
-        for _ in range(_LAWSON_STEPS):
-            root = np.sqrt(w)
-            c = np.linalg.lstsq(e * root[:, None], -t * root, rcond=None)[0]
-            vals = t + e @ c
-            w = w * np.abs(vals)
-            if w.sum() == 0:
-                break
-            w /= w.sum()
-        base, count = np.angle(vals), INITIAL_FACETS
+        # Certified phases are a dual certificate (sum w conj(r) e = 0): one
+        # facet each, if M > 2J rows can pin the 2J + 1 unknowns at a vertex.
+        base, count = np.angle(vals), 1 if certified and len(t) > 2 * j else INITIAL_FACETS
         # Lawson's peak is near the minimax: dividing it out puts the LP's
         # value near 1.  A zero minimax, up to rounding, is not divided out.
-        size = float(np.abs(vals).max())
         if size > _REFINE_TOL:
             t, e, unit = t / size, e / size, unit * size
 
@@ -166,14 +182,13 @@ def _solve_minimax(
         vals = t + e @ c_best
         r = np.abs(vals)
         peak = float(r.max())
-        # A few ulps of the evaluation's scale: a peak below it is a zero minimax.
-        floor = 4 * np.finfo(float).eps * np.max(np.abs(t) + np.abs(e) @ np.abs(c_best))
-        if real_case or peak <= s_opt * (1 + _REFINE_TOL) + floor:
+        zero = floor(c_best)
+        if real_case or peak <= s_opt * (1 + _REFINE_TOL) + zero:
             converged = True
             break
         cut = np.nonzero(r > s_opt * (1 + 1e-12))[0]
         add_facets(np.angle(vals[cut]), cut)
-    return (peak * unit if peak > floor else 0.0), c_best * norm / col, converged
+    return (peak * unit if peak > zero else 0.0), c_best * norm / col, converged
 
 
 def chebyshev_constant(

@@ -44,11 +44,12 @@ def _ellipse():
 
 @pytest.fixture
 def lp_calls(monkeypatch):
+    """The row count of each LP solved."""
     calls = []
     solve = cheb.linprog
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(len(kwargs["A_ub"]))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(cheb, "linprog", counted)
@@ -58,13 +59,22 @@ def lp_calls(monkeypatch):
 @pytest.mark.parametrize("r", [0.5, 0.8, 1.0, 1.2])
 def test_circle_constants_converge_to_refine_tol(r, lp_calls):
     # circle(0.5, 201) capped at k = 5 and 7-10 with 16 fixed-phase facets.
-    # The Lawson-seeded facets are tight at the first LP.
+    # Lawson certifies its iterate, and one facet per point at its residual
+    # phase is tight at the first LP.
     cand = domains.circle(r, 201)
     for k in range(1, 11):
         rec = cheb.chebyshev_constant(cand, (k,))
         assert rec.converged, k
         assert rec.value == pytest.approx(r**k, rel=1e-9), k
-    assert len(lp_calls) == 10
+    assert lp_calls == [201] * 10
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_uncertified_lawson_seed_keeps_four_facets(lp_calls, k):
+    # 30 Lawson steps do not close the ellipse's bracket.
+    rec = cheb.chebyshev_constant(domains.custom(_ellipse()), (k,))
+    assert rec.converged
+    assert lp_calls[0] == cheb.INITIAL_FACETS * 64
 
 
 def test_refinement_cap_is_reported(monkeypatch):
@@ -81,8 +91,33 @@ def test_zero_constant_converges(lp_calls, k):
         warnings.simplefilter("error")
         rec = cheb.chebyshev_constant(domains.circle(1.0, 3), (k,))
     assert rec.converged
-    assert rec.value <= 1e-13
-    assert len(lp_calls) <= 2
+    assert rec.value == 0.0
+    assert lp_calls == []
+
+
+@pytest.mark.parametrize(
+    "cand, degrees",
+    [
+        # Here the LP left about 5e-15, 3.1e-6 and up to 23.4.
+        (domains.circle(1.0, 6), (6, 7, 8, 9)),
+        (domains.circle(2.5, 10), (10, 11)),
+        (domains.interval(0.0, 5.0, 11), (11, 12, 13, 14)),
+        # Least squares leaves 5e-15 at k = 13: more than 4 ulps, within the
+        # rounding error of the 14-term sum.
+        (domains.circle(1.0, 12), (12, 13, 14, 15)),
+    ],
+    ids=["circle6", "circle10", "interval11", "circle12"],
+)
+def test_zero_constant_from_least_squares(lp_calls, cand, degrees):
+    # A monic polynomial of degree >= m vanishes on m points; the
+    # least-squares solve finds it to rounding and no LP runs.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in degrees:
+            rec = cheb.chebyshev_constant(cand, (k,))
+            assert rec.converged, k
+            assert rec.value == 0.0, k
+    assert lp_calls == []
 
 
 def test_torus_constants_are_one():
@@ -91,6 +126,60 @@ def test_torus_constants_are_one():
         rec = cheb.chebyshev_constant(cand, alpha)
         assert rec.converged, alpha
         assert rec.value == pytest.approx(1.0, rel=1e-9), alpha
+
+
+@pytest.mark.parametrize(
+    "cand, class_tag, n_max, exact, tau",
+    [
+        (domains.torus(2, 21), "plain", 5, lambda a: 1.0, 1.0),
+        # Monomials are orthogonal on the product grid: Y(a) = 0.5^a_2, so
+        # tau's geometric mean over each degree block is 1/sqrt(2).
+        (
+            domains.product([domains.circle(1.0, 32), domains.circle(0.5, 32)]),
+            "plain", 4, lambda a: 0.5 ** a[1], 2**-0.5,
+        ),
+        # The outer ring of disk(1, 4, 8) has radius 7/8.
+        (
+            domains.product([domains.disk(1.0, 4, 8)] * 2),
+            "homogeneous", 3, lambda a: (7 / 8) ** sum(a), 7 / 8,
+        ),
+    ],
+    ids=["torus", "circle-product", "homogeneous-bidisk"],
+)
+def test_d2_constants_match_closed_forms(cand, class_tag, n_max, exact, tau):
+    for n in range(1, n_max + 1):
+        gm, records = cheb.tau_geometric_mean(cand, None, class_tag, n)
+        for rec in records:
+            assert rec.converged, rec.alpha
+            assert rec.value == pytest.approx(exact(rec.alpha), rel=1e-9), rec.alpha
+        assert gm == pytest.approx(tau, rel=1e-9), n
+
+
+def _lawson_lower_bound(target, lower, steps=30):
+    """Largest sqrt(sum w |r|^2) over Lawson's weighted least-squares steps."""
+    w = np.full(len(target), 1.0 / len(target))
+    best = 0.0
+    for _ in range(steps):
+        root = np.sqrt(w)
+        c = np.linalg.lstsq(lower * root[:, None], -target * root, rcond=None)[0]
+        r = np.abs(target + lower @ c)
+        best = max(best, math.sqrt(w @ r**2))
+        if (w * r).sum() == 0:
+            break
+        w = w * r / (w * r).sum()
+    return best
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(5, 10), st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_value_is_at_least_the_lawson_lower_bound(seed, m, k):
+    rng = np.random.default_rng(seed)
+    pts = (rng.normal(size=m) + 1j * rng.normal(size=m))[:, None]
+    rec = cheb.chebyshev_constant(domains.custom(pts), (k,))
+    target = vdm.monomial_values([(k,)], pts)[0]
+    lower = vdm.monomial_values(cheb._class_monomials((k,), 1, "plain"), pts).T
+    assert rec.converged
+    assert rec.value >= _lawson_lower_bound(target, lower) * (1 - 1e-9)
 
 
 @functools.cache
