@@ -4,9 +4,11 @@ A probability measure maximizes det G_n iff its Bergman function tops out
 at N on K (Kiefer-Wolfowitz 1960); the gap max_K B - N is the optimality
 certificate.  Pairwise vertex exchanges (Boehning 1986) drive it to zero:
 each moves mass between two nodes with a closed-form step, and a sweep of
-them shares one Cholesky factorization of the Gram.  The solve's report
-carries the certificate of the B its last iterate computed: one B
-evaluation per iterate, none after the solve.
+them shares one Cholesky factorization of the Gram.  A solve starts from
+the greedy Fekete pick (the first N pivots of a column-pivoted QR) when it
+beats the uniform measure.  The solve's report carries the certificate of
+the B its last iterate computed: one B evaluation per iterate, none after
+the solve.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .domains import AdmissibleWeight, CandidateSet
-from .errors import InvalidInputError
+from .errors import DegenerateMeasureError, InvalidInputError
 from .gram import DiscreteMeasure
 from .gram import _basis_columns, _gram_from_columns, _whitened_columns
 
@@ -119,8 +122,10 @@ def solve_optimal_measure(
     tol: float = DEFAULT_TOL,
     max_iter: int | None = None,
 ) -> SolveReport:
-    """From the uniform measure, drive max_K B to at most N(1 + tol) and B on
-    the support (masses > MASS_FLOOR) to at least N(1 - tol): ``converged``.
+    """Drive max_K B to at most N(1 + tol) and B on the support (masses >
+    MASS_FLOOR) to at least N(1 - tol): ``converged``.  The start is equal
+    mass on the greedy Fekete pick when its Gram passes the pivot check with
+    a log det above the uniform measure's, else the uniform measure.
 
     An iteration factors the Gram once, computes B from it (only this fresh
     B decides kw_gap, convergence, the certificate and the reported log det),
@@ -139,8 +144,17 @@ def solve_optimal_measure(
 
     cols = _basis_columns(cand.points, q, n)
     n_dim = len(cols)
+    sys = _gram_from_columns(cand.dimension, cols, masses, weight, n)
+    _, piv = scipy.linalg.qr(cols, mode="r", pivoting=True)
+    greedy = np.zeros(len(masses))
+    greedy[piv[:n_dim]] = 1.0 / n_dim
+    try:
+        start = _gram_from_columns(cand.dimension, cols, greedy, weight, n)
+    except DegenerateMeasureError:
+        start = sys
+    if start.log_det > sys.log_det:
+        masses, sys = greedy, start
     for it in range(1, max_iter + 1):
-        sys = _gram_from_columns(cand.dimension, cols, masses, weight, n)
         y = _whitened_columns(sys, cols)
         b = np.sum(np.abs(y) ** 2, axis=0)
         support = np.nonzero(masses > MASS_FLOOR)[0]
@@ -151,6 +165,7 @@ def solve_optimal_measure(
             break
         _exchange_sweep(masses, y, b)
         masses = masses / masses.sum()
+        sys = _gram_from_columns(cand.dimension, cols, masses, weight, n)
     certificate = {
         "n": n,
         "N": n_dim,

@@ -15,6 +15,7 @@ from pluripot.optmeas import DEFAULT_TOL, solve_optimal_measure
 from pluripot.vdm import diameter_exponent
 
 THREE_POINTS = domains.custom(np.array([-1.0, 0.0, 1.0]).astype(complex)[:, None])
+SQUARE = domains.product([domains.interval(-1.0, 1.0, 11)] * 2)
 ZERO = AdmissibleWeight.zero()
 
 
@@ -129,14 +130,15 @@ def test_support_certificate():
 
 def test_monotone_log_det_over_iterations():
     # The solve is deterministic, so a run capped at k iterations reports the
-    # k-th iterate; no exchange sweep may lower log det.
-    cand = domains.interval(-1.0, 1.0, 9)
+    # k-th iterate; no exchange sweep may lower log det.  On the 11 x 11
+    # square at n = 3 the solve starts from the greedy Fekete pick, which is
+    # not optimal: the 12th iterate is 1.197 above it.
     log_dets = [
-        solve_optimal_measure(cand, ZERO, 2, tol=1e-14, max_iter=k).log_det
+        solve_optimal_measure(SQUARE, ZERO, 3, tol=1e-14, max_iter=k).log_det
         for k in range(1, 13)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(log_dets, log_dets[1:]))
-    assert log_dets[-1] > log_dets[0] + 0.9
+    assert log_dets[-1] > log_dets[0] + 1.1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -219,10 +221,9 @@ def test_converged_measure_passes_its_certificate(cand, weight, n):
 
 
 def test_permuted_candidates_give_the_same_optimum():
-    square = domains.product([domains.interval(-1.0, 1.0, 11)] * 2)
-    perm = np.random.default_rng(0).permutation(len(square))
-    shuffled = domains.custom(square.points[perm])
-    a = solve_optimal_measure(square, ZERO, 3)
+    perm = np.random.default_rng(0).permutation(len(SQUARE))
+    shuffled = domains.custom(SQUARE.points[perm])
+    a = solve_optimal_measure(SQUARE, ZERO, 3)
     b = solve_optimal_measure(shuffled, ZERO, 3)
     assert a.converged and b.converged
     assert a.log_det <= b.log_det + b.kw_gap
@@ -230,11 +231,59 @@ def test_permuted_candidates_give_the_same_optimum():
 
 
 def test_iteration_cap_reports_unconverged():
-    cand = domains.interval(-1.0, 1.0, 9)
-    rep = solve_optimal_measure(cand, ZERO, 2, tol=1e-14, max_iter=3)
+    rep = solve_optimal_measure(SQUARE, ZERO, 3, tol=1e-14, max_iter=3)
     assert rep.converged is False
     assert rep.iterations == 3
     assert rep.certificate["violations"]
+
+
+@pytest.mark.parametrize(
+    "cand, weight",
+    [
+        (domains.interval(-1.0, 1.0, 201), ZERO),
+        (domains.interval(-1.0, 1.0, 201, "chebyshev"), ZERO),
+        (domains.torus(2, 21), ZERO),
+        (domains.disk(1.0, 12, 40), AdmissibleWeight.quadratic()),
+        (SQUARE, ZERO),
+    ],
+    ids=["interval", "chebyshev", "torus", "disk-quadratic", "square"],
+)
+def test_start_is_at_least_the_uniform_measure(cand, weight):
+    # A run capped at one iteration reports its starting measure.
+    for n in range(1, 5):
+        start = solve_optimal_measure(cand, weight, n, max_iter=1)
+        uniform = gram_matrix(DiscreteMeasure.uniform(cand), weight, n).log_det
+        assert start.log_det >= uniform
+
+
+def test_greedy_start_is_the_interval_design():
+    # The greedy pick {-1, 0, 1} is the degree-2 D-optimal design.
+    cand = domains.interval(-1.0, 1.0, 201)
+    rep = solve_optimal_measure(cand, ZERO, 2)
+    assert rep.converged and rep.iterations == 1
+    expected = np.zeros(len(cand))
+    expected[[0, 100, 200]] = 1 / 3
+    assert np.allclose(rep.measure.masses, expected, rtol=0, atol=1e-15)
+
+
+def test_torus_keeps_the_uniform_start():
+    # Uniform is optimal on the torus grid; the greedy pick's log det is lower.
+    rep = solve_optimal_measure(domains.torus(2, 21), ZERO, 4)
+    assert rep.converged and rep.iterations == 1
+    assert abs(rep.log_det) < 1e-10
+
+
+def test_infinite_weight_points_get_no_starting_mass():
+    x = np.linspace(-2.0, 2.0, 41)
+    w = AdmissibleWeight.custom(
+        lambda p: np.where(np.abs(p[:, 0].real) > 1.0, np.inf, 0.0)
+    )
+    cand = domains.custom(x.astype(complex)[:, None])
+    start = solve_optimal_measure(cand, w, 2, max_iter=1).measure.masses
+    assert np.all(start[np.abs(x) > 1.0] == 0.0)
+    # The start is the greedy pick: mass 1/3 at three nodes.
+    assert np.allclose(np.sort(start)[-3:], 1 / 3, rtol=0, atol=1e-15)
+    assert np.count_nonzero(start) == 3
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
