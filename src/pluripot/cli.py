@@ -35,12 +35,13 @@ from .energy import (
 )
 from .errors import InvalidInputError, PluripotError
 from .fekete import (
+    EXCHANGE_TOL,
     diameter_sequence,
     empirical_measure,
     extrapolate_diameter,
     search_fekete,
 )
-from .gram import DiscreteMeasure, gram_and_bergman, gram_matrix, normalized_log_det
+from .gram import DiscreteMeasure, gram_sequence, normalized_log_det
 from .optmeas import solve_optimal_measure
 
 SCHEMA_VERSION = "1"
@@ -82,7 +83,12 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [to_json(v, indent + 1) for v in obj]
+        if all(type(v) is float for v in obj):
+            items = [format_number(v) for v in obj]
+        elif all(type(v) is int for v in obj):
+            items = [str(v) for v in obj]
+        else:
+            items = [to_json(v, indent + 1) for v in obj]
         return "[\n" + ",\n".join(pad2 + s for s in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -246,11 +252,10 @@ def cmd_tfd(cfg: dict) -> dict:
     gram_route = []
     if cand.masses is not None:
         ref = DiscreteMeasure.from_reference(cand)
-        for n in range(1, n_max + 1):
-            sys = gram_matrix(ref, weight, n)
-            gram_route.append(
-                {"n": n, "delta": math.exp(normalized_log_det(sys))}
-            )
+        gram_route = [
+            {"n": sys.degree, "delta": math.exp(normalized_log_det(sys))}
+            for sys, _ in gram_sequence(ref, weight, n_max)
+        ]
 
     cheb_route = []
     class_tag = "plain" if weight.kind == "zero" else "weighted"
@@ -286,16 +291,19 @@ def cmd_bergman(cfg: dict) -> dict:
         raise InvalidInputError("bergman subcommand needs quadrature masses")
     ref = DiscreteMeasure.from_reference(cand)
     rows = []
-    for n in range(1, n_max + 1):
-        sys, b = gram_and_bergman(ref, weight, n)
+    for sys, b in gram_sequence(ref, weight, n_max):
+        n = sys.degree
         m_n = float(np.sqrt(b.max()))
+        # Values within EXCHANGE_TOL of the max are ties, which rounding
+        # must not break: the lowest point index wins.
+        top = int(np.argmax(b >= b.max() * (1.0 - EXCHANGE_TOL)))
         rows.append(
             {
                 "n": n,
                 "N": sys.size,
                 "M_n": m_n,
                 "M_n_nth_root": m_n ** (1.0 / n),
-                "argmax": [complex(z) for z in cand.points[np.argmax(b)]],
+                "argmax": [complex(z) for z in cand.points[top]],
             }
         )
     return {"bm_sequence": rows}

@@ -9,6 +9,7 @@ the conversion explicitly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,6 +108,12 @@ def _circle_average(f, radius: float) -> float:
     return float(np.sum(f(pts)) * (2 * np.pi / QUAD_NODES))
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """QUAD_NODES-point Gauss-Legendre rule on [-1, 1], computed on first use."""
+    return np.polynomial.legendre.leggauss(QUAD_NODES)
+
+
 def _wdisk_area_integral(f, m_theta: int, breaks=()) -> float:
     """Integral of f against 4 r dr dtheta on |z| <= 1/sqrt(2).
 
@@ -114,7 +121,7 @@ def _wdisk_area_integral(f, m_theta: int, breaks=()) -> float:
     radial range is split at ``breaks`` (kink radii of the integrand) so each
     panel is smooth.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    nodes, weights = _gauss_legendre()
     edges = [0.0] + sorted(b for b in breaks if 0.0 < b < _SQRT_HALF) + [_SQRT_HALF]
     theta = 2 * np.pi * np.arange(m_theta) / m_theta
     rot = np.exp(1j * theta)

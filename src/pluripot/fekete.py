@@ -75,7 +75,7 @@ def search_fekete(
     rank1 = "geru" if np.iscomplexobj(r) else "ger"
     trsm, ger = scipy.linalg.get_blas_funcs(("trsm", rank1), (r,))
     coef = trsm(1.0, r[:, :n_pts].copy(), r.T, side=1, trans_a=1, overwrite_b=True).T
-    selected = list(range(n_pts))  # positions in pivot order
+    selected = np.arange(n_pts)  # positions in pivot order
     swapped = False
     for _ in range(max_sweeps):
         improved = False

@@ -3,6 +3,9 @@
 The Gram matrix of a discrete measure in the monomial basis is the
 information matrix of D-optimal design; everything here routes through its
 Cholesky factor (triangular solves only, never an explicit inverse).
+Without a weight the graded-lex basis of P_n is a prefix of P_{n+1}'s, so
+G_n and its factor are leading blocks of G_{n+1} and its factor, and
+gram_sequence reads a whole degree sequence off one factor.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .basis import enumerate_basis
+from .basis import dimension_counts, enumerate_basis
 from .domains import (
     AdmissibleWeight,
     CandidateSet,
@@ -72,6 +75,12 @@ class GramSystem:
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def smallest_share(self) -> float:
+        """The smallest pivot share L_ii^2 / G_ii (see MIN_PIVOT)."""
+        shares = self.chol.diagonal().real ** 2 / self.matrix.diagonal().real
+        return float(shares.min())
+
 
 def _basis_columns(points: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     """The degree-n basis monomials (rows) at every point.
@@ -82,17 +91,9 @@ def _basis_columns(points: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     return monomial_values(indices, points) * weight_power(q, n)
 
 
-def _gram_from_columns(
-    dimension: int,
-    cols: np.ndarray,
-    masses: np.ndarray,
-    weight: AdmissibleWeight,
-    n: int,
-) -> GramSystem:
-    """G = sum_k mass_k c_k c_k^* over the w^n-scaled columns c_k.
-
-    The rank is the number of leading pivots L_ii^2 / G_ii above MIN_PIVOT;
-    a Gram of lower rank raises DegenerateMeasureError.
+def _factor(cols: np.ndarray, masses: np.ndarray):
+    """G = sum_k mass_k c_k c_k^* over the columns c_k, its Cholesky factor
+    L and the equilibrated pivots L_ii^2 / G_ii ("shares").
     """
     active = masses > 0
     support = cols[:, active]
@@ -106,24 +107,49 @@ def _gram_from_columns(
     done = info - 1 if info > 0 else len(g)
     shares = np.zeros(len(g))
     shares[:done] = diag[:done] ** 2 / g.diagonal().real[:done]
+    return g, chol, shares
+
+
+def _system(
+    factor, dimension: int, weight: AdmissibleWeight, n: int, size: int
+) -> GramSystem:
+    """The degree-n system on the leading size x size block of _factor's
+    G and L.
+
+    The rank is the number of leading pivot shares above MIN_PIVOT; a block
+    of lower rank raises DegenerateMeasureError.
+    """
+    g, chol, shares = factor
+    shares = shares[:size]
     passed = shares > MIN_PIVOT  # False on NaN
     if not passed.all():
         rank = int(np.argmin(passed))
         raise DegenerateMeasureError(
             f"measure is degenerate for degree {n}: smallest pivot"
             f" L_ii^2/G_ii {shares.min():.2e} < {MIN_PIVOT:.0e},"
-            f" numerical rank {rank} < {len(g)}",
+            f" numerical rank {rank} < {size}",
             rank=rank,
         )
-    log_det = 2.0 * float(np.sum(np.log(diag)))
+    log_det = 2.0 * float(np.sum(np.log(chol.diagonal().real[:size])))
     return GramSystem(
         degree=n,
         dimension=dimension,
         weight=weight,
-        matrix=g,
-        chol=chol,
+        matrix=g[:size, :size],
+        chol=chol[:size, :size],
         log_det=log_det,
     )
+
+
+def _gram_from_columns(
+    dimension: int,
+    cols: np.ndarray,
+    masses: np.ndarray,
+    weight: AdmissibleWeight,
+    n: int,
+) -> GramSystem:
+    """The Gram system over the w^n-scaled columns c_k (see _system)."""
+    return _system(_factor(cols, masses), dimension, weight, n, len(cols))
 
 
 def gram_matrix(
@@ -162,6 +188,30 @@ def gram_and_bergman(
     cols = _basis_columns(points, weight(points), n)
     sys = _gram_from_columns(points.shape[1], cols, mu.masses, weight, n)
     return sys, np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
+
+
+def gram_sequence(
+    mu: DiscreteMeasure, weight: AdmissibleWeight, n_max: int
+) -> list[tuple[GramSystem, np.ndarray]]:
+    """[gram_and_bergman(mu, weight, n) for n = 1, ..., n_max].
+
+    Without a weight G_n is the leading m_n x m_n block of G_{n_max}, so one
+    factor L and one solve Y = L^{-1} C serve every degree: L_n is L's
+    leading block and B_n sums the first m_n rows of |Y|^2.  The first
+    degree whose block fails the pivot check raises as gram_matrix does.
+    """
+    if weight.kind != "zero" or n_max < 1:
+        return [gram_and_bergman(mu, weight, n) for n in range(1, n_max + 1)]
+    points = mu.candidates.points
+    d = points.shape[1]
+    cols = _basis_columns(points, weight(points), n_max)
+    factor = _factor(cols, mu.masses)
+    systems = [
+        _system(factor, d, weight, n, dimension_counts(n, d)[0])
+        for n in range(1, n_max + 1)
+    ]
+    partial = np.cumsum(np.abs(_whitened_columns(systems[-1], cols)) ** 2, axis=0)
+    return [(sys, partial[sys.size - 1]) for sys in systems]
 
 
 def normalized_log_det(sys: GramSystem) -> float:

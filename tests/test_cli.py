@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pluripot import cli
@@ -58,6 +59,20 @@ def test_to_json_formatting():
     assert obj["z"] == {"re": 1.0, "im": 2.0}
     assert cli.format_number(float("nan")) == '"nan"'
     assert cli.format_number(float("inf")) == '"inf"'
+
+
+@pytest.mark.parametrize(
+    "items",
+    [[0.1, -0.0, 1e300, float("nan"), float("-inf"), 5e-324],
+     [0, -3, 2**70],
+     [1, True, 2.5],
+     [np.float64(0.1), 0.2],
+     [np.int64(3), 4]],
+    ids=["floats", "ints", "mixed", "numpy-float", "numpy-int"],
+)
+def test_to_json_number_lists_match_item_by_item(items):
+    by_item = ",\n".join("    " + cli.to_json(v, 2) for v in items)
+    assert cli.to_json(items, 1) == "[\n" + by_item + "\n  ]"
 
 
 def test_fekete_command(tmp_path):
@@ -190,6 +205,22 @@ def test_bergman_command(tmp_path):
     rows = doc["results"]["bm_sequence"]
     for row in rows:
         assert row["M_n"] == pytest.approx(math.sqrt(row["N"]), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["geometry = circle\nradius = 1.0\nm = 64\nn_max = 12\n",
+     "geometry = torus\nd = 2\nm = 21\nn_max = 10\n"],
+    ids=["circle64", "torus21"],
+)
+def test_bergman_argmax_ties_go_to_the_lowest_index(tmp_path, config):
+    # B = N at every point of these grids (to rounding), so every point
+    # ties for the max and point 0, (1, ..., 1), is reported.
+    code, out = run_cli(tmp_path, "ties", config, "bergman")
+    assert code == 0
+    rows = json.loads(out.read_text())["results"]["bm_sequence"]
+    for row in rows:
+        assert all(z == {"re": 1.0, "im": 0.0} for z in row["argmax"]), row["n"]
 
 
 def test_energy_check_command(tmp_path):

@@ -7,8 +7,8 @@ import pytest
 
 from pluripot import diag, domains, energy, fekete
 from pluripot.domains import AdmissibleWeight
-from pluripot.errors import InvalidInputError
-from pluripot.gram import DiscreteMeasure
+from pluripot.errors import DegenerateMeasureError, InvalidInputError
+from pluripot.gram import DiscreteMeasure, gram_matrix
 
 
 def _random_measure(seed, m=12):
@@ -160,6 +160,19 @@ def test_bergman_measure_trace_and_trend():
         assert bm.masses.sum() == pytest.approx(1.0, abs=1e-12)
         dists.append(diag.radial_cdf_distance(bm, model))
     assert dists[0] > dists[1] > dists[2]
+
+
+def test_bergman_measure_accepts_every_degree_the_pivot_check_accepts():
+    # The uniform 401-node interval's masses miss 1 by 1.8e-9 at n = 13 and
+    # 2.4e-9 at n = 14 (smallest pivot shares 6.2e-7 and 1.7e-7), which a
+    # fixed 1e-9 refused; from n = 15 the pivot check refuses the Gram.
+    mu = DiscreteMeasure.uniform(domains.interval(-1.0, 1.0, 401))
+    zero = AdmissibleWeight.zero()
+    for n in range(10, 15):
+        bm = diag.bergman_measure(mu, zero, n)
+        assert bm.masses.sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(DegenerateMeasureError, match="degree 15"):
+        gram_matrix(mu, zero, 15)
 
 
 def test_path_report_to_dict():

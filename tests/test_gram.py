@@ -22,8 +22,11 @@ from pluripot.gram import (
     free_energy,
     gram_and_bergman,
     gram_matrix,
+    gram_sequence,
     normalized_log_det,
 )
+
+ZERO = AdmissibleWeight.zero()
 
 
 def _random_instance(seed, n=None):
@@ -226,3 +229,43 @@ def test_whitened_columns_match_solve_triangular(part):
         broken[1, 2] = bad
         with pytest.raises(ValueError):
             _whitened_columns(sys, broken)
+
+
+@pytest.mark.parametrize(
+    "cand, weight, n_max",
+    [
+        (domains.circle(1.0, 201), ZERO, 20),
+        (domains.torus(2, 41), ZERO, 12),
+        (domains.product([domains.interval(-1.0, 1.0, 11)] * 2), ZERO, 10),
+        (domains.disk(1.0, 12, 40), AdmissibleWeight.quadratic(), 8),
+    ],
+    ids=["circle", "torus", "square", "disk-quadratic"],
+)
+def test_gram_sequence_matches_each_degree(cand, weight, n_max):
+    # Unweighted, every degree is read off the n_max factor; the weighted
+    # disk takes the per-degree path.  Two factorizations of one Gram agree
+    # to about eps / (smallest pivot share): on the square that exceeds
+    # 1e-12 at n = 8 and 9 (3.2e-12 and 3.2e-11), where B moves by up to
+    # 1.3e-12 and 5.3e-12 relative.
+    mu = DiscreteMeasure.from_reference(cand)
+    seq = gram_sequence(mu, weight, n_max)
+    assert [sys.degree for sys, _ in seq] == list(range(1, n_max + 1))
+    for n, (sys, b) in enumerate(seq, 1):
+        single, b_single = gram_and_bergman(mu, weight, n)
+        tol = max(1e-12, np.finfo(float).eps / single.smallest_share)
+        assert sys.size == single.size
+        assert abs(sys.log_det - single.log_det) <= tol * max(1.0, abs(single.log_det))
+        np.testing.assert_allclose(b, b_single, rtol=tol, atol=0.0)
+
+
+def test_gram_sequence_raises_at_the_first_refused_degree():
+    # The 401-node interval's monomial Grams pass the pivot check up to
+    # n = 14; the sequence to 16 stops at 15 with gram_matrix's own error.
+    mu = DiscreteMeasure.from_reference(domains.interval(-1.0, 1.0, 401))
+    with pytest.raises(DegenerateMeasureError) as single:
+        gram_matrix(mu, ZERO, 15)
+    with pytest.raises(DegenerateMeasureError) as seq:
+        gram_sequence(mu, ZERO, 16)
+    assert "degree 15" in str(seq.value)
+    assert str(seq.value) == str(single.value)
+    assert seq.value.rank == single.value.rank
