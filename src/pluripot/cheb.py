@@ -14,10 +14,13 @@ when a least-squares peak is rounding-level.  A refinement that stops at
 ``_REFINE_ROUNDS`` says so with ``converged`` false.
 
 The homogeneous-lift check maximizes each side exhaustively when it has at
-most ``EXHAUSTIVE_CAP`` subsets.  Every subset is scored by one walk down
-the prefix tree of the subsets, a product of projected column norms with
-one Householder reflector per tree node, and the best score is confirmed
-by a pivoted QR.
+most ``EXHAUSTIVE_CAP`` subsets.  One walk down the prefix tree of the
+subsets scores each subset, as a product of projected column norms with
+one Householder reflector per tree node, or proves it below the greedy
+pick's value (the first pivots of a column-pivoted QR) by Hadamard's
+inequality: a branch-and-bound, as in exact D-optimal design (Welch,
+Technometrics 1982; Ko, Lee and Queyranne, Oper. Res. 1995).  The best
+score is confirmed by a pivoted QR, so the maximum is exact.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, weight_power
@@ -63,6 +67,10 @@ _COMPLEX_OPTIONS = {**_HIGHS_OPTIONS, "simplex_dual_edge_weight_strategy": "deve
 _CHUNK_ENTRIES = 1 << 14
 # Largest subset count a lift-check side maximizes exhaustively.
 EXHAUSTIVE_CAP = 200_000
+# Relative rounding margin of the exhaustive max's branch-and-bound: the
+# floor sits this far below the greedy pick's value, and a subtree whose
+# bound falls this far short of the floor is still expanded.
+_PRUNE_SLACK = 1e-9
 # Relative slack of the submultiplicativity audit, Y(a+b) <= Y(a) Y(b).
 AUDIT_SLACK = 1e-9
 
@@ -308,35 +316,58 @@ def _chunk_nodes(dim: int, m: int) -> int:
     return max(1, _CHUNK_ENTRIES // (dim * m))
 
 
-def _subset_scores(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> np.ndarray:
+def _subset_scores(
+    cols: np.ndarray, count: int, n: int, q: np.ndarray, floor: float = -math.inf
+) -> np.ndarray:
     """log |det cols[:, S]| - n * sum Q(S) for every count-subset S, lexicographically.
 
     A walk down the prefix tree of the subsets, one level at a time, by
     |det cols[:, S]| = prod_k |P_k a_{s_k}|, where a_x is column x and P_k
     projects onto the orthogonal complement of a_{s_1}, ..., a_{s_{k-1}}.
     A node at depth k holds an orthonormal basis U (count x (count - k)) of
-    its complement, its partial score and its last index.  Child x > last
-    gets alpha = U^H a_x and the partial score + log |alpha| - n Q(x); above
-    the leaves it also gets the basis U H(alpha)[:, 1:], from the Householder
-    reflector H(alpha) that maps alpha to a multiple of e_1.  Each level is
-    processed in chunks of ``_chunk_nodes`` nodes with batched numpy
-    operations.  A chunk emits its children row-major, which is lexicographic
-    order, and the walk finishes a chunk's subtree before the next chunk.  A
-    subset holding a point of non-finite Q scores -inf.
+    its complement, its partial score, its last index and the lexicographic
+    rank of its first subset.  Child x > last gets alpha = U^H a_x and the
+    partial score + log |alpha| - n Q(x); above the leaves it also gets the
+    basis U H(alpha)[:, 1:], from the Householder reflector H(alpha) that
+    maps alpha to a multiple of e_1.  Each level is processed in chunks of
+    ``_chunk_nodes`` nodes with batched numpy operations, and the walk
+    finishes a chunk's subtree before the next chunk.  A subset holding a
+    point of non-finite Q scores -inf.
+
+    A finite ``floor`` makes the walk a branch-and-bound: it scores each
+    subset or proves its score below the floor, and a proven subset reads
+    -inf.  By Hadamard's inequality no later projected norm exceeds the
+    node's own, so with r = count - k - 1 slots left after child x, no
+    subset below x scores more than its partial score + r max_{y > x}
+    (log |U^H a_y| - n Q(y)).  A child whose bound, widened by
+    ``_PRUNE_SLACK`` for rounding, falls short of the floor is not expanded.
+    The subsets that are scored score bit for bit as with no floor.
     """
     m = cols.shape[1]
     cost = np.where(np.isfinite(q), n * q, math.inf)
-    scores = np.empty(math.comb(m, count))
-    filled = 0
-    # Blocks of nodes: the rows U^H of their bases, partial scores, last indices.
-    stack = [(np.eye(count, dtype=complex)[None], np.zeros(1), np.full(1, -1))]
+    scores = np.full(math.comb(m, count), -math.inf)
+    cut = floor - _PRUNE_SLACK * max(1.0, abs(floor))
+    # ahead[dim][x] counts the subsets of a node with dim slots whose next
+    # index is below x: child x's first rank is its node's plus
+    # ahead[dim][x] - ahead[dim][last + 1].
+    ahead = {
+        dim: np.concatenate(
+            ([0], np.cumsum([math.comb(m - 1 - x, dim - 1) for x in range(m)]))
+        )
+        for dim in range(2, count + 1)
+    }
+    # Blocks of nodes: the rows U^H of their bases, partial scores, last
+    # indices and first ranks.
+    stack = [(np.eye(count, dtype=complex)[None], np.zeros(1), np.full(1, -1),
+              np.zeros(1, dtype=np.int64))]
     while stack:
-        rows, partial, last = stack.pop()
+        rows, partial, last, first = stack.pop()
         dim = rows.shape[1]
         size = _chunk_nodes(dim, m)
         if len(last) > size:
             stack.extend(
-                (rows[i:i + size], partial[i:i + size], last[i:i + size])
+                (rows[i:i + size], partial[i:i + size], last[i:i + size],
+                 first[i:i + size])
                 for i in reversed(range(0, len(last), size))
             )
             continue
@@ -346,15 +377,30 @@ def _subset_scores(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> np.nd
         if dim == 1:
             with np.errstate(divide="ignore"):
                 score = partial[:, None] + np.log(np.abs(products[:, 0])) - cost[:stop]
-            score = score[keep]
-            scores[filled:filled + len(score)] = score
-            filled += len(score)
+            rank = first[:, None] + (np.arange(stop) - last[:, None] - 1)
+            scores[rank[keep]] = score[keep]
             continue
         parent, child = np.nonzero(keep)
         alpha = products.transpose(0, 2, 1)[keep]
         norm = np.linalg.norm(alpha, axis=1)
         with np.errstate(divide="ignore"):
-            score = partial[parent] + np.log(norm) - cost[child]
+            log_norm = np.log(norm)
+            score = partial[parent] + log_norm - cost[child]
+        if cut > -math.inf:
+            # gain[:, y] = log |U^H a_y| - n Q(y) for y > last, over all m
+            # columns; later[:, x] is its maximum over y > x.
+            gain = np.full((len(last), m), -math.inf)
+            gain[parent, child] = log_norm - cost[child]
+            with np.errstate(divide="ignore"):
+                gain[:, stop:] = (np.log(np.linalg.norm(rows @ cols[:, stop:], axis=1))
+                                  - cost[stop:])
+            later = np.maximum.accumulate(gain[:, :0:-1], axis=1)[:, ::-1]
+            alive = score + (dim - 1) * later[parent, child] >= cut
+            parent, child, alpha, norm, score = (
+                parent[alive], child[alive], alpha[alive], norm[alive], score[alive]
+            )
+        offsets = ahead[dim]
+        child_first = first[parent] + offsets[child] - offsets[last[parent] + 1]
         # H = I - beta v v^H with v = alpha + e^{i arg alpha_1} |alpha| e_1,
         # and the child's rows are H[1:, :] U^H = U^H[1:] - beta v[1:] (v^H U^H).
         lead = np.abs(alpha[:, 0])
@@ -366,30 +412,69 @@ def _subset_scores(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> np.nd
         vh_rows = (v.conj()[:, None, :] @ up)[:, 0]
         scaled = (beta[:, None] * v[:, 1:])[:, :, None]
         child_rows = up[:, 1:] - scaled * vh_rows[:, None]
-        stack.append((child_rows, score, child))
+        stack.append((child_rows, score, child, child_first))
     return scores
 
 
-def _exhaustive_max(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
-    """Max of log |det cols[:, S]| - n * sum Q(S) over count-subsets S.
+def _greedy_floor(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
+    """The greedy pick's score, less ``_PRUNE_SLACK`` relative; -inf without one.
 
-    ``_subset_scores`` scores every subset by projections down the prefix
-    tree of the subsets.  The value reported
-    is the pivoted QR of the best-scoring subset, whose rank rule alone
-    judges singularity: if it rejects that subset, the next scores are tried
-    in decreasing order (ties in lexicographic order).  Subsets holding a
-    point of non-finite Q are skipped.
+    The pick is the first ``count`` pivots of a column-pivoted QR of the
+    w^n-scaled columns, as in ``fekete.search_fekete``.  Its score is the
+    value ``_exhaustive_max`` would report for it: any subset's value is a
+    floor for the maximum.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = cols * weight_power(q, n)
+    if not np.isfinite(scaled).all():  # w^n overflows where Q < -709 / n
+        return -math.inf
+    _, piv = scipy.linalg.qr(scaled, mode="r", pivoting=True)
+    pick = piv[:count]
+    value = _logdet_qr(cols[:, pick]).value - n * float(q[pick].sum())
+    if not math.isfinite(value):
+        return -math.inf
+    return value - _PRUNE_SLACK * max(1.0, abs(value))
+
+
+def _best_regular(
+    cols: np.ndarray, count: int, n: int, q: np.ndarray, scores: np.ndarray,
+    floor: float,
+) -> float | None:
+    """The pivoted-QR value of the best-scoring subset that the rank rule
+    accepts, trying finite scores of at least ``floor`` in decreasing order
+    (ties in lexicographic order); None when none is accepted.
     """
     m = cols.shape[1]
-    scores = _subset_scores(cols, count, n, q)
     for rank in _descending(scores):
-        if scores[rank] == -math.inf:
+        if scores[rank] == -math.inf or scores[rank] < floor:
             break
         combo = _combination(int(rank), m, count)
         ld = _logdet_qr(cols[:, combo])
         if not ld.is_zero:
             return ld.log_abs - n * float(q[combo].sum())
-    return -math.inf
+    return None
+
+
+def _exhaustive_max(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
+    """Max of log |det cols[:, S]| - n * sum Q(S) over count-subsets S.
+
+    ``_subset_scores`` scores each subset by projections down the prefix
+    tree of the subsets, or proves it below the greedy pick's value
+    (``_greedy_floor``).  The value reported is the pivoted QR of the
+    best-scoring subset, whose rank rule alone judges singularity: if it
+    rejects that subset, the next scores are tried in decreasing order
+    (ties in lexicographic order).  Every subset scoring at least the floor
+    is scored, so the first one accepted is the maximum with no floor too.
+    If the rank rule rejects them all, the subsets are scored again with no
+    floor.  Subsets holding a point of non-finite Q are skipped.
+    """
+    floor = _greedy_floor(cols, count, n, q)
+    scores = _subset_scores(cols, count, n, q, floor)
+    best = _best_regular(cols, count, n, q, scores, floor)
+    if best is None and floor > -math.inf:
+        scores = _subset_scores(cols, count, n, q)
+        best = _best_regular(cols, count, n, q, scores, -math.inf)
+    return -math.inf if best is None else best
 
 
 def _descending(scores: np.ndarray):

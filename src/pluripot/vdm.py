@@ -68,7 +68,7 @@ def _logdet_qr(mat: np.ndarray) -> LogDet:
     norms = np.linalg.norm(mat, axis=0)
     if not norms.all():
         return LogDet(-math.inf, True, math.inf)
-    _, r, _ = scipy.linalg.qr(mat / norms, mode="economic", pivoting=True)
+    r, _ = scipy.linalg.qr(mat / norms, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     dmax = diag.max()
     if np.any(diag <= _RANK_TOL * dmax):

@@ -498,6 +498,94 @@ def test_exhaustive_max_traced_peak():
     assert peak < 6e6
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]),
+    st.integers(1, 6),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_pruned_walk_matches_the_full_walk(seed, dn, extra, weighted):
+    # Random points in C^d, one of Q = +inf.  The greedy floor prunes only
+    # subsets scoring below it, and leaves the other scores and the maximum
+    # as they are with no floor.
+    d, n = dn
+    count = dimension_counts(n, d)[0]
+    m = count + extra
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    q = rng.uniform(-0.5, 0.5, m) if weighted else np.zeros(m)
+    q[rng.integers(m)] = np.inf
+    cols = vdm.monomial_values(enumerate_basis(n, d), pts)
+    floor = cheb._greedy_floor(cols, count, n, q)
+    assert floor > -np.inf
+    full = cheb._subset_scores(cols, count, n, q)
+    pruned = cheb._subset_scores(cols, count, n, q, floor)
+    scored = pruned > -np.inf
+    assert np.array_equal(pruned[scored], full[scored])
+    assert np.all(full[~scored] < floor)
+    want = cheb._best_regular(cols, count, n, q, full, -np.inf)
+    assert cheb._exhaustive_max(cols, count, n, q) == want
+
+
+def test_exhaustive_max_rescores_when_the_rank_rule_rejects_every_pruned_subset(
+    monkeypatch,
+):
+    # The lift pairs of test_batched_max_walks_past_rank_deficient_subsets,
+    # with a floor just below the best score, which is a singular pair's:
+    # every pair scored at the floor or above is singular, so the maximum
+    # comes from a second walk with no floor.
+    centre = 0.3 + 0.7j
+    cand = domains.custom(np.array([centre, -0.6 + 0.2j, 0.1 - 0.8j])[:, None])
+    w = AdmissibleWeight.custom(
+        lambda p: np.where(np.isclose(p[:, 0], centre), -25.0, 20.0)
+    )
+    lift, _ = cheb.homogeneous_lift(cand, w, 4)
+    block = vdm.monomial_values(degree_block(1, 2), lift.points)
+    q = np.zeros(len(lift))
+    full = cheb._subset_scores(block, 2, 1, q)
+    floor = full.max() - 1e-6
+    pruned = cheb._subset_scores(block, 2, 1, q, floor)
+    assert cheb._best_regular(block, 2, 1, q, pruned, floor) is None
+    walks = []
+    walk = cheb._subset_scores
+
+    def spy(*args):
+        walks.append(args[4:])
+        return walk(*args)
+
+    monkeypatch.setattr(cheb, "_greedy_floor", lambda *args: floor)
+    monkeypatch.setattr(cheb, "_subset_scores", spy)
+    want = cheb._best_regular(block, 2, 1, q, full, -np.inf)
+    assert want > -np.inf
+    assert cheb._exhaustive_max(block, 2, 1, q) == want
+    assert walks == [(floor,), ()]
+
+
+def test_exhaustive_max_without_a_greedy_floor():
+    # w^3 = e^3000 overflows at the first point, so the greedy QR has no
+    # finite input and the walk runs with no floor.
+    cand = domains.interval(-1.0, 1.0, 9)
+    cols = vdm.monomial_values(enumerate_basis(3, 1), cand.points)
+    q = np.linspace(0.0, 0.5, 9)
+    q[0] = -1000.0
+    assert cheb._greedy_floor(cols, 4, 3, q) == -np.inf
+    full = cheb._subset_scores(cols, 4, 3, q)
+    want = cheb._best_regular(cols, 4, 3, q, full, -np.inf)
+    assert want > 1000.0
+    assert cheb._exhaustive_max(cols, 4, 3, q) == want
+
+
+def test_pruned_walk_scores_few_subsets_on_the_circle():
+    # At n = 3 the greedy pick's floor leaves 210 of the 194,580 4-subsets
+    # of 48 roots of unity to score.
+    cols = vdm.monomial_values(enumerate_basis(3, 1), domains.circle(1.0, 48).points)
+    q = np.zeros(48)
+    scores = cheb._subset_scores(cols, 4, 3, q, cheb._greedy_floor(cols, 4, 3, q))
+    assert len(scores) == 194_580
+    assert np.isfinite(scores).sum() <= 10_000
+
+
 def test_batched_max_skips_infinite_q(monkeypatch):
     monkeypatch.setattr(cheb, "_CHUNK_ENTRIES", 60)  # skipped subsets in every chunk
     cand = domains.interval(-1.0, 1.0, 9)
