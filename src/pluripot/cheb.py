@@ -25,9 +25,11 @@ score is confirmed by a pivoted QR, so the maximum is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -51,6 +53,8 @@ _REFINE_TOL = 1e-9
 # Presolve only costs time on these dense LPs; without it those 400 circles,
 # the 360 ellipse constants below and interval(-1, 1, 841, chebyshev) at
 # k <= 8 converge within 1e-9 of their closed forms with no HiGHS failure.
+# Options are written as scipy's linprog takes them; ``linprog`` translates
+# them for HiGHS as scipy does (presolve False is "off", "devex" is 1).
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-9,
@@ -59,6 +63,19 @@ _HIGHS_OPTIONS = {
 # HiGHS's default dual edge weights failed on 5 of 360 complex constants (k <= 4)
 # of moved 64-point ellipses, devex on none; devex failed on a real one.
 _COMPLEX_OPTIONS = {**_HIGHS_OPTIONS, "simplex_dual_edge_weight_strategy": "devex"}
+# The options scipy's linprog(method="highs") sets whatever it is given: dual
+# simplex, no output, no debug checks.
+_SCIPY_FIXED = {
+    "simplex_strategy": 1,
+    "output_flag": False,
+    "log_to_console": False,
+    "highs_debug_level": 0,
+}
+# HiGHS's simplex_dual_edge_weight_strategy value for scipy's name "devex".
+_EDGE_WEIGHTS = {"devex": 1}
+# scipy's linprog tests its solution at this absolute tolerance:
+# sqrt(tol) * 10 with its default tol of 1e-9.
+_RESULT_TOL = 10 * math.sqrt(1e-9)
 # Entries of the products U^H a_x that one chunk of prefix-tree nodes forms
 # in the exhaustive lift check: nodes * (N - k) * m at depth k.  A chunk's
 # child bases hold at most N times as many.  On a 48-point circle at N = 4,
@@ -97,10 +114,98 @@ def _class_monomials(alpha: tuple[int, ...], d: int, class_tag: str):
     return full[:full.index(alpha)]
 
 
-def linprog(*args, **kwargs):
-    """scipy's ``linprog``, imported on the first LP: scipy.optimize is slow to load."""
-    from scipy.optimize import linprog
-    return linprog(*args, **kwargs)
+class LPResult(NamedTuple):
+    """``status`` 0 with the solution ``x``, or 4 with ``x`` None, as in scipy."""
+
+    status: int
+    message: str
+    x: np.ndarray | None
+
+
+@functools.cache
+def _highs():
+    """scipy's HiGHS bindings, or None when this scipy lacks them.
+
+    Imported on the first LP: scipy.optimize is slow to load.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    return _core
+
+
+@functools.cache
+def _highs_options(items: tuple):
+    """A HiGHS options object holding scipy's fixed options and ``items``.
+
+    Every LP with these options shares it: ``passOptions`` copies it.
+    """
+    options = _highs().HighsOptions()
+    for key, value in {**_SCIPY_FIXED, **dict(items)}.items():
+        if key == "presolve":
+            value = "on" if value else "off"
+        elif key == "simplex_dual_edge_weight_strategy":
+            value = _EDGE_WEIGHTS.get(value, value)
+        try:
+            setattr(options, key, value)
+        except (AttributeError, TypeError) as err:
+            raise PluripotError(f"HiGHS option {key} = {value!r}: {err}") from None
+    return options
+
+
+def linprog(c, *, A_ub, b_ub, bounds, options) -> LPResult:
+    """min c . x subject to A_ub x <= b_ub and bounds[:, 0] <= x <= bounds[:, 1].
+
+    Solved as scipy's ``linprog(method="highs")`` solves it, without scipy's
+    per-call layer: one fresh HiGHS instance gets the same column-wise model
+    (the nonzeros of the dense ``A_ub``, rows (-inf, b_ub]; HiGHS's infinity
+    is inf) and the same options, translated from scipy's names, and the
+    solution passes scipy's check: no NaN, and ``x`` and the slack
+    b_ub - A_ub x within 10 sqrt(1e-9) of feasible.  So ``x`` is scipy's bit
+    for bit.  Where scipy has no HiGHS bindings to import, this is scipy's
+    ``linprog``.  Options HiGHS rejects raise PluripotError.
+    """
+    core = _highs()
+    if core is None:
+        from scipy.optimize import linprog
+        return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs",
+                       options=options)
+    highs = core._Highs()
+    if highs.passOptions(_highs_options(tuple(options.items()))) == core.HighsStatus.kError:
+        raise PluripotError(f"HiGHS rejected the LP options {options}")
+    rows, cols = A_ub.shape
+    lower, upper = bounds.T
+    nonzero = A_ub.T != 0
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    # Lists, not arrays: the bindings convert them element by element, and
+    # Python numbers convert twice as fast as numpy scalars.
+    lp.a_matrix_.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1].tolist()
+    lp.a_matrix_.value_ = A_ub.T[nonzero].tolist()
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_ = lower.tolist()
+    lp.col_upper_ = upper.tolist()
+    lp.row_lower_ = [-core.kHighsInf] * rows
+    lp.row_upper_ = b_ub.tolist()
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        return LPResult(4, "HiGHS rejected the model", None)
+    if highs.run() == core.HighsStatus.kError:
+        return LPResult(4, f"HiGHS failed: {highs.modelStatusToString(highs.getModelStatus())}", None)
+    status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        return LPResult(4, f"HiGHS ended with {highs.modelStatusToString(status)}", None)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = b_ub - np.array(solution.row_value)
+    if (np.isnan(x).any() or math.isnan(highs.getObjectiveValue()) or np.isnan(slack).any()
+            or (x < lower - _RESULT_TOL).any() or (x > upper + _RESULT_TOL).any()
+            or (slack < -_RESULT_TOL).any()):
+        return LPResult(4, f"HiGHS's solution is infeasible beyond {_RESULT_TOL:.2e}", None)
+    return LPResult(0, "Optimal", x)
 
 
 def _solve_minimax(
@@ -171,18 +276,19 @@ def _solve_minimax(
 
     cost = np.zeros(2 * j + 1)
     cost[-1] = 1.0
-    bounds = [(None, None)] * (2 * j) + [(0, None)]
+    bounds = np.array([(-np.inf, np.inf)] * (2 * j) + [(0.0, np.inf)])
+    # A failed LP is solved once more with the other dual edge weights.
+    strategies = (
+        (_HIGHS_OPTIONS, _COMPLEX_OPTIONS) if real_case else (_COMPLEX_OPTIONS, _HIGHS_OPTIONS)
+    )
     converged = False
     for _ in range(_REFINE_ROUNDS):
-        res = linprog(
-            cost,
-            A_ub=np.concatenate(rows_a),
-            b_ub=np.concatenate(rows_b),
-            bounds=bounds,
-            method="highs",
-            options=_HIGHS_OPTIONS if real_case else _COMPLEX_OPTIONS,
-        )
-        if res.status != 0:
+        a_ub, b_ub = np.concatenate(rows_a), np.concatenate(rows_b)
+        for options in strategies:
+            res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=options)
+            if res.status == 0:
+                break
+        else:
             raise PluripotError(f"minimax LP failed: {res.message}")
         x = res.x
         c_best = x[:j] + 1j * x[j : 2 * j]

@@ -15,7 +15,7 @@ from scipy.optimize import OptimizeWarning
 from pluripot import cheb, domains, vdm
 from pluripot.basis import degree_block, dimension_counts, enumerate_basis
 from pluripot.domains import AdmissibleWeight
-from pluripot.errors import InvalidInputError
+from pluripot.errors import InvalidInputError, PluripotError
 
 
 def test_interval_monic_minimax():
@@ -220,6 +220,141 @@ def test_highs_accepts_the_lp_options():
         rec = cheb.chebyshev_constant(domains.circle(1.0, 64), (3,))
         real = cheb.chebyshev_constant(domains.interval(-1.0, 1.0, 256), (3,))
     assert rec.converged and real.converged
+
+
+def _constants(cand, alphas, class_tag="plain", weight=None):
+    return lambda: [cheb.chebyshev_constant(cand, a, class_tag, weight) for a in alphas]
+
+
+@pytest.mark.parametrize(
+    "solve_all",
+    [
+        _constants(domains.circle(1.0, 201), [(k,) for k in range(1, 9)]),
+        _constants(domains.interval(-1.0, 1.0, 841, "chebyshev"), [(k,) for k in range(1, 9)]),
+        # About 20 refinement rounds at k = 1.
+        _constants(domains.custom(_ellipse()), [(1,), (2,)]),
+        _constants(domains.disk(1.0, 12, 40), [(1,), (2,), (3,)], "weighted",
+                   AdmissibleWeight.quadratic()),
+        _constants(domains.torus(2, 21), enumerate_basis(3, 2)[1:]),
+    ],
+    ids=["circle201", "interval841", "ellipse64", "weighted-disk", "torus2"],
+)
+def test_direct_highs_matches_scipy_linprog(monkeypatch, solve_all):
+    # Same model, same options: the same vertex, bit for bit.
+    pytest.importorskip("scipy.optimize._highspy._core")
+    from scipy.optimize import linprog
+
+    lps = []
+    solve = cheb.linprog
+
+    def captured(c, **kwargs):
+        lps.append(dict(c=c, **kwargs))
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(cheb, "linprog", captured)
+    solve_all()
+    assert lps
+    for lp in lps:
+        direct = solve(**lp)
+        reference = linprog(method="highs", **lp)
+        assert direct.status == reference.status == 0
+        assert direct.x.tobytes() == reference.x.tobytes()
+
+
+def _one_lp(options):
+    # min x subject to -x <= -1: x = 1.
+    return cheb.linprog(np.ones(1), A_ub=-np.ones((1, 1)), b_ub=-np.ones(1),
+                        bounds=np.array([(0.0, np.inf)]), options=options)
+
+
+def test_linprog_falls_back_to_scipy_without_highs_bindings(monkeypatch):
+    cand = domains.circle(0.9, 64)
+    direct = cheb.chebyshev_constant(cand, (3,))
+    monkeypatch.setattr(cheb, "_highs", lambda: None)
+    assert _one_lp(cheb._HIGHS_OPTIONS).x.tolist() == [1.0]
+    fallback = cheb.chebyshev_constant(cand, (3,))
+    assert fallback.value == direct.value
+    assert fallback.coefficients.tobytes() == direct.coefficients.tobytes()
+
+
+@pytest.mark.parametrize("options", [cheb._HIGHS_OPTIONS, cheb._COMPLEX_OPTIONS],
+                         ids=["real", "complex"])
+def test_highs_holds_the_lp_options(monkeypatch, options):
+    core = pytest.importorskip("scipy.optimize._highspy._core")
+    made = []
+    new = core._Highs
+
+    def recorded():
+        made.append(new())
+        return made[-1]
+
+    monkeypatch.setattr(core, "_Highs", recorded)
+    res = _one_lp(options)
+    assert res.status == 0 and res.x.tolist() == [1.0]
+    (highs,) = made
+    translated = {"presolve": "off", "simplex_dual_edge_weight_strategy": 1}
+    for key, value in {**cheb._SCIPY_FIXED, **options}.items():
+        assert highs.getOptionValue(key) == (core.HighsStatus.kOk,
+                                             translated.get(key, value)), key
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"no_such_option": 1.0}, {"primal_feasibility_tolerance": 1e-20},
+     {"simplex_dual_edge_weight_strategy": "no-such-strategy"}],
+    ids=["name", "range", "strategy"],
+)
+def test_highs_rejects_bad_lp_options(options):
+    pytest.importorskip("scipy.optimize._highspy._core")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PluripotError, match="HiGHS"):
+            _one_lp(options)
+
+
+@pytest.mark.parametrize(
+    "cand, first, second",
+    [
+        (domains.circle(1.0, 64), cheb._COMPLEX_OPTIONS, cheb._HIGHS_OPTIONS),
+        (domains.interval(-1.0, 1.0, 256), cheb._HIGHS_OPTIONS, cheb._COMPLEX_OPTIONS),
+    ],
+    ids=["complex", "real"],
+)
+@pytest.mark.parametrize("failures", [1, 2])
+def test_failed_lp_is_retried_with_the_other_edge_weights(
+    monkeypatch, cand, first, second, failures
+):
+    expected = cheb.chebyshev_constant(cand, (3,))
+    calls = []
+    solve = cheb.linprog
+
+    def flaky(c, **kwargs):
+        calls.append(kwargs["options"])
+        if len(calls) <= failures:
+            return cheb.LPResult(4, "stub failure", None)
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(cheb, "linprog", flaky)
+    if failures == 1:
+        rec = cheb.chebyshev_constant(cand, (3,))
+        assert rec.value == expected.value and rec.converged
+    else:
+        with pytest.raises(PluripotError, match="minimax LP failed: stub failure"):
+            cheb.chebyshev_constant(cand, (3,))
+    assert calls[:2] == [first, second]
+
+
+def test_lp_that_fails_with_devex_solves_on_retry():
+    # A clustered set z0 + s g: HiGHS with devex ends with status Unknown on
+    # one of its k = 4 LPs, and the default edge weights solve it.
+    rng = np.random.default_rng(6)
+    m, s, z0 = int(rng.integers(5, 11)), rng.uniform(0.05, 1.0), complex(*rng.normal(size=2))
+    pts = (z0 + s * (rng.normal(size=m) + 1j * rng.normal(size=m)))[:, None]
+    rec = cheb.chebyshev_constant(domains.custom(pts), (4,))
+    target = vdm.monomial_values([(4,)], pts)[0]
+    lower = vdm.monomial_values(cheb._class_monomials((4,), 1, "plain"), pts).T
+    assert rec.converged
+    assert rec.value >= _lawson_lower_bound(target, lower) * (1 - 1e-9)
 
 
 def test_homogeneous_class_d2_torus():
