@@ -7,11 +7,18 @@ least-squares) approximant: one per point once its bracket [sqrt(sum
 w|r|^2), max|r|] closes to 1e-9 on M > 2J points for J coefficients, else
 a square around each value.  Facets are added at the phases where the
 current polynomial peaks until the re-evaluated maximum matches the LP
-bound.  Reported values are therefore true achieved maxima of an explicit
-polynomial: upper bounds on the continuous optimum over the grid, within
-1e-9 relative when the record's ``converged`` is true, and 0 with no LP
-when a least-squares peak is rounding-level.  A refinement that stops at
-``_REFINE_ROUNDS`` says so with ``converged`` false.
+bound.  A real problem needs only the two facets +-r <= s, and its LP runs
+on an active set of points (an exchange in the manner of Stiefel, Numer.
+Math. 1960): the largest least-squares residuals first, then the points
+outside the set whose residuals exceed the LP bound, largest first, until
+there are none; the set's LP optimum is then the full LP's.  Reported values are true achieved maxima
+of an explicit polynomial over every grid point: upper bounds on the
+continuous optimum over the grid, within 1e-9 relative of the last LP
+bound when the record's ``converged`` is true, and 0 with no LP when a
+least-squares peak is rounding-level.  ``converged`` is false when a
+complex refinement stops at ``_REFINE_ROUNDS``, or when a real active set
+stops with its peak more than 1e-9 above the bound, which HiGHS's absolute
+tolerances leave on some ill-conditioned grids.
 
 The homogeneous-lift check maximizes each side exhaustively when it has at
 most ``EXHAUSTIVE_CAP`` subsets.  One walk down the prefix tree of the
@@ -32,13 +39,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, weight_power
 from .errors import InvalidInputError, PluripotError
 from .fekete import search_fekete
-from .vdm import _logdet_qr, diameter_exponent, monomial_values
+from .vdm import _logdet_qr, diameter_exponent, monomial_values, pivoted_qr
 
 CLASSES = ("plain", "homogeneous", "weighted")
 INITIAL_FACETS = 4
@@ -96,7 +102,8 @@ AUDIT_SLACK = 1e-9
 class ChebyshevRecord:
     """Minimal sup-norm over a monic polynomial class, with its witness.
 
-    ``converged`` is false when the LP refinement stopped at its round cap.
+    ``converged`` is true when ``value``, the witness's peak over the grid,
+    is within 1e-9 relative of the last LP's bound on the minimax.
     """
 
     alpha: tuple[int, ...]
@@ -210,18 +217,27 @@ def linprog(c, *, A_ub, b_ub, bounds, options) -> LPResult:
 
 def _solve_minimax(
     target: np.ndarray, lower: np.ndarray, scale: np.ndarray
-) -> tuple[float, np.ndarray, bool]:
+) -> tuple[float, np.ndarray, bool, float]:
     """min over c of max_k scale_k |target_k + lower_k . c|.
 
-    Returns (achieved max, c, converged). ``lower`` is (M, J); converged is
-    false when the refinement stopped at ``_REFINE_ROUNDS``.
+    Returns (achieved max, c, converged, LP bound).  ``lower`` is (M, J).
+    The achieved max is the true peak of the returned polynomial over all M
+    points, and the bound is the last LP's optimum, a lower bound on the
+    minimax up to HiGHS's tolerances; converged says that the peak is within
+    ``_REFINE_TOL`` relative of it.  A complex problem refines its facets
+    until it is, or stops at ``_REFINE_ROUNDS`` with converged false.  A
+    real problem solves its LP on an active set of points, each with both
+    facets, and stops when no point outside the set exceeds the bound: the
+    set's optimum is then the full LP's, whether or not the peak meets the
+    bound to ``_REFINE_TOL``.
     """
     m, j = lower.shape
     keep = scale > 0
     t = target[keep] * scale[keep]
     e = lower[keep] * scale[keep, None]
     if j == 0:
-        return float(np.max(np.abs(t))), np.zeros(0, dtype=complex), True
+        value = float(np.max(np.abs(t)))
+        return value, np.zeros(0, dtype=complex), True, value
     # HiGHS's tolerances are absolute: the LP sees unit-peak target and columns.
     norm = unit = float(np.max(np.abs(t))) or 1.0
     col = np.abs(e).max(axis=0)
@@ -241,15 +257,25 @@ def _solve_minimax(
         r = np.abs(vals)
         size = float(r.max())
         if size <= floor(c):
-            return 0.0, c * norm / col, True
+            return 0.0, c * norm / col, True, 0.0
         # c minimizes sum w|r|^2 with sum w = 1: its root bounds the minimax below.
         certified = size <= math.sqrt(w @ r**2) * (1 + _REFINE_TOL)
         w = w * r
         if certified or w.sum() == 0:
             break
         w /= w.sum()
+
+    rows_a: list[np.ndarray] = []
+    rows_b: list[np.ndarray] = []
     if real_case:
-        base, count = np.zeros(len(t)), 2
+        t, e = t.real, e.real
+        # A real minimax is pinned by J + 1 reference points (Stiefel, Numer.
+        # Math. 1960): the LP holds both facets, +-(t + e c) <= s, at an
+        # active set of points, seeded with the largest least-squares
+        # residuals and grown by the largest violators, this many at a time.
+        batch = 2 * (j + 1)
+        active = np.zeros(len(t), dtype=bool)
+        fresh = _largest(r, np.arange(len(t)), batch)
     else:
         # Certified phases are a dual certificate (sum w conj(r) e = 0): one
         # facet each, if M > 2J rows can pin the 2J + 1 unknowns at a vertex.
@@ -259,30 +285,33 @@ def _solve_minimax(
         if size > _REFINE_TOL:
             t, e, unit = t / size, e / size, unit * size
 
-    rows_a: list[np.ndarray] = []
-    rows_b: list[np.ndarray] = []
+        def add_facets(theta: np.ndarray, idx: np.ndarray) -> None:
+            rot = np.exp(-1j * theta)[:, None]
+            ee = e[idx] * rot
+            block = np.concatenate(
+                [ee.real, -ee.imag, -np.ones((len(idx), 1))], axis=1
+            )
+            rows_a.append(block)
+            rows_b.append(-(t[idx] * rot[:, 0]).real)
 
-    def add_facets(theta: np.ndarray, idx: np.ndarray) -> None:
-        rot = np.exp(-1j * theta)[:, None]
-        ee = e[idx] * rot
-        block = np.concatenate(
-            [ee.real, -ee.imag, -np.ones((len(idx), 1))], axis=1
-        )
-        rows_a.append(block)
-        rows_b.append(-(t[idx] * rot[:, 0]).real)
+        for f in range(count):
+            add_facets(base + 2 * np.pi * f / count, np.arange(len(t)))
 
-    for f in range(count):
-        add_facets(base + 2 * np.pi * f / count, np.arange(len(t)))
-
-    cost = np.zeros(2 * j + 1)
+    unknowns = j if real_case else 2 * j
+    cost = np.zeros(unknowns + 1)
     cost[-1] = 1.0
-    bounds = np.array([(-np.inf, np.inf)] * (2 * j) + [(0.0, np.inf)])
+    bounds = np.array([(-np.inf, np.inf)] * unknowns + [(0.0, np.inf)])
     # A failed LP is solved once more with the other dual edge weights.
     strategies = (
         (_HIGHS_OPTIONS, _COMPLEX_OPTIONS) if real_case else (_COMPLEX_OPTIONS, _HIGHS_OPTIONS)
     )
     converged = False
     for _ in range(_REFINE_ROUNDS):
+        if real_case:
+            active[fresh] = True
+            ones = np.ones((len(fresh), 1))
+            rows_a.append(np.block([[e[fresh], -ones], [-e[fresh], -ones]]))
+            rows_b.append(np.concatenate([-t[fresh], t[fresh]]))
         a_ub, b_ub = np.concatenate(rows_a), np.concatenate(rows_b)
         for options in strategies:
             res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=options)
@@ -291,18 +320,32 @@ def _solve_minimax(
         else:
             raise PluripotError(f"minimax LP failed: {res.message}")
         x = res.x
-        c_best = x[:j] + 1j * x[j : 2 * j]
+        c_best = x[:j] if real_case else x[:j] + 1j * x[j : 2 * j]
         s_opt = x[-1]
         vals = t + e @ c_best
         r = np.abs(vals)
         peak = float(r.max())
         zero = floor(c_best)
-        if real_case or peak <= s_opt * (1 + _REFINE_TOL) + zero:
+        within = peak <= s_opt * (1 + _REFINE_TOL) + zero
+        cut = np.nonzero(r > s_opt * (1 + 1e-12))[0]
+        if real_case:
+            fresh = _largest(r, cut[~active[cut]], batch)
+            if not len(fresh):
+                converged = within
+                break
+        elif within:
             converged = True
             break
-        cut = np.nonzero(r > s_opt * (1 + 1e-12))[0]
-        add_facets(np.angle(vals[cut]), cut)
-    return (peak * unit if peak > zero else 0.0), c_best * norm / col, converged
+        else:
+            add_facets(np.angle(vals[cut]), cut)
+    value = peak * unit if peak > zero else 0.0
+    return value, c_best * norm / col, converged, s_opt * unit
+
+
+def _largest(r: np.ndarray, idx: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` entries of ``idx`` with the largest r, largest first
+    (ties in index order)."""
+    return idx[np.argsort(-r[idx], kind="stable")[:count]]
 
 
 def chebyshev_constant(
@@ -329,7 +372,7 @@ def chebyshev_constant(
         scale = np.ones(len(cand))
     target = monomial_values([alpha], cand.points)[0]
     lower = monomial_values(_class_monomials(alpha, d, class_tag), cand.points).T
-    value, coeffs, converged = _solve_minimax(target, lower, scale)
+    value, coeffs, converged, _ = _solve_minimax(target, lower, scale)
     return ChebyshevRecord(
         alpha=alpha,
         class_tag=class_tag,
@@ -534,7 +577,7 @@ def _greedy_floor(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
         scaled = cols * weight_power(q, n)
     if not np.isfinite(scaled).all():  # w^n overflows where Q < -709 / n
         return -math.inf
-    _, piv = scipy.linalg.qr(scaled, mode="r", pivoting=True)
+    _, piv = pivoted_qr(scaled, overwrite=True)
     pick = piv[:count]
     value = _logdet_qr(cols[:, pick]).value - n * float(q[pick].sum())
     if not math.isfinite(value):

@@ -23,7 +23,7 @@ from .basis import dimension_counts
 from .domains import AdmissibleWeight, CandidateSet
 from .errors import InvalidInputError
 from .gram import DiscreteMeasure, _basis_columns
-from .vdm import diameter_exponent, log_abs_weighted_vdm
+from .vdm import diameter_exponent, log_abs_weighted_vdm, pivoted_qr
 # Unused here; bench/test_bench_harness.py checks the tracer rebinds it.
 from .vdm import monomial_values  # noqa: F401
 
@@ -64,14 +64,18 @@ def search_fekete(
         raise InvalidInputError(
             f"weight vanishes on too many candidates: {usable} < {n_pts}"
         )
-    r, piv = scipy.linalg.qr(_basis_columns(cand.points, q, n), mode="r", pivoting=True)
+    r, piv = pivoted_qr(_basis_columns(cand.points, q, n), overwrite=True)
     logw = log_abs_weighted_vdm(cand.points[piv[:n_pts]], n, weight)
     if logw.is_zero:
         raise InvalidInputError("greedy selection is degenerate; enlarge the grid")
-    # C = R11^{-1} R in pivot order, formed in R's own buffer (so R11 is
-    # copied first) as the right-side solve C^T = R^T R11^{-T}: no copy of A
-    # or R stays beside it, C's rows are contiguous, and ger updates coef.T
-    # (column-major C^T) in place, with a copy of row j as x (not aliased).
+    # R has n_pts rows, so geqp3 keeps Householder vectors only below the
+    # diagonal of R11, its leading n_pts columns.
+    r[np.tril_indices(n_pts, -1)] = 0.0
+    # C = R11^{-1} R in pivot order, as the right-side solve
+    # C^T = R^T R11^{-T} (R11 copied first): the solve's Fortran-ordered copy
+    # of R^T is the one copy of R, C's rows are contiguous, and ger updates
+    # coef.T (column-major C^T) in place, with a copy of row j as x (not
+    # aliased).
     rank1 = "geru" if np.iscomplexobj(r) else "ger"
     trsm, ger = scipy.linalg.get_blas_funcs(("trsm", rank1), (r,))
     coef = trsm(1.0, r[:, :n_pts].copy(), r.T, side=1, trans_a=1, overwrite_b=True).T

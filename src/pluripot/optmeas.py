@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .domains import AdmissibleWeight, CandidateSet
 from .errors import DegenerateMeasureError, InvalidInputError
 from .gram import DiscreteMeasure
 from .gram import _basis_columns, _gram_from_columns, _whitened_columns
+from .vdm import pivoted_qr
 
 DEFAULT_TOL = 1e-6
 MASS_FLOOR = 1e-10
@@ -145,7 +145,7 @@ def solve_optimal_measure(
     cols = _basis_columns(cand.points, q, n)
     n_dim = len(cols)
     sys = _gram_from_columns(cand.dimension, cols, masses, weight, n)
-    _, piv = scipy.linalg.qr(cols, mode="r", pivoting=True)
+    _, piv = pivoted_qr(cols)
     greedy = np.zeros(len(masses))
     greedy[piv[:n_dim]] = 1.0 / n_dim
     try:

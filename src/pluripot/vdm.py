@@ -58,6 +58,25 @@ def monomial_values(indices, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def pivoted_qr(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Column-pivoted QR, mat[:, piv] = Q R, by LAPACK geqp3: (factor, piv).
+
+    The factor is geqp3's own: R on and above its diagonal, Householder
+    vectors below it.  ``piv`` is 0-based.  The workspace is the optimum
+    geqp3 reports for mat's shape, as ``scipy.linalg.qr`` queries it, so R
+    and piv are that function's bit for bit.  ``overwrite`` lets LAPACK
+    factor a Fortran-ordered ``mat`` in place.
+    """
+    if not np.isfinite(mat).all():
+        raise InvalidInputError("pivoted QR of a matrix with inf or NaN entries")
+    (geqp3,) = scipy.linalg.get_lapack_funcs(("geqp3",), (mat,))
+    # The query reads only mat's shape, so it may take mat in place.
+    lwork = int(geqp3(mat, lwork=-1, overwrite_a=True)[-2][0].real)
+    factor, piv, _, _, _ = geqp3(mat, lwork=lwork, overwrite_a=overwrite)
+    piv -= 1
+    return factor, piv
+
+
 def _logdet_qr(mat: np.ndarray) -> LogDet:
     if mat.shape[0] != mat.shape[1]:
         raise InvalidInputError("square matrix required")
@@ -68,8 +87,8 @@ def _logdet_qr(mat: np.ndarray) -> LogDet:
     norms = np.linalg.norm(mat, axis=0)
     if not norms.all():
         return LogDet(-math.inf, True, math.inf)
-    r, _ = scipy.linalg.qr(mat / norms, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
+    factor, _ = pivoted_qr(np.divide(mat, norms, order="F"), overwrite=True)
+    diag = np.abs(np.diag(factor))
     dmax = diag.max()
     if np.any(diag <= _RANK_TOL * dmax):
         return LogDet(-math.inf, True, math.inf)

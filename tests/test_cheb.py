@@ -357,6 +357,50 @@ def test_lp_that_fails_with_devex_solves_on_retry():
     assert rec.value >= _lawson_lower_bound(target, lower) * (1 - 1e-9)
 
 
+def test_real_lp_on_1601_chebyshev_nodes():
+    # The single LP over all 3,202 facets failed in HiGHS at k = 12.  The
+    # grid minimax is at most 2^(1-k), the grid peak of T_k / 2^(k-1), and
+    # equal to it when k divides 1600: the grid then holds T_k's extrema.
+    cand = domains.interval(-1.0, 1.0, 1601, "chebyshev")
+    for k in range(1, 13):
+        rec = cheb.chebyshev_constant(cand, (k,))
+        assert 0 < rec.value <= 2.0 ** (1 - k) * (1 + 1e-9), k
+        if 1600 % k == 0:
+            assert rec.converged, k
+            assert rec.value == pytest.approx(2.0 ** (1 - k), rel=1e-9), k
+
+
+def _full_real_lp_peak(target, lower, scale):
+    """Peak of the minimax polynomial of the LP with both facets at every point."""
+    t, e = target * scale, lower * scale[:, None]
+    norm, col = np.abs(t).max(), np.abs(e).max(axis=0)
+    t, e = t / norm, e / col
+    m, j = e.shape
+    ones = np.ones((m, 1))
+    res = cheb.linprog(np.r_[np.zeros(j), 1.0], A_ub=np.block([[e, -ones], [-e, -ones]]),
+                       b_ub=np.r_[-t, t], bounds=np.array([(-np.inf, np.inf)] * j + [(0.0, np.inf)]),
+                       options=cheb._HIGHS_OPTIONS)
+    assert res.status == 0, res.message
+    return np.abs(t + e @ res.x[:j]).max() * norm
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(8, 60), st.integers(1, 6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_real_active_set_matches_the_full_lp(seed, m, k, weighted):
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, m)[:, None]
+    target = vdm.monomial_values([(k,)], pts)[0]
+    lower = vdm.monomial_values(cheb._class_monomials((k,), 1, "plain"), pts).T
+    scale = domains.weight_power(pts[:, 0] ** 2, k) if weighted else np.ones(m)
+    value, _, _, bound = cheb._solve_minimax(target, lower, scale)
+    full = _full_real_lp_peak(target, lower, scale)
+    # HiGHS's tolerances are absolute on the unit-peak data both LPs see: a
+    # value far below the data's peak agrees to rounding of that peak.
+    assert abs(value - full) <= 1e-9 * full + 1e-12 * np.abs(target * scale).max()
+    # The last LP's optimum bounds the peak below, up to rounding in the
+    # evaluated peak.
+    assert bound <= value * (1 + 1e-12)
+
+
 def test_homogeneous_class_d2_torus():
     cand = domains.torus(2, 12)
     rec = cheb.chebyshev_constant(cand, (1, 1), class_tag="homogeneous")

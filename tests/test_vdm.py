@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,3 +149,31 @@ def test_weighted_vdm_never_above_unweighted_for_positive_q(n, seed):
     plain = vdm.log_abs_vdm(z, n)
     weighted = vdm.log_abs_weighted_vdm(z, n, AdmissibleWeight.quadratic())
     assert weighted.log_abs <= plain.log_abs + 1e-12
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (6, 48), (91, 1681), (40, 12)],
+                         ids=["square", "6x48", "91x1681", "tall"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pivoted_qr_matches_scipy_qr(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    mat = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        mat += 1j * rng.normal(size=shape)
+    before = mat.copy()
+    r, piv = scipy.linalg.qr(mat, mode="r", pivoting=True)
+    factor, mine = vdm.pivoted_qr(mat)
+    assert np.array_equal(mat, before)
+    assert mine.tolist() == piv.tolist()
+    assert np.triu(factor).tobytes() == r.tobytes()
+    # In place on a Fortran-ordered copy: the same bits.
+    work = np.asfortranarray(mat)
+    factor, mine = vdm.pivoted_qr(work, overwrite=True)
+    assert mine.tolist() == piv.tolist()
+    assert np.triu(factor).tobytes() == r.tobytes()
+
+
+def test_pivoted_qr_rejects_non_finite_entries():
+    mat = np.eye(3)
+    mat[1, 2] = np.nan
+    with pytest.raises(InvalidInputError, match="inf or NaN"):
+        vdm.pivoted_qr(mat)
