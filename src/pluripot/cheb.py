@@ -131,15 +131,21 @@ class LPResult(NamedTuple):
 
 @functools.cache
 def _highs():
-    """scipy's HiGHS bindings, or None when this scipy lacks them.
+    """scipy's HiGHS bindings and the one HiGHS instance every LP reuses, or
+    None when this scipy lacks the bindings or their passModel for arrays.
 
-    Imported on the first LP: scipy.optimize is slow to load.
+    Built on the first LP: scipy.optimize is slow to load.  The instance is
+    not shared across threads: solve LPs from one thread at a time.
     """
     try:
         from scipy.optimize._highspy import _core
-    except ImportError:
+        highs = _core._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.passModel(0, 0, 0, 1, 1, 0.0, *[np.zeros(0)] * 5,  # an empty model, as arrays
+                        *[np.zeros(0, np.int32)] * 2, np.zeros(0), np.zeros(0, np.int32))
+    except (ImportError, TypeError):  # TypeError: this passModel takes no arrays
         return None
-    return _core
+    return _core, highs
 
 
 @functools.cache
@@ -148,7 +154,7 @@ def _highs_options(items: tuple):
 
     Every LP with these options shares it: ``passOptions`` copies it.
     """
-    options = _highs().HighsOptions()
+    options = _highs()[0].HighsOptions()
     for key, value in {**_SCIPY_FIXED, **dict(items)}.items():
         if key == "presolve":
             value = "on" if value else "off"
@@ -165,40 +171,34 @@ def linprog(c, *, A_ub, b_ub, bounds, options) -> LPResult:
     """min c . x subject to A_ub x <= b_ub and bounds[:, 0] <= x <= bounds[:, 1].
 
     Solved as scipy's ``linprog(method="highs")`` solves it, without scipy's
-    per-call layer: one fresh HiGHS instance gets the same column-wise model
-    (the nonzeros of the dense ``A_ub``, rows (-inf, b_ub]; HiGHS's infinity
-    is inf) and the same options, translated from scipy's names, and the
-    solution passes scipy's check: no NaN, and ``x`` and the slack
-    b_ub - A_ub x within 10 sqrt(1e-9) of feasible.  So ``x`` is scipy's bit
-    for bit.  Where scipy has no HiGHS bindings to import, this is scipy's
-    ``linprog``.  Options HiGHS rejects raise PluripotError.
+    per-call layer: the reused HiGHS instance, cleared to a fresh one's cold
+    state, gets the same column-wise model (the nonzeros of the dense ``A_ub``,
+    rows (-inf, b_ub]; HiGHS's infinity is inf) as numpy arrays and the same
+    options, translated from scipy's names, and the solution passes scipy's
+    check: no NaN, and ``x`` and the slack b_ub - A_ub x within 10 sqrt(1e-9)
+    of feasible.  So ``x`` is scipy's bit for bit.  Without ``_highs``, this is
+    scipy's ``linprog``.  Options HiGHS rejects raise PluripotError.
     """
-    core = _highs()
-    if core is None:
+    if _highs() is None:
         from scipy.optimize import linprog
         return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs",
                        options=options)
-    highs = core._Highs()
+    core, highs = _highs()
+    highs.clearSolver()
     if highs.passOptions(_highs_options(tuple(options.items()))) == core.HighsStatus.kError:
         raise PluripotError(f"HiGHS rejected the LP options {options}")
     rows, cols = A_ub.shape
+    # HiGHS reads num_col and num_row entries through raw pointers.
+    if np.shape(c) != (cols,) or np.shape(b_ub) != (rows,) or np.shape(bounds) != (cols, 2):
+        raise InvalidInputError(f"c, b_ub or bounds do not match A_ub of shape {A_ub.shape}")
     lower, upper = bounds.T
     nonzero = A_ub.T != 0
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = cols
-    lp.num_row_ = lp.a_matrix_.num_row_ = rows
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    # Lists, not arrays: the bindings convert them element by element, and
-    # Python numbers convert twice as fast as numpy scalars.
-    lp.a_matrix_.start_ = [0, *np.cumsum(nonzero.sum(axis=1)).tolist()]
-    lp.a_matrix_.index_ = np.nonzero(nonzero)[1].tolist()
-    lp.a_matrix_.value_ = A_ub.T[nonzero].tolist()
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_ = lower.tolist()
-    lp.col_upper_ = upper.tolist()
-    lp.row_lower_ = [-core.kHighsInf] * rows
-    lp.row_upper_ = b_ub.tolist()
-    if highs.passModel(lp) == core.HighsStatus.kError:
+    start = np.r_[0, np.cumsum(nonzero.sum(axis=1))].astype(np.int32)
+    value = A_ub.T[nonzero]
+    if highs.passModel(cols, rows, len(value), core.MatrixFormat.kColwise,
+                       core.ObjSense.kMinimize, 0.0, c, lower, upper, np.full(rows, -np.inf),
+                       b_ub, start, np.nonzero(nonzero)[1].astype(np.int32), value,
+                       np.zeros(cols, dtype=np.int32)) == core.HighsStatus.kError:
         return LPResult(4, "HiGHS rejected the model", None)
     if highs.run() == core.HighsStatus.kError:
         return LPResult(4, f"HiGHS failed: {highs.modelStatusToString(highs.getModelStatus())}", None)
@@ -229,7 +229,8 @@ def _solve_minimax(
     real problem solves its LP on an active set of points, each with both
     facets, and stops when no point outside the set exceeds the bound: the
     set's optimum is then the full LP's, whether or not the peak meets the
-    bound to ``_REFINE_TOL``.
+    bound to ``_REFINE_TOL``.  An active-set LP that fails with both edge
+    weights is solved again, in the next round, as the full LP on every point.
     """
     m, j = lower.shape
     keep = scale > 0
@@ -318,7 +319,10 @@ def _solve_minimax(
             if res.status == 0:
                 break
         else:
-            raise PluripotError(f"minimax LP failed: {res.message}")
+            if not real_case or active.all():
+                raise PluripotError(f"minimax LP failed: {res.message}")
+            fresh = np.nonzero(~active)[0]  # the full LP, in the next round
+            continue
         x = res.x
         c_best = x[:j] if real_case else x[:j] + 1j * x[j : 2 * j]
         s_opt = x[-1]

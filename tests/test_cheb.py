@@ -226,21 +226,46 @@ def _constants(cand, alphas, class_tag="plain", weight=None):
     return lambda: [cheb.chebyshev_constant(cand, a, class_tag, weight) for a in alphas]
 
 
+def _clustered(seed):
+    """m = 5 to 10 complex Gaussian points of spread s around z0, as drawn in
+    a sweep of clustered sets."""
+    rng = np.random.default_rng(seed)
+    m, s, z0 = int(rng.integers(5, 11)), rng.uniform(0.05, 1.0), complex(*rng.normal(size=2))
+    return (z0 + s * (rng.normal(size=m) + 1j * rng.normal(size=m)))[:, None]
+
+
+def _failing_constant(pts, alpha):
+    def solve_all():
+        with pytest.raises(PluripotError, match="minimax LP failed"):
+            cheb.chebyshev_constant(domains.custom(pts), alpha)
+    return solve_all
+
+
 @pytest.mark.parametrize(
-    "solve_all",
+    "solve_all, failures",
     [
-        _constants(domains.circle(1.0, 201), [(k,) for k in range(1, 9)]),
-        _constants(domains.interval(-1.0, 1.0, 841, "chebyshev"), [(k,) for k in range(1, 9)]),
+        (_constants(domains.circle(1.0, 201), [(k,) for k in range(1, 9)]), 0),
+        (_constants(domains.interval(-1.0, 1.0, 841, "chebyshev"), [(k,) for k in range(1, 9)]), 0),
         # About 20 refinement rounds at k = 1.
-        _constants(domains.custom(_ellipse()), [(1,), (2,)]),
-        _constants(domains.disk(1.0, 12, 40), [(1,), (2,), (3,)], "weighted",
-                   AdmissibleWeight.quadratic()),
-        _constants(domains.torus(2, 21), enumerate_basis(3, 2)[1:]),
+        (_constants(domains.custom(_ellipse()), [(1,), (2,)]), 0),
+        (_constants(domains.disk(1.0, 12, 40), [(1,), (2,), (3,)], "weighted",
+                    AdmissibleWeight.quadratic()), 0),
+        (_constants(domains.torus(2, 21), enumerate_basis(3, 2)[1:]), 0),
+        # Devex ends with status Unknown on one LP; the default edge weights solve it.
+        (_constants(domains.custom(_clustered(6)), [(4,)]), 1),
+        # m = 9: an LP fails with both edge weights, and the constant raises.
+        (_failing_constant(_clustered(354), (4,)), 2),
+        # m = 5: HiGHS's run itself fails on the first LP with devex, then an
+        # LP fails with both edge weights.
+        (_failing_constant(_clustered(1312), (4,)), 3),
     ],
-    ids=["circle201", "interval841", "ellipse64", "weighted-disk", "torus2"],
+    ids=["circle201", "interval841", "ellipse64", "weighted-disk", "torus2", "clustered6",
+         "clustered354", "clustered1312"],
 )
-def test_direct_highs_matches_scipy_linprog(monkeypatch, solve_all):
-    # Same model, same options: the same vertex, bit for bit.
+def test_direct_highs_matches_scipy_linprog(monkeypatch, solve_all, failures):
+    # Same model, same options: the same vertex, bit for bit.  Every LP is
+    # solved on the reused HiGHS instance in the order the constants pose
+    # them, so one that follows a failed LP starts as cold as scipy's.
     pytest.importorskip("scipy.optimize._highspy._core")
     from scipy.optimize import linprog
 
@@ -248,17 +273,18 @@ def test_direct_highs_matches_scipy_linprog(monkeypatch, solve_all):
     solve = cheb.linprog
 
     def captured(c, **kwargs):
-        lps.append(dict(c=c, **kwargs))
-        return solve(c, **kwargs)
+        lps.append((dict(c=c, **kwargs), solve(c, **kwargs)))
+        return lps[-1][1]
 
     monkeypatch.setattr(cheb, "linprog", captured)
     solve_all()
     assert lps
-    for lp in lps:
-        direct = solve(**lp)
+    assert sum(direct.status != 0 for _, direct in lps) == failures
+    for lp, direct in lps:
         reference = linprog(method="highs", **lp)
-        assert direct.status == reference.status == 0
-        assert direct.x.tobytes() == reference.x.tobytes()
+        assert direct.status == reference.status
+        if direct.status == 0:
+            assert direct.x.tobytes() == reference.x.tobytes()
 
 
 def _one_lp(options):
@@ -277,25 +303,55 @@ def test_linprog_falls_back_to_scipy_without_highs_bindings(monkeypatch):
     assert fallback.coefficients.tobytes() == direct.coefficients.tobytes()
 
 
-@pytest.mark.parametrize("options", [cheb._HIGHS_OPTIONS, cheb._COMPLEX_OPTIONS],
-                         ids=["real", "complex"])
-def test_highs_holds_the_lp_options(monkeypatch, options):
+def test_highs_is_none_when_pass_model_takes_no_arrays(monkeypatch):
     core = pytest.importorskip("scipy.optimize._highspy._core")
-    made = []
-    new = core._Highs
 
-    def recorded():
-        made.append(new())
-        return made[-1]
+    class ListsOnly:
+        def setOptionValue(self, key, value):
+            pass
 
-    monkeypatch.setattr(core, "_Highs", recorded)
+        def passModel(self, *args):
+            raise TypeError("passModel(): incompatible function arguments")
+
+    monkeypatch.setattr(core, "_Highs", ListsOnly)
+    cheb._highs.cache_clear()
+    try:
+        assert cheb._highs() is None
+    finally:
+        cheb._highs.cache_clear()
+
+
+@pytest.mark.parametrize("options, other",
+                         [(cheb._HIGHS_OPTIONS, cheb._COMPLEX_OPTIONS),
+                          (cheb._COMPLEX_OPTIONS, cheb._HIGHS_OPTIONS)],
+                         ids=["real", "complex"])
+def test_highs_holds_the_lp_options(options, other):
+    # Read back from the reused instance that solved the LP, after an LP
+    # with the other options.
+    core = pytest.importorskip("scipy.optimize._highspy._core")
+    if cheb._highs() is None:
+        pytest.skip("this scipy's HiGHS bindings take no arrays")
+    _one_lp(other)
     res = _one_lp(options)
     assert res.status == 0 and res.x.tolist() == [1.0]
-    (highs,) = made
+    _, highs = cheb._highs()
     translated = {"presolve": "off", "simplex_dual_edge_weight_strategy": 1}
     for key, value in {**cheb._SCIPY_FIXED, **options}.items():
         assert highs.getOptionValue(key) == (core.HighsStatus.kOk,
                                              translated.get(key, value)), key
+
+
+@pytest.mark.parametrize("field, value", [("c", np.ones(2)), ("b_ub", -np.ones(2)),
+                                          ("bounds", np.array([(0.0, np.inf)] * 2))])
+def test_highs_rejects_mismatched_lp_shapes(field, value):
+    # HiGHS would read the arrays past their ends.
+    if cheb._highs() is None:
+        pytest.skip("this scipy's HiGHS bindings take no arrays")
+    lp = dict(c=np.ones(1), A_ub=-np.ones((1, 1)), b_ub=-np.ones(1),
+              bounds=np.array([(0.0, np.inf)]), options=cheb._HIGHS_OPTIONS)
+    lp[field] = value
+    with pytest.raises(InvalidInputError, match="do not match A_ub"):
+        cheb.linprog(**lp)
 
 
 @pytest.mark.parametrize(
@@ -320,36 +376,43 @@ def test_highs_rejects_bad_lp_options(options):
     ],
     ids=["complex", "real"],
 )
-@pytest.mark.parametrize("failures", [1, 2])
+@pytest.mark.parametrize("failures", [1, 2, 4])
 def test_failed_lp_is_retried_with_the_other_edge_weights(
     monkeypatch, cand, first, second, failures
 ):
+    # A real active-set LP that fails both ways is solved once more as the
+    # full LP, with both facets at every point; it fails only if that does.
     expected = cheb.chebyshev_constant(cand, (3,))
     calls = []
     solve = cheb.linprog
 
     def flaky(c, **kwargs):
-        calls.append(kwargs["options"])
+        calls.append((kwargs["options"], len(kwargs["A_ub"])))
         if len(calls) <= failures:
             return cheb.LPResult(4, "stub failure", None)
         return solve(c, **kwargs)
 
     monkeypatch.setattr(cheb, "linprog", flaky)
+    real = first is cheb._HIGHS_OPTIONS
     if failures == 1:
         rec = cheb.chebyshev_constant(cand, (3,))
         assert rec.value == expected.value and rec.converged
+    elif failures == 2 and real:
+        rec = cheb.chebyshev_constant(cand, (3,))
+        assert rec.value == pytest.approx(expected.value, rel=1e-9)
+        assert rec.converged
+        assert calls[2:] == [(first, 2 * len(cand))]
     else:
         with pytest.raises(PluripotError, match="minimax LP failed: stub failure"):
             cheb.chebyshev_constant(cand, (3,))
-    assert calls[:2] == [first, second]
+        assert len(calls) == (4 if real else 2)
+    assert [options for options, _ in calls[:2]] == [first, second]
 
 
 def test_lp_that_fails_with_devex_solves_on_retry():
     # A clustered set z0 + s g: HiGHS with devex ends with status Unknown on
     # one of its k = 4 LPs, and the default edge weights solve it.
-    rng = np.random.default_rng(6)
-    m, s, z0 = int(rng.integers(5, 11)), rng.uniform(0.05, 1.0), complex(*rng.normal(size=2))
-    pts = (z0 + s * (rng.normal(size=m) + 1j * rng.normal(size=m)))[:, None]
+    pts = _clustered(6)
     rec = cheb.chebyshev_constant(domains.custom(pts), (4,))
     target = vdm.monomial_values([(4,)], pts)[0]
     lower = vdm.monomial_values(cheb._class_monomials((4,), 1, "plain"), pts).T
@@ -368,6 +431,18 @@ def test_real_lp_on_1601_chebyshev_nodes():
         if 1600 % k == 0:
             assert rec.converged, k
             assert rec.value == pytest.approx(2.0 ** (1 - k), rel=1e-9), k
+
+
+def test_real_lp_falls_back_to_the_full_lp():
+    # The first active-set LP at k = 14 (30 points, 60 rows) fails with both
+    # edge weights; the full LP over all 802 facets solves.
+    cand = domains.interval(-1.0, 1.0, 401)
+    weight = AdmissibleWeight.quadratic()
+    rec = cheb.chebyshev_constant(cand, (14,), "weighted", weight)
+    scale = domains.weight_power(weight(cand.points), 14)
+    target = vdm.monomial_values([(14,)], cand.points)[0] * scale
+    lower = vdm.monomial_values(cheb._class_monomials((14,), 1, "plain"), cand.points).T
+    assert rec.value >= _lawson_lower_bound(target, lower * scale[:, None]) * (1 - 1e-9)
 
 
 def _full_real_lp_peak(target, lower, scale):
