@@ -44,7 +44,7 @@ from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, weight_power
 from .errors import InvalidInputError, PluripotError
 from .fekete import search_fekete
-from .vdm import _logdet_qr, diameter_exponent, monomial_values, pivoted_qr
+from .vdm import _logdet_qr, _scipy_module, diameter_exponent, monomial_values, pivoted_qr
 
 CLASSES = ("plain", "homogeneous", "weighted")
 INITIAL_FACETS = 4
@@ -134,11 +134,11 @@ def _highs():
     """scipy's HiGHS bindings and the one HiGHS instance every LP reuses, or
     None when this scipy lacks the bindings or their passModel for arrays.
 
-    Built on the first LP: scipy.optimize is slow to load.  The instance is
-    not shared across threads: solve LPs from one thread at a time.
+    Built on the first LP from the bindings' file, not scipy.optimize.  The
+    instance is not shared across threads: solve LPs from one thread at a time.
     """
     try:
-        from scipy.optimize._highspy import _core
+        _core = _scipy_module("optimize._highspy", "_core")
         highs = _core._Highs()
         highs.setOptionValue("output_flag", False)
         highs.passModel(0, 0, 0, 1, 1, 0.0, *[np.zeros(0)] * 5,  # an empty model, as arrays

@@ -19,20 +19,10 @@ import numpy as np
 
 from . import __version__
 from .basis import dimension_counts
-from .cheb import (
-    lift_identity_check,
-    submultiplicativity_audit,
-    tau_geometric_mean,
-)
+from .cheb import lift_identity_check, submultiplicativity_audit, tau_geometric_mean
 from .diag import f_n_path, radial_cdf_distance, weak_star_distance
 from .domains import AdmissibleWeight, build_set, export_csv
-from .energy import (
-    ExtremalModel,
-    disk,
-    dw_vs_deltaw_check,
-    rumely_check,
-    weighted_disk,
-)
+from .energy import ExtremalModel, disk, dw_vs_deltaw_check, rumely_check, weighted_disk
 from .errors import InvalidInputError, PluripotError
 from .fekete import (
     EXCHANGE_TOL,

@@ -200,8 +200,8 @@ def build_set(spec: dict) -> CandidateSet:
 class AdmissibleWeight:
     """The external field Q = -log w, evaluated pointwise on candidates.
 
-    ``kind`` is one of zero, quadratic (|z|^2), radial (table in |z|),
-    custom (callable on (M, d) complex arrays returning Q values).
+    ``kind`` is one of zero, quadratic (|z|^2), custom (callable on (M, d)
+    complex arrays returning Q values).
     +inf values are allowed and mean w = 0 there.
     """
 
@@ -215,17 +215,6 @@ class AdmissibleWeight:
     @staticmethod
     def quadratic() -> "AdmissibleWeight":
         return AdmissibleWeight("quadratic")
-
-    @staticmethod
-    def radial_table(radii: np.ndarray, q_values: np.ndarray) -> "AdmissibleWeight":
-        radii = np.asarray(radii, dtype=float)
-        q_values = np.asarray(q_values, dtype=float)
-
-        def _eval(points: np.ndarray) -> np.ndarray:
-            rho = np.linalg.norm(points, axis=1)
-            return np.interp(rho, radii, q_values)
-
-        return AdmissibleWeight("radial", _eval)
 
     @staticmethod
     def custom(fn: Callable[[np.ndarray], np.ndarray]) -> "AdmissibleWeight":

@@ -17,13 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import dimension_counts
 from .domains import AdmissibleWeight, CandidateSet
 from .errors import InvalidInputError
 from .gram import DiscreteMeasure, _basis_columns
-from .vdm import diameter_exponent, log_abs_weighted_vdm, pivoted_qr
+from .vdm import _lapack, diameter_exponent, log_abs_weighted_vdm, pivoted_qr
 # Unused here; bench/test_bench_harness.py checks the tracer rebinds it.
 from .vdm import monomial_values  # noqa: F401
 
@@ -76,8 +75,7 @@ def search_fekete(
     # of R^T is the one copy of R, C's rows are contiguous, and ger updates
     # coef.T (column-major C^T) in place, with a copy of row j as x (not
     # aliased).
-    rank1 = "geru" if np.iscomplexobj(r) else "ger"
-    trsm, ger = scipy.linalg.get_blas_funcs(("trsm", rank1), (r,))
+    trsm, ger = _lapack("trsm", r), _lapack("geru" if np.iscomplexobj(r) else "ger", r)
     coef = trsm(1.0, r[:, :n_pts].copy(), r.T, side=1, trans_a=1, overwrite_b=True).T
     selected = np.arange(n_pts)  # positions in pivot order
     swapped = False

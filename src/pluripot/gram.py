@@ -14,18 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .basis import dimension_counts, enumerate_basis
-from .domains import (
-    AdmissibleWeight,
-    CandidateSet,
-    as_points,
-    check_masses,
-    weight_power,
-)
+from .domains import AdmissibleWeight, CandidateSet, as_points, check_masses, weight_power
 from .errors import DegenerateMeasureError, InvalidInputError
-from .vdm import diameter_exponent, monomial_values
+from .vdm import _lapack, diameter_exponent, monomial_values
 
 # Smallest accepted equilibrated Cholesky pivot L_ii^2 / G_ii: the share of
 # basis function i's L2(mu) norm that the lower basis functions leave
@@ -99,8 +92,7 @@ def _factor(cols: np.ndarray, masses: np.ndarray):
     support = cols[:, active]
     g = (support * masses[active]) @ support.conj().T
     g = 0.5 * (g + g.conj().T)
-    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (g,))
-    chol, info = potrf(g, lower=True, clean=True)
+    chol, info = _lapack("potrf", g)(g, lower=True, clean=True)
     diag = chol.diagonal().real
     # potrf stops at pivot `info` when it is not positive; the shares of the
     # pivots it completed have G_ii >= L_ii^2 > 0, the rest count as 0.
@@ -168,8 +160,7 @@ def _whitened_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
     diagonal that _gram_from_columns checked, so LAPACK trtrs cannot fail.
     """
     cols = np.asarray_chkfinite(cols)
-    (trtrs,) = scipy.linalg.get_lapack_funcs(("trtrs",), (sys.chol, cols))
-    y, _ = trtrs(sys.chol, cols, lower=1)
+    y, _ = _lapack("trtrs", sys.chol, cols)(sys.chol, cols, lower=1)
     return y
 
 

@@ -8,11 +8,15 @@ factorization of the unit-norm columns.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .basis import degree_block, dimension_counts, enumerate_basis
 from .domains import AdmissibleWeight, as_points
@@ -33,6 +37,31 @@ class LogDet:
     @property
     def value(self) -> float:
         return -math.inf if self.is_zero else self.log_abs
+
+
+def _scipy_module(subpackage: str, name: str):
+    """scipy.<subpackage>.<name> from its extension file, without running the
+    subpackage's slow ``__init__``, and kept in sys.modules for a later import
+    to reuse; without such a file, the normal import.
+    """
+    fullname = f"scipy.{subpackage}.{name}"
+    if fullname not in sys.modules:
+        path = os.path.join(scipy.__path__[0], *subpackage.split("."))
+        spec = FileFinder(path, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(fullname)
+        if spec is None:
+            return importlib.import_module(fullname)
+        sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[fullname])
+    return sys.modules[fullname]
+
+
+def _lapack(name: str, *arrays):
+    """scipy's LAPACK or BLAS routine ``name``, z-prefixed when an array is
+    complex, else d: scipy.linalg's pick for float64 and complex128 arrays.
+    """
+    routine = ("z" if any(np.iscomplexobj(a) for a in arrays) else "d") + name
+    found = getattr(_scipy_module("linalg", "_flapack"), routine, None)
+    return found or getattr(_scipy_module("linalg", "_fblas"), routine)
 
 
 def monomial_values(indices, points: np.ndarray) -> np.ndarray:
@@ -62,14 +91,14 @@ def pivoted_qr(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np
     """Column-pivoted QR, mat[:, piv] = Q R, by LAPACK geqp3: (factor, piv).
 
     The factor is geqp3's own: R on and above its diagonal, Householder
-    vectors below it.  ``piv`` is 0-based.  The workspace is the optimum
-    geqp3 reports for mat's shape, as ``scipy.linalg.qr`` queries it, so R
-    and piv are that function's bit for bit.  ``overwrite`` lets LAPACK
-    factor a Fortran-ordered ``mat`` in place.
+    vectors below it.  ``piv`` is 0-based.  The routine, and the workspace
+    geqp3 reports for mat's shape, are ``scipy.linalg.qr``'s, so R and piv
+    are that function's bit for bit.  ``overwrite`` lets LAPACK factor a
+    Fortran-ordered ``mat`` in place.
     """
     if not np.isfinite(mat).all():
         raise InvalidInputError("pivoted QR of a matrix with inf or NaN entries")
-    (geqp3,) = scipy.linalg.get_lapack_funcs(("geqp3",), (mat,))
+    geqp3 = _lapack("geqp3", mat)
     # The query reads only mat's shape, so it may take mat in place.
     lwork = int(geqp3(mat, lwork=-1, overwrite_a=True)[-2][0].real)
     factor, piv, _, _, _ = geqp3(mat, lwork=lwork, overwrite_a=overwrite)

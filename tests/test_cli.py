@@ -316,17 +316,31 @@ def test_non_finite_geometry_is_a_compute_error(tmp_path, capsys, text):
     assert doc == {"error": "computation", "message": "candidate points must be finite"}
 
 
-def test_import_loads_no_sparse_optimize_or_spatial():
-    # scipy.optimize (for the Chebyshev LP) loads on the first LP solve.
+def test_runs_load_no_scipy_linalg_optimize_sparse_or_spatial():
+    # pluripot binds LAPACK, BLAS and HiGHS from their extension files, so
+    # neither the import nor a run loads the SciPy packages around them.  On
+    # a SciPy without HiGHS's bindings the LP is scipy.optimize.linprog's,
+    # whose import brings scipy.linalg and scipy.sparse.
     script = (
         "import sys\n"
         "import pluripot.cli\n"
-        "from pluripot import cheb, domains\n"
-        "heavy = [m for m in ('scipy.optimize', 'scipy.spatial', 'scipy.sparse')\n"
-        "         if m in sys.modules]\n"
-        "assert not heavy, heavy\n"
-        "rec = cheb.chebyshev_constant(domains.circle(1.0, 32), (2,))\n"
+        "from pluripot import cheb, domains, fekete, gram, optmeas\n"
+        "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy.spatial')\n"
+        "every = heavy + ('scipy.optimize',)\n"
+        "def loaded(names):\n"
+        "    return [m for m in names if m in sys.modules]\n"
+        "assert not loaded(every), loaded(every)\n"
+        "zero = domains.AdmissibleWeight.zero()\n"
+        "circle, line = domains.circle(1.0, 32), domains.interval(-1.0, 1.0, 41)\n"
+        "for cand in (circle, line):\n"
+        "    fekete.search_fekete(cand, 3, zero)\n"
+        "gram.gram_sequence(gram.DiscreteMeasure.uniform(circle), zero, 4)\n"
+        "assert optmeas.solve_optimal_measure(line, zero, 3).converged\n"
+        "assert not loaded(heavy), loaded(heavy)\n"
+        "rec = cheb.chebyshev_constant(circle, (2,))\n"
         "assert abs(rec.value - 1.0) < 1e-9 and rec.converged, rec\n"
+        "if cheb._highs() is not None:\n"
+        "    assert not loaded(every), loaded(every)\n"
     )
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

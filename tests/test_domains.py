@@ -155,8 +155,6 @@ def test_weights():
     pts = np.array([[0.0 + 0j], [1.0 + 1j]])
     assert np.allclose(AdmissibleWeight.zero()(pts), 0.0)
     assert np.allclose(AdmissibleWeight.quadratic()(pts), [0.0, 2.0])
-    rad = AdmissibleWeight.radial_table([0.0, 2.0], [0.0, 4.0])
-    assert np.allclose(rad(pts), [0.0, 2.0 * np.sqrt(2.0)])
     bad = AdmissibleWeight.custom(lambda p: np.full(p.shape[0], np.nan))
     with pytest.raises(InvalidInputError):
         bad(pts)

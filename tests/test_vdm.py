@@ -1,6 +1,10 @@
 """Log-domain Vandermonde determinants against brute-force oracles."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,3 +181,44 @@ def test_pivoted_qr_rejects_non_finite_entries():
     mat[1, 2] = np.nan
     with pytest.raises(InvalidInputError, match="inf or NaN"):
         vdm.pivoted_qr(mat)
+
+
+_LOADER_SCRIPT = """
+import importlib, sys
+import numpy as np
+from pluripot import vdm
+real, cplx = np.eye(3), np.eye(3, dtype=complex)
+cases = [(name, (a,)) for name in ("geqp3", "potrf", "trtrs", "trsm")
+         for a in (real, cplx)]
+cases += [("ger", (real,)), ("geru", (cplx,)), ("trtrs", (real, cplx))]
+got = [vdm._lapack(name, *arrays) for name, arrays in cases]
+flapack = vdm._scipy_module("linalg", "_flapack")
+assert vdm._scipy_module("linalg", "_flapack") is flapack
+assert sys.modules["scipy.linalg._flapack"] is flapack
+assert not {"scipy.linalg", "scipy.optimize"} & set(sys.modules)
+try:
+    core = vdm._scipy_module("optimize._highspy", "_core")
+    assert "scipy.optimize" not in sys.modules
+except ImportError:  # a SciPy without HiGHS's bindings imports scipy.optimize
+    core = None
+import scipy.linalg, scipy.optimize
+for (name, arrays), routine in zip(cases, got):
+    lib = scipy.linalg.get_blas_funcs if name in ("trsm", "ger", "geru") \
+        else scipy.linalg.get_lapack_funcs
+    assert routine is lib((name,), arrays)[0], (name, arrays)
+assert got[-1] is flapack.ztrtrs
+assert scipy.linalg.lapack._flapack is flapack
+if core is not None:
+    assert sys.modules["scipy.optimize._highspy._core"] is core
+decomp = vdm._scipy_module("linalg", "_decomp")
+assert decomp is importlib.import_module("scipy.linalg._decomp")
+"""
+
+
+def test_scipy_loader_binds_scipys_own_routines():
+    # A fresh process, so the loader runs before scipy.linalg or
+    # scipy.optimize is imported; their later import reuses its modules.
+    src = str(pathlib.Path(vdm.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _LOADER_SCRIPT], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
