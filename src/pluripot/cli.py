@@ -19,20 +19,12 @@ import numpy as np
 
 from . import __version__
 from .basis import dimension_counts
-from .cheb import lift_identity_check, submultiplicativity_audit, tau_geometric_mean
-from .diag import f_n_path, radial_cdf_distance, weak_star_distance
 from .domains import AdmissibleWeight, build_set, export_csv
-from .energy import ExtremalModel, disk, dw_vs_deltaw_check, rumely_check, weighted_disk
 from .errors import InvalidInputError, PluripotError
-from .fekete import (
-    EXCHANGE_TOL,
-    diameter_sequence,
-    empirical_measure,
-    extrapolate_diameter,
-    search_fekete,
-)
 from .gram import DiscreteMeasure, gram_sequence, normalized_log_det
-from .optmeas import solve_optimal_measure
+
+# Each cmd_* handler imports the modules it runs when it is dispatched, so a
+# process loads and compiles only its subcommand's code.
 
 SCHEMA_VERSION = "1"
 
@@ -179,7 +171,9 @@ def _set_from_config(cfg: dict):
         raise ConfigError(f"geometry {kind!r} needs key {key!r}") from None
 
 
-def _model_from_config(cfg: dict) -> ExtremalModel:
+def _model_from_config(cfg: dict):
+    from .energy import disk, weighted_disk
+
     name = cfg.get("model")
     if name == "disk":
         return disk(_number(cfg, "model_radius", float, 1.0))
@@ -189,6 +183,8 @@ def _model_from_config(cfg: dict) -> ExtremalModel:
 
 
 def cmd_fekete(cfg: dict) -> dict:
+    from .fekete import diameter_sequence, extrapolate_diameter
+
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     seq = diameter_sequence(cand, weight, _number(cfg, "n_max", int, 10, 1))
@@ -199,6 +195,8 @@ def cmd_fekete(cfg: dict) -> dict:
 
 
 def cmd_optmeas(cfg: dict) -> dict:
+    from .optmeas import solve_optimal_measure
+
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n_max = _number(cfg, "n_max", int, 3, 1)
@@ -207,6 +205,8 @@ def cmd_optmeas(cfg: dict) -> dict:
 
 
 def cmd_cheb(cfg: dict) -> dict:
+    from .cheb import submultiplicativity_audit, tau_geometric_mean
+
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     class_tag = cfg.get("class", "plain")
@@ -230,6 +230,9 @@ def cmd_cheb(cfg: dict) -> dict:
 
 
 def cmd_tfd(cfg: dict) -> dict:
+    from .cheb import lift_identity_check, tau_geometric_mean
+    from .fekete import diameter_sequence, extrapolate_diameter
+
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n_max = _number(cfg, "n_max", int, 8, 1)
@@ -274,6 +277,8 @@ def cmd_tfd(cfg: dict) -> dict:
 
 
 def cmd_bergman(cfg: dict) -> dict:
+    from .fekete import EXCHANGE_TOL
+
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n_max = _number(cfg, "n_max", int, 8, 1)
@@ -300,6 +305,8 @@ def cmd_bergman(cfg: dict) -> dict:
 
 
 def cmd_energy_check(cfg: dict) -> dict:
+    from .energy import dw_vs_deltaw_check, rumely_check
+
     model = _model_from_config(cfg)
     cand = _set_from_config(cfg) if "geometry" in cfg else None
     report = rumely_check(model, cand, _number(cfg, "n_max", int, 16, 1))
@@ -308,6 +315,9 @@ def cmd_energy_check(cfg: dict) -> dict:
 
 
 def cmd_diag(cfg: dict) -> dict:
+    from .diag import f_n_path, radial_cdf_distance, weak_star_distance
+    from .fekete import empirical_measure, search_fekete
+
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n = _number(cfg, "n", int, 4, 1)

@@ -7,7 +7,6 @@ point list.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -239,6 +238,8 @@ def weight_power(q: np.ndarray, k: float) -> np.ndarray:
 
 def export_csv(cand: CandidateSet, path) -> None:
     """Columns re_j, im_j per coordinate (then mass), floats written by repr."""
+    import csv
+
     header = [f"{p}_{j}" for j in range(1, cand.dimension + 1) for p in ("re", "im")]
     vals = np.stack([cand.points.real, cand.points.imag], axis=2).reshape(len(cand), -1)
     if cand.masses is not None:
@@ -252,6 +253,8 @@ def export_csv(cand: CandidateSet, path) -> None:
 
 def import_csv(path) -> CandidateSet:
     """Read an ``export_csv`` file; a malformed line raises InvalidInputError."""
+    import csv
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])

@@ -45,8 +45,8 @@ class ExtremalModel:
     def __post_init__(self):
         if self.kind in ("disk", "weighted_disk") and self.dimension != 1:
             raise InvalidInputError(f"{self.kind} model is one-dimensional")
-        if self.kind in ("disk", "polydisk") and self.radius <= 0:
-            raise InvalidInputError("radius must be positive")
+        if self.kind in ("disk", "polydisk") and not 0 < self.radius < math.inf:
+            raise InvalidInputError("radius must be finite and positive")
         if self.kind == "polydisk" and self.radius > 1.0:
             raise UnsupportedModelError(
                 "polydisk energies are tabulated for radius <= 1 only"

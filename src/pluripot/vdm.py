@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy
 
 from .basis import degree_block, dimension_counts, enumerate_basis
 from .domains import AdmissibleWeight, as_points
@@ -41,12 +40,13 @@ class LogDet:
 
 def _scipy_module(subpackage: str, name: str):
     """scipy.<subpackage>.<name> from its extension file, without running the
-    subpackage's slow ``__init__``, and kept in sys.modules for a later import
-    to reuse; without such a file, the normal import.
+    ``__init__`` of scipy or of the subpackage, and kept in sys.modules for a
+    later import to reuse; without such a file, the normal import.
     """
     fullname = f"scipy.{subpackage}.{name}"
     if fullname not in sys.modules:
-        path = os.path.join(scipy.__path__[0], *subpackage.split("."))
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        path = os.path.join(root, *subpackage.split("."))
         spec = FileFinder(path, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(fullname)
         if spec is None:
             return importlib.import_module(fullname)

@@ -316,19 +316,48 @@ def test_non_finite_geometry_is_a_compute_error(tmp_path, capsys, text):
     assert doc == {"error": "computation", "message": "candidate points must be finite"}
 
 
-def test_runs_load_no_scipy_linalg_optimize_sparse_or_spatial():
+@pytest.mark.parametrize(
+    "sub, text",
+    [
+        ("energy-check", "model = disk\nmodel_radius = nan\n"
+                         "geometry = circle\nradius = 1.0\nm = 32\nn_max = 4\n"),
+        ("diag", "model = disk\nmodel_radius = inf\n"
+                 "geometry = circle\nradius = 1.0\nm = 32\nn = 3\n"),
+    ],
+    ids=["energy-check-nan", "diag-inf"],
+)
+def test_non_finite_model_radius_is_a_compute_error(tmp_path, capsys, sub, text):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(text)
+    code = cli.main([sub, "--config", str(cfg)])
+    assert code == cli.EXIT_COMPUTE
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "computation", "message": "radius must be finite and positive"}
+
+
+def test_runs_load_no_scipy_linalg_optimize_sparse_or_spatial(tmp_path):
     # pluripot binds LAPACK, BLAS and HiGHS from their extension files, so
-    # neither the import nor a run loads the SciPy packages around them.  On
-    # a SciPy without HiGHS's bindings the LP is scipy.optimize.linprog's,
+    # neither the import nor a run loads the SciPy packages around them, nor
+    # SciPy's own __init__, and a subcommand loads only the modules it runs.
+    # On a SciPy without HiGHS's bindings the LP is scipy.optimize.linprog's,
     # whose import brings scipy.linalg and scipy.sparse.
+    cfg = tmp_path / "optmeas.cfg"
+    cfg.write_text("geometry = interval\na = -1\nb = 1\nm = 201\nn_max = 4\n")
+    optmeas_argv = ["optmeas", "--config", str(cfg), "--out", str(tmp_path / "o.json")]
     script = (
         "import sys\n"
         "import pluripot.cli\n"
-        "from pluripot import cheb, domains, fekete, gram, optmeas\n"
         "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy.spatial')\n"
         "every = heavy + ('scipy.optimize',)\n"
+        "unused = ('scipy', 'pluripot.cheb', 'pluripot.diag', 'pluripot.energy',\n"
+        "          'pluripot.fekete')\n"
         "def loaded(names):\n"
         "    return [m for m in names if m in sys.modules]\n"
+        "lazy = unused + ('pluripot.optmeas',)\n"
+        "assert not loaded(lazy), loaded(lazy)\n"
+        f"assert pluripot.cli.main({optmeas_argv!r}) == 0\n"
+        "assert not loaded(unused), loaded(unused)\n"
+        "from pluripot import cheb, domains, fekete, gram, optmeas\n"
         "assert not loaded(every), loaded(every)\n"
         "zero = domains.AdmissibleWeight.zero()\n"
         "circle, line = domains.circle(1.0, 32), domains.interval(-1.0, 1.0, 41)\n"

@@ -198,7 +198,8 @@ assert sys.modules["scipy.linalg._flapack"] is flapack
 assert not {"scipy.linalg", "scipy.optimize"} & set(sys.modules)
 try:
     core = vdm._scipy_module("optimize._highspy", "_core")
-    assert "scipy.optimize" not in sys.modules
+    # Every module came from its extension file: not even scipy's __init__ ran.
+    assert not {"scipy", "scipy.optimize"} & set(sys.modules)
 except ImportError:  # a SciPy without HiGHS's bindings imports scipy.optimize
     core = None
 import scipy.linalg, scipy.optimize
