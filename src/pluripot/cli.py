@@ -21,7 +21,7 @@ from . import __version__
 from .basis import dimension_counts
 from .domains import AdmissibleWeight, build_set, export_csv
 from .errors import InvalidInputError, PluripotError
-from .gram import DiscreteMeasure, gram_sequence, normalized_log_det
+from .gram import EXCHANGE_TOL, DiscreteMeasure, gram_sequence, normalized_log_det
 
 # Each cmd_* handler imports the modules it runs when it is dispatched, so a
 # process loads and compiles only its subcommand's code.
@@ -66,7 +66,9 @@ def to_json(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if all(type(v) is float for v in obj):
-            items = [format_number(v) for v in obj]
+            # "%.17g" is format_number's text for every finite float.
+            fmt = "%.17g".__mod__ if all(map(math.isfinite, obj)) else format_number
+            items = list(map(fmt, obj))
         elif all(type(v) is int for v in obj):
             items = [str(v) for v in obj]
         else:
@@ -277,8 +279,6 @@ def cmd_tfd(cfg: dict) -> dict:
 
 
 def cmd_bergman(cfg: dict) -> dict:
-    from .fekete import EXCHANGE_TOL
-
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)
     n_max = _number(cfg, "n_max", int, 8, 1)

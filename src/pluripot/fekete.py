@@ -21,13 +21,10 @@ import numpy as np
 from .basis import dimension_counts
 from .domains import AdmissibleWeight, CandidateSet
 from .errors import InvalidInputError
-from .gram import DiscreteMeasure, _basis_columns
+from .gram import EXCHANGE_TOL, DiscreteMeasure, _basis_columns
 from .vdm import _lapack, diameter_exponent, log_abs_weighted_vdm, pivoted_qr
 # Unused here; bench/test_bench_harness.py checks the tracer rebinds it.
 from .vdm import monomial_values  # noqa: F401
-
-# Log-scale improvement below factorization noise is not worth a swap.
-EXCHANGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ from .vdm import _lapack, diameter_exponent, monomial_values
 # on 4-15 points in C (n <= 4) the worst accepted error is 1.7e-7.
 MIN_PIVOT = 5e-8
 
+# Relative gaps below factorization noise: no Fekete swap, and B argmax ties.
+EXCHANGE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DiscreteMeasure:

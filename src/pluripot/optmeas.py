@@ -20,8 +20,8 @@ import numpy as np
 from .domains import AdmissibleWeight, CandidateSet
 from .errors import DegenerateMeasureError, InvalidInputError
 from .gram import DiscreteMeasure
-from .gram import _basis_columns, _gram_from_columns, _whitened_columns
-from .vdm import pivoted_qr
+from .gram import _basis_columns, _gram_from_columns
+from .vdm import _lapack, pivoted_qr
 
 DEFAULT_TOL = 1e-6
 MASS_FLOOR = 1e-10
@@ -73,7 +73,9 @@ def _exchange_sweep(masses: np.ndarray, y: np.ndarray, b: np.ndarray) -> None:
     1 + t (B_j - B_i) - t^2 (B_j B_i - |h_ij|^2), with B and
     h_ij = y_i^* A^-1 y_j at the current A.  The best t is clipped to
     [-m_j, m_i], so a drop step zeroes a mass exactly, and W = A^-1 Y_S
-    follows by a 2 x 2 Woodbury update.
+    follows by a 2 x 2 Woodbury update.  The steps reuse buffers allocated
+    once per sweep and run, in the same order, the floating-point operations
+    of the straightforward form with a fresh array each: the same masses.
     """
     n_dim = y.shape[0]
     top = np.argsort(-b, kind="stable")[:n_dim]
@@ -81,37 +83,44 @@ def _exchange_sweep(masses: np.ndarray, y: np.ndarray, b: np.ndarray) -> None:
     s = s[np.argsort(b[s], kind="stable")]
     ys = y[:, s]
     ys_h = ys.conj()
+    rows = ys_h.T.copy()
     w = ys.copy()
-    m = masses[s]
-    for i in range(len(s)):
-        bs = np.einsum("ij,ij->j", ys_h, w).real
-        h = ys_h[:, i] @ w
-        d = bs - bs[i]
-        curv = bs * bs[i] - np.abs(h) ** 2
+    m, k = masses[s], len(s)
+    b_s, p, v, blk, pblk, dw = (np.empty(shape, y.dtype) for shape in
+                                (k, (2, 2), (n_dim, 2), (2, k), (2, k), w.shape))
+    bs, h = b_s.real, blk[1]
+    (d, curv, u, gain, tmp), pos = np.empty((5, k)), np.empty(k, bool)
+    for i in range(k):
+        np.einsum("ij,ij->j", ys_h, w, out=b_s)
+        np.matmul(rows[i], w, out=h)
+        bi, mi = bs.item(i), m.item(i)
+        # u = -t, as copysign(inf, B_i - B_j) is -inf just where t starts at inf.
+        np.copysign(np.inf, np.subtract(bi, bs, out=d), out=u)
+        np.multiply(bs, bi, out=curv)
+        np.subtract(curv, np.square(np.abs(h, out=tmp), out=tmp), out=curv)
         # A flat direction (curv 0, up to rounding) runs to the bound.
-        t = np.where(d > 0, np.inf, -np.inf)
-        np.divide(d, 2.0 * curv, out=t, where=curv > 0)
-        t = np.clip(t, -m, m[i])
-        gain = t * d - t * t * curv
+        np.greater(curv, 0.0, out=pos)
+        np.divide(d, np.add(curv, curv, out=tmp), out=u, where=pos)
+        np.minimum(np.maximum(u, -mi, out=u), m, out=u)
+        np.multiply(u, d, out=gain)
+        np.subtract(gain, np.multiply(np.square(u, out=tmp), curv, out=tmp), out=gain)
         gain[i] = 0.0
-        j = int(np.argmax(gain))
+        j = int(gain.argmax())
         if not gain[j] > 0:
             continue
-        tj, bj, bi, hij = t[j], bs[j], bs[i], h[j]
+        tj, bj, hij = -u.item(j), bs.item(j), h.item(j)
         m[j] = 0.0 if tj == -m[j] else m[j] + tj
-        m[i] = 0.0 if tj == m[i] else m[i] - tj
+        m[i] = 0.0 if tj == mi else mi - tj
         # (A + U T U^*)^-1 = A^-1 - V (I + T M)^-1 T V^*, with U = [y_j, y_i],
         # T = diag(t, -t), V = A^-1 U and M = U^* V; det(I + T M) >= 1 is the
         # det G ratio of the step.
         det = (1.0 + tj * bj) * (1.0 - tj * bi) + tj * tj * abs(hij) ** 2
-        p = np.array(
-            [
-                [tj * (1.0 - tj * bi), tj * tj * np.conj(hij)],
-                [tj * tj * hij, -tj * (1.0 + tj * bj)],
-            ]
-        ) / det
-        v = w[:, [j, i]]
-        w -= v @ (p @ np.stack([ys_h[:, j] @ w, h]))
+        p[0, 0], p[0, 1] = tj * (1.0 - tj * bi), tj * tj * hij.conjugate()
+        p[1, 0], p[1, 1] = tj * tj * hij, -tj * (1.0 + tj * bj)
+        np.divide(p, det, out=p)
+        np.matmul(rows[j], w, out=blk[0])
+        w.take((j, i), axis=1, out=v, mode="clip")  # "raise" would buffer v
+        w -= np.matmul(v, np.matmul(p, blk, out=pblk), out=dw)
     masses[s] = m
 
 
@@ -154,8 +163,9 @@ def solve_optimal_measure(
         start = sys
     if start.log_det > sys.log_det:
         masses, sys = greedy, start
+    trtrs = _lapack("trtrs", sys.chol, cols)  # pivoted_qr refused inf and NaN
     for it in range(1, max_iter + 1):
-        y = _whitened_columns(sys, cols)
+        y = trtrs(sys.chol, cols, lower=1)[0]
         b = np.sum(np.abs(y) ** 2, axis=0)
         support = np.nonzero(masses > MASS_FLOOR)[0]
         gap = float(b.max() - n_dim)

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pluripot import cli
 
@@ -64,15 +66,25 @@ def test_to_json_formatting():
 @pytest.mark.parametrize(
     "items",
     [[0.1, -0.0, 1e300, float("nan"), float("-inf"), 5e-324],
+     [0.1, -0.0, 1e308, -2.5e-310, 5e-324, 1e16, 123456789.0],
      [0, -3, 2**70],
      [1, True, 2.5],
      [np.float64(0.1), 0.2],
      [np.int64(3), 4]],
-    ids=["floats", "ints", "mixed", "numpy-float", "numpy-int"],
+    ids=["floats", "finite-floats", "ints", "mixed", "numpy-float", "numpy-int"],
 )
 def test_to_json_number_lists_match_item_by_item(items):
     by_item = ",\n".join("    " + cli.to_json(v, 2) for v in items)
     assert cli.to_json(items, 1) == "[\n" + by_item + "\n  ]"
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+@settings(max_examples=300, deadline=None)
+def test_finite_float_lists_match_item_by_item(items):
+    # An all-finite float list takes to_json's "%.17g" path, its items
+    # format_number's.
+    by_item = ",\n".join("  " + cli.format_number(v) for v in items)
+    assert cli.to_json(items) == "[\n" + by_item + "\n]"
 
 
 def test_fekete_command(tmp_path):
@@ -344,6 +356,9 @@ def test_runs_load_no_scipy_linalg_optimize_sparse_or_spatial(tmp_path):
     cfg = tmp_path / "optmeas.cfg"
     cfg.write_text("geometry = interval\na = -1\nb = 1\nm = 201\nn_max = 4\n")
     optmeas_argv = ["optmeas", "--config", str(cfg), "--out", str(tmp_path / "o.json")]
+    circle_cfg = tmp_path / "bergman.cfg"
+    circle_cfg.write_text("geometry = circle\nradius = 1.0\nm = 24\nn_max = 4\n")
+    bergman_argv = ["bergman", "--config", str(circle_cfg), "--out", str(tmp_path / "b.json")]
     script = (
         "import sys\n"
         "import pluripot.cli\n"
@@ -356,6 +371,8 @@ def test_runs_load_no_scipy_linalg_optimize_sparse_or_spatial(tmp_path):
         "lazy = unused + ('pluripot.optmeas',)\n"
         "assert not loaded(lazy), loaded(lazy)\n"
         f"assert pluripot.cli.main({optmeas_argv!r}) == 0\n"
+        "assert not loaded(unused), loaded(unused)\n"
+        f"assert pluripot.cli.main({bergman_argv!r}) == 0\n"
         "assert not loaded(unused), loaded(unused)\n"
         "from pluripot import cheb, domains, fekete, gram, optmeas\n"
         "assert not loaded(every), loaded(every)\n"

@@ -7,10 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pluripot import domains
+from pluripot import domains, optmeas
 from pluripot.domains import AdmissibleWeight
-from pluripot.errors import InvalidInputError
+from pluripot.errors import DegenerateMeasureError, InvalidInputError
 from pluripot.gram import DiscreteMeasure, bergman_function, gram_and_bergman, gram_matrix
+from pluripot.gram import _basis_columns, _whitened_columns
 from pluripot.optmeas import DEFAULT_TOL, solve_optimal_measure
 from pluripot.vdm import diameter_exponent
 
@@ -322,3 +323,91 @@ def test_report_dict_round():
     assert sum(d["mass_histogram"]["counts"]) == 3
     assert d["certificate"] is rep.certificate
     assert d["masses"] == rep.measure.masses.tolist()
+
+
+def _reference_sweep(masses, y, b):
+    """optmeas._exchange_sweep in its straightforward form, a fresh array
+    per operation: the oracle the buffered sweep matches bit for bit."""
+    n_dim = y.shape[0]
+    top = np.argsort(-b, kind="stable")[:n_dim]
+    s = np.union1d(np.nonzero(masses)[0], top)
+    s = s[np.argsort(b[s], kind="stable")]
+    ys = y[:, s]
+    ys_h = ys.conj()
+    w = ys.copy()
+    m = masses[s]
+    for i in range(len(s)):
+        bs = np.einsum("ij,ij->j", ys_h, w).real
+        h = ys_h[:, i] @ w
+        d = bs - bs[i]
+        curv = bs * bs[i] - np.abs(h) ** 2
+        t = np.where(d > 0, np.inf, -np.inf)
+        np.divide(d, 2.0 * curv, out=t, where=curv > 0)
+        t = np.clip(t, -m, m[i])
+        gain = t * d - t * t * curv
+        gain[i] = 0.0
+        j = int(np.argmax(gain))
+        if not gain[j] > 0:
+            continue
+        tj, bj, bi, hij = t[j], bs[j], bs[i], h[j]
+        m[j] = 0.0 if tj == -m[j] else m[j] + tj
+        m[i] = 0.0 if tj == m[i] else m[i] - tj
+        det = (1.0 + tj * bj) * (1.0 - tj * bi) + tj * tj * abs(hij) ** 2
+        p = np.array(
+            [
+                [tj * (1.0 - tj * bi), tj * tj * np.conj(hij)],
+                [tj * tj * hij, -tj * (1.0 + tj * bj)],
+            ]
+        ) / det
+        v = w[:, [j, i]]
+        w -= v @ (p @ np.stack([ys_h[:, j] @ w, h]))
+    masses[s] = m
+
+
+_RNG_SET = np.random.default_rng(7).normal(size=(60, 2)) @ [1.0, 1j]
+
+
+@pytest.mark.parametrize(
+    "cand, weight, n",
+    [
+        (domains.interval(-1.0, 1.0, 201), ZERO, 3),
+        (domains.interval(-1.0, 1.0, 201), ZERO, 4),
+        (domains.product([domains.interval(-1.0, 1.0, 21, "chebyshev")] * 2), ZERO, 4),
+        (domains.disk(1.0, 12, 40), AdmissibleWeight.quadratic(), 3),
+        (domains.disk(1.0, 20, 48), ZERO, 4),
+        (domains.custom(_RNG_SET[:, None]), ZERO, 3),
+    ],
+    ids=["interval-3", "interval-4", "chebyshev-square", "disk-quadratic", "disk",
+         "random"],
+)
+def test_exchange_sweep_matches_its_reference(cand, weight, n, monkeypatch):
+    # One sweep from a random measure on about 30% of the nodes, then whole
+    # solves: iteration counts, log dets and masses equal bit for bit.  The
+    # unweighted disk's solve ends on 25 support nodes, against N = 5.
+    rng = np.random.default_rng(n)
+    masses = rng.random(len(cand)) * (rng.random(len(cand)) < 0.3)
+    mu = DiscreteMeasure(cand, masses / masses.sum())
+    cols = _basis_columns(cand.points, weight(cand.points), n)
+    y = _whitened_columns(gram_matrix(mu, weight, n), cols)
+    b = np.sum(np.abs(y) ** 2, axis=0)
+    got, want = mu.masses.copy(), mu.masses.copy()
+    optmeas._exchange_sweep(got, y, b)
+    _reference_sweep(want, y, b)
+    assert np.array_equal(got, want)
+
+    rep = solve_optimal_measure(cand, weight, n)
+    monkeypatch.setattr(optmeas, "_exchange_sweep", _reference_sweep)
+    ref = solve_optimal_measure(cand, weight, n)
+    assert (rep.iterations, rep.log_det) == (ref.iterations, ref.log_det)
+    assert np.array_equal(rep.measure.masses, ref.measure.masses)
+
+
+def test_non_finite_columns_are_refused_before_the_iterations():
+    # Q = -400 at x = 1 overflows w^2 = exp(800): the uniform start's Gram
+    # fails its pivot check, before the iterations whiten the columns
+    # unchecked.
+    x = np.linspace(-1.0, 1.0, 11)
+    w = AdmissibleWeight.custom(lambda p: np.where(p[:, 0].real > 0.9, -400.0, 0.0))
+    cand = domains.custom(x.astype(complex)[:, None])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegenerateMeasureError):
+        solve_optimal_measure(cand, w, 2)
