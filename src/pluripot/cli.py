@@ -232,8 +232,9 @@ def cmd_cheb(cfg: dict) -> dict:
 
 
 def cmd_tfd(cfg: dict) -> dict:
-    from .cheb import lift_identity_check, tau_geometric_mean
+    from .cheb import tau_geometric_mean
     from .fekete import diameter_sequence, extrapolate_diameter
+    from .lift import lift_identity_check
 
     cand = _set_from_config(cfg)
     weight = _weight_from_config(cfg)

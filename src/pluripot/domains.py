@@ -236,6 +236,16 @@ def weight_power(q: np.ndarray, k: float) -> np.ndarray:
     return np.where(np.isfinite(q), np.exp(-k * q), 0.0)
 
 
+def finite_weight_power(q: np.ndarray, k: float) -> np.ndarray:
+    """weight_power(q, k); InvalidInputError where w^k overflows a float."""
+    with np.errstate(over="ignore"):
+        scale = weight_power(q, k)
+    over = np.isinf(scale)
+    if over.any():
+        raise InvalidInputError(f"w^{k} = exp(-{k} Q) overflows at Q = {float(q[over].min())!r}")
+    return scale
+
+
 def export_csv(cand: CandidateSet, path) -> None:
     """Columns re_j, im_j per coordinate (then mass), floats written by repr."""
     import csv

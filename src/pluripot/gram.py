@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import dimension_counts, enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet, as_points, check_masses, weight_power
+from .domains import AdmissibleWeight, CandidateSet, as_points, check_masses, finite_weight_power
 from .errors import DegenerateMeasureError, InvalidInputError
 from .vdm import _lapack, diameter_exponent, monomial_values
 
@@ -84,7 +84,7 @@ def _basis_columns(points: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     Each point's column is scaled by w^n; q holds Q at the (M, d) points.
     """
     indices = enumerate_basis(n, points.shape[1])
-    return monomial_values(indices, points) * weight_power(q, n)
+    return monomial_values(indices, points) * finite_weight_power(q, n)
 
 
 def _factor(cols: np.ndarray, masses: np.ndarray):

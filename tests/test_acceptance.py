@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from pluripot import cheb, cli, diag, domains, energy, fekete
+from pluripot import cheb, cli, diag, domains, energy, fekete, lift
 from pluripot.basis import dimension_counts
 from pluripot.domains import AdmissibleWeight
 from pluripot.gram import DiscreteMeasure, bergman_function, free_energy, gram_matrix
@@ -223,7 +223,7 @@ def test_criterion_09_dw_vs_deltaw():
 
 def test_criterion_10_lift_identity():
     cand = domains.circle(1.0, 10)
-    out = cheb.lift_identity_check(cand, QUAD, 3, m_t=2)
+    out = lift.lift_identity_check(cand, QUAD, 3, m_t=2)
     worst = max(r["relative_gap"] for r in out)
     all_exhaustive = all(
         r["lhs_method"] == "exhaustive" and r["rhs_method"] == "exhaustive"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import OptimizeWarning
 
 from pluripot import cheb, domains, vdm
+from pluripot import lift as lifting
 from pluripot.basis import degree_block, dimension_counts, enumerate_basis
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import InvalidInputError, PluripotError
@@ -476,6 +477,198 @@ def test_real_active_set_matches_the_full_lp(seed, m, k, weighted):
     assert bound <= value * (1 + 1e-12)
 
 
+# _solve_minimax before its split into a real and a complex solve, verbatim
+# but for the module names, qualified by ``cheb.`` so that the ``lp_calls``
+# fixture counts its LPs: the oracle the split solves match bit for bit.
+def _reference_minimax(
+    target: np.ndarray, lower: np.ndarray, scale: np.ndarray
+) -> tuple[float, np.ndarray, bool, float]:
+    """min over c of max_k scale_k |target_k + lower_k . c|.
+
+    Returns (achieved max, c, converged, LP bound).  ``lower`` is (M, J).
+    The achieved max is the true peak of the returned polynomial over all M
+    points, and the bound is the last LP's optimum, a lower bound on the
+    minimax up to HiGHS's tolerances; converged says that the peak is within
+    ``_REFINE_TOL`` relative of it.  A complex problem refines its facets
+    until it is, or stops at ``_REFINE_ROUNDS`` with converged false.  A
+    real problem solves its LP on an active set of points, each with both
+    facets, and stops when no point outside the set exceeds the bound: the
+    set's optimum is then the full LP's, whether or not the peak meets the
+    bound to ``_REFINE_TOL``.  An active-set LP that fails with both edge
+    weights is solved again, in the next round, as the full LP on every point.
+    """
+    m, j = lower.shape
+    keep = scale > 0
+    t = target[keep] * scale[keep]
+    e = lower[keep] * scale[keep, None]
+    if j == 0:
+        value = float(np.max(np.abs(t)))
+        return value, np.zeros(0, dtype=complex), True, value
+    # HiGHS's tolerances are absolute: the LP sees unit-peak target and columns.
+    norm = unit = float(np.max(np.abs(t))) or 1.0
+    col = np.abs(e).max(axis=0)
+    col[col == 0] = 1.0
+    t, e = t / norm, e / col
+
+    def floor(c: np.ndarray) -> float:
+        # Rounding error of a (J + 1)-term sum: a peak below it is a zero minimax.
+        return (j + 1) * np.finfo(float).eps * np.max(np.abs(t) + np.abs(e) @ np.abs(c))
+    real_case = not (t.imag.any() or e.imag.any())
+    # Lawson's iteration; a real problem takes only its unweighted first step.
+    w = np.full(len(t), 1.0 / len(t))
+    for _ in range(1 if real_case else cheb._LAWSON_STEPS):
+        root = np.sqrt(w)
+        c = np.linalg.lstsq(e * root[:, None], -t * root, rcond=None)[0]
+        vals = t + e @ c
+        r = np.abs(vals)
+        size = float(r.max())
+        if size <= floor(c):
+            return 0.0, c * norm / col, True, 0.0
+        # c minimizes sum w|r|^2 with sum w = 1: its root bounds the minimax below.
+        certified = size <= math.sqrt(w @ r**2) * (1 + cheb._REFINE_TOL)
+        w = w * r
+        if certified or w.sum() == 0:
+            break
+        w /= w.sum()
+
+    rows_a: list[np.ndarray] = []
+    rows_b: list[np.ndarray] = []
+    if real_case:
+        t, e = t.real, e.real
+        # A real minimax is pinned by J + 1 reference points (Stiefel, Numer.
+        # Math. 1960): the LP holds both facets, +-(t + e c) <= s, at an
+        # active set of points, seeded with the largest least-squares
+        # residuals and grown by the largest violators, this many at a time.
+        batch = 2 * (j + 1)
+        active = np.zeros(len(t), dtype=bool)
+        fresh = cheb._largest(r, np.arange(len(t)), batch)
+    else:
+        # Certified phases are a dual certificate (sum w conj(r) e = 0): one
+        # facet each, if M > 2J rows can pin the 2J + 1 unknowns at a vertex.
+        base, count = np.angle(vals), 1 if certified and len(t) > 2 * j else cheb.INITIAL_FACETS
+        # Lawson's peak is near the minimax: dividing it out puts the LP's
+        # value near 1.  A zero minimax, up to rounding, is not divided out.
+        if size > cheb._REFINE_TOL:
+            t, e, unit = t / size, e / size, unit * size
+
+        def add_facets(theta: np.ndarray, idx: np.ndarray) -> None:
+            rot = np.exp(-1j * theta)[:, None]
+            ee = e[idx] * rot
+            block = np.concatenate(
+                [ee.real, -ee.imag, -np.ones((len(idx), 1))], axis=1
+            )
+            rows_a.append(block)
+            rows_b.append(-(t[idx] * rot[:, 0]).real)
+
+        for f in range(count):
+            add_facets(base + 2 * np.pi * f / count, np.arange(len(t)))
+
+    unknowns = j if real_case else 2 * j
+    cost = np.zeros(unknowns + 1)
+    cost[-1] = 1.0
+    bounds = np.array([(-np.inf, np.inf)] * unknowns + [(0.0, np.inf)])
+    # A failed LP is solved once more with the other dual edge weights.
+    strategies = (
+        (cheb._HIGHS_OPTIONS, cheb._COMPLEX_OPTIONS) if real_case
+        else (cheb._COMPLEX_OPTIONS, cheb._HIGHS_OPTIONS)
+    )
+    converged = False
+    for _ in range(cheb._REFINE_ROUNDS):
+        if real_case:
+            active[fresh] = True
+            ones = np.ones((len(fresh), 1))
+            rows_a.append(np.block([[e[fresh], -ones], [-e[fresh], -ones]]))
+            rows_b.append(np.concatenate([-t[fresh], t[fresh]]))
+        a_ub, b_ub = np.concatenate(rows_a), np.concatenate(rows_b)
+        for options in strategies:
+            res = cheb.linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, options=options)
+            if res.status == 0:
+                break
+        else:
+            if not real_case or active.all():
+                raise PluripotError(f"minimax LP failed: {res.message}")
+            fresh = np.nonzero(~active)[0]  # the full LP, in the next round
+            continue
+        x = res.x
+        c_best = x[:j] if real_case else x[:j] + 1j * x[j : 2 * j]
+        s_opt = x[-1]
+        vals = t + e @ c_best
+        r = np.abs(vals)
+        peak = float(r.max())
+        zero = floor(c_best)
+        within = peak <= s_opt * (1 + cheb._REFINE_TOL) + zero
+        cut = np.nonzero(r > s_opt * (1 + 1e-12))[0]
+        if real_case:
+            fresh = cheb._largest(r, cut[~active[cut]], batch)
+            if not len(fresh):
+                converged = within
+                break
+        elif within:
+            converged = True
+            break
+        else:
+            add_facets(np.angle(vals[cut]), cut)
+    value = peak * unit if peak > zero else 0.0
+    return value, c_best * norm / col, converged, s_opt * unit
+
+
+def _minimax_data(cand, alpha, class_tag="plain", weight=None):
+    """_solve_minimax's arguments in chebyshev_constant(cand, alpha, class_tag, weight)."""
+    deg, d = sum(alpha), cand.dimension
+    scale = domains.weight_power(weight(cand.points), deg) if weight else np.ones(len(cand))
+    target = vdm.monomial_values([alpha], cand.points)[0]
+    lower = vdm.monomial_values(cheb._class_monomials(alpha, d, class_tag), cand.points).T
+    return target, lower, scale
+
+
+def _outcome(solve, data):
+    try:
+        return solve(*data)
+    except PluripotError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "cand, alphas, class_tag, weight",
+    [
+        (domains.circle(1.0, 201), [(k,) for k in range(1, 9)], "plain", None),
+        # Uncertified Lawson seeds: 14-23 LP rounds per constant.
+        (domains.custom(_ellipse()), [(k,) for k in range(1, 5)], "plain", None),
+        (domains.interval(-1.0, 1.0, 841, "chebyshev"), [(k,) for k in range(1, 9)], "plain",
+         None),
+        # The first active-set LP fails with both edge weights; the full LP solves.
+        (domains.interval(-1.0, 1.0, 401), [(14,)], "weighted", AdmissibleWeight.quadratic()),
+        # The first of each degree block has no lower monomial to recombine.
+        (domains.torus(2, 21), [a for n in (1, 2, 3) for a in degree_block(n, 2)],
+         "homogeneous", None),
+        # At k = 6 the active set stops with its peak above the bound: not converged.
+        (domains.custom(np.random.default_rng(6).uniform(-2.0, 2.0, 40)), [(5,), (6,)], "plain",
+         None),
+        # Zero constants: from least squares, with no LP.
+        (domains.circle(1.0, 3), [(3,), (4,)], "plain", None),
+        # A retried LP at k = 4 of seed 6; seeds 354 and 1312 raise at k = 4.
+        *[(domains.custom(_clustered(seed)), [(2,), (3,), (4,)], "plain", None)
+          for seed in (0, 6, 354, 1312)],
+    ],
+    ids=["circle201", "ellipse64", "interval841", "interval401w", "torus2-homogeneous",
+         "random40", "zero", "clustered0", "clustered6", "clustered354", "clustered1312"],
+)
+def test_minimax_solves_match_their_reference(lp_calls, cand, alphas, class_tag, weight):
+    for alpha in alphas:
+        data = _minimax_data(cand, alpha, class_tag, weight)
+        got = _outcome(cheb._solve_minimax, data)
+        rows = lp_calls[:]
+        lp_calls.clear()
+        want = _outcome(_reference_minimax, data)
+        assert lp_calls == rows, alpha
+        lp_calls.clear()
+        if isinstance(want, str):
+            assert got == want, alpha
+            continue
+        assert (got[0], got[2], got[3]) == (want[0], want[2], want[3]), alpha
+        assert np.array_equal(got[1], want[1]), alpha
+
+
 def test_homogeneous_class_d2_torus():
     cand = domains.torus(2, 12)
     rec = cheb.chebyshev_constant(cand, (1, 1), class_tag="homogeneous")
@@ -537,7 +730,7 @@ def test_tau_geometric_mean_circle():
 def test_lift_geometry():
     cand = domains.circle(1.0, 6)
     w = AdmissibleWeight.quadratic()
-    lifted, dropped = cheb.homogeneous_lift(cand, w, 3)
+    lifted, dropped = lifting.homogeneous_lift(cand, w, 3)
     assert dropped == 0
     assert lifted.dimension == 2 and len(lifted) == 18
     t = lifted.points[:, 0]
@@ -553,7 +746,7 @@ def test_lift_drops_zero_weight_points():
     w = AdmissibleWeight.custom(
         lambda p: np.where(p[:, 0].real > 1.5, np.inf, 0.0)
     )
-    lifted, dropped = cheb.homogeneous_lift(cand, w, 2)
+    lifted, dropped = lifting.homogeneous_lift(cand, w, 2)
     assert dropped == 1 and len(lifted) == 4
 
 
@@ -568,7 +761,7 @@ def test_lift_identity_on_one_configuration(seed, n, d):
     base = rng.normal(size=(m_n, d)) + 1j * rng.normal(size=(m_n, d))
     w = AdmissibleWeight.quadratic()
     m_t = 8
-    lift, _ = cheb.homogeneous_lift(domains.custom(base), w, m_t)
+    lift, _ = lifting.homogeneous_lift(domains.custom(base), w, m_t)
     one_phase = np.arange(m_n) * m_t + rng.integers(m_t, size=m_n)
     homogeneous = vdm.log_abs_homogeneous_vdm(lift.points[one_phase], n)
     weighted = vdm.log_abs_weighted_vdm(base, n, w)
@@ -578,7 +771,7 @@ def test_lift_identity_on_one_configuration(seed, n, d):
 def test_lift_identity_exhaustive():
     cand = domains.circle(1.0, 10)
     w = AdmissibleWeight.quadratic()
-    out = cheb.lift_identity_check(cand, w, 3, m_t=2)
+    out = lifting.lift_identity_check(cand, w, 3, m_t=2)
     for rec in out:
         assert rec["lhs_method"] == "exhaustive"
         assert rec["relative_gap"] <= 1e-9, rec
@@ -586,7 +779,7 @@ def test_lift_identity_exhaustive():
 
 def test_lift_identity_unweighted_interval():
     cand = domains.interval(-1.0, 1.0, 8)
-    out = cheb.lift_identity_check(cand, AdmissibleWeight.zero(), 2, m_t=2)
+    out = lifting.lift_identity_check(cand, AdmissibleWeight.zero(), 2, m_t=2)
     for rec in out:
         assert rec["relative_gap"] <= 1e-9, rec
 
@@ -598,9 +791,9 @@ def test_lift_identity_matches_brute_force():
     w = AdmissibleWeight.custom(
         lambda p: np.where(np.isclose(p[:, 0], 1.0), np.inf, 0.3 * p[:, 0].real)
     )
-    lift, dropped = cheb.homogeneous_lift(cand, w, 4)
+    lift, dropped = lifting.homogeneous_lift(cand, w, 4)
     assert dropped == 1
-    out = cheb.lift_identity_check(cand, w, 2)
+    out = lifting.lift_identity_check(cand, w, 2)
     for rec, n_pts in zip(out, (2, 3)):
         n = rec["n"]
         assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
@@ -624,7 +817,7 @@ def test_lift_identity_with_widely_spread_weights():
     w = AdmissibleWeight.custom(
         lambda p: np.where(np.isclose(p[:, 0], pts[0]), -25.0, 20.0)
     )
-    (rec,) = cheb.lift_identity_check(cand, w, 1)
+    (rec,) = lifting.lift_identity_check(cand, w, 1)
     assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
     assert rec["relative_gap"] <= 1e-12
 
@@ -643,8 +836,8 @@ def test_invalid_inputs():
 
 def _assert_matches_brute_force(cand, w, n_max, m_t):
     """Exhaustive maxima equal a max of the public VDMs over all subsets."""
-    lift, _ = cheb.homogeneous_lift(cand, w, m_t)
-    for rec in cheb.lift_identity_check(cand, w, n_max, m_t=m_t):
+    lift, _ = lifting.homogeneous_lift(cand, w, m_t)
+    for rec in lifting.lift_identity_check(cand, w, n_max, m_t=m_t):
         n = rec["n"]
         n_pts = dimension_counts(n, cand.dimension)[0]
         assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
@@ -664,11 +857,11 @@ def test_batched_max_across_chunk_edges(monkeypatch):
     # Depth k of the prefix tree over n_pts-subsets of m points holds
     # C(m - n_pts + k, k) nodes, walked in chunks of _chunk_nodes(n_pts - k, m)
     # nodes.  Below the root every depth needs two or more chunks of 2 to 9.
-    monkeypatch.setattr(cheb, "_CHUNK_ENTRIES", 120)
+    monkeypatch.setattr(lifting, "_CHUNK_ENTRIES", 120)
     cand = domains.circle(1.1, 13)
     for m, n_pts in ((13, 2), (13, 3), (26, 2), (26, 3)):
         for k in range(1, n_pts):
-            per_chunk = cheb._chunk_nodes(n_pts - k, m)
+            per_chunk = lifting._chunk_nodes(n_pts - k, m)
             assert 2 <= per_chunk < math.comb(m - n_pts + k, k), (m, n_pts, k)
     _assert_matches_brute_force(cand, AdmissibleWeight.quadratic(), 2, 2)
 
@@ -681,7 +874,7 @@ def test_batched_max_walks_past_rank_deficient_subsets():
     w = AdmissibleWeight.custom(
         lambda p: np.where(np.isclose(p[:, 0], centre), -25.0, 20.0)
     )
-    lift, _ = cheb.homogeneous_lift(cand, w, 4)
+    lift, _ = lifting.homogeneous_lift(cand, w, 4)
     block = vdm.monomial_values(degree_block(1, 2), lift.points)
     pairs = list(itertools.combinations(range(len(lift)), 2))
     scores = [np.linalg.slogdet(block[:, list(c)])[1] for c in pairs]
@@ -694,7 +887,7 @@ def _assert_scores_match_slogdet(cols, n, q):
     """Scores in combinations order equal slogdet - n sum Q near the maximum."""
     count, m = cols.shape
     combos = [list(c) for c in itertools.combinations(range(m), count)]
-    got = cheb._subset_scores(cols, count, n, q)
+    got = lifting._subset_scores(cols, count, n, q)
     assert got.shape == (len(combos),)
     finite = np.array([np.isfinite(q[c]).all() for c in combos])
     assert np.all(got[~finite] == -np.inf)
@@ -734,7 +927,7 @@ def test_subset_scores_on_rank_deficient_lift_pairs():
     w = AdmissibleWeight.custom(
         lambda p: np.where(np.isclose(p[:, 0], centre), -25.0, 20.0)
     )
-    lift, _ = cheb.homogeneous_lift(cand, w, 4)
+    lift, _ = lifting.homogeneous_lift(cand, w, 4)
     block = vdm.monomial_values(degree_block(1, 2), lift.points)
     _assert_scores_match_slogdet(block, 1, np.zeros(len(lift)))
 
@@ -744,7 +937,7 @@ def test_exhaustive_max_traced_peak():
     cols = vdm.monomial_values(enumerate_basis(3, 1), domains.circle(1.0, 48).points)
     tracemalloc.start()
     try:
-        value = cheb._exhaustive_max(cols, 4, 3, np.zeros(48))
+        value = lifting._exhaustive_max(cols, 4, 3, np.zeros(48))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -771,15 +964,15 @@ def test_pruned_walk_matches_the_full_walk(seed, dn, extra, weighted):
     q = rng.uniform(-0.5, 0.5, m) if weighted else np.zeros(m)
     q[rng.integers(m)] = np.inf
     cols = vdm.monomial_values(enumerate_basis(n, d), pts)
-    floor = cheb._greedy_floor(cols, count, n, q)
+    floor = lifting._greedy_floor(cols, count, n, q)
     assert floor > -np.inf
-    full = cheb._subset_scores(cols, count, n, q)
-    pruned = cheb._subset_scores(cols, count, n, q, floor)
+    full = lifting._subset_scores(cols, count, n, q)
+    pruned = lifting._subset_scores(cols, count, n, q, floor)
     scored = pruned > -np.inf
     assert np.array_equal(pruned[scored], full[scored])
     assert np.all(full[~scored] < floor)
-    want = cheb._best_regular(cols, count, n, q, full, -np.inf)
-    assert cheb._exhaustive_max(cols, count, n, q) == want
+    want = lifting._best_regular(cols, count, n, q, full, -np.inf)
+    assert lifting._exhaustive_max(cols, count, n, q) == want
 
 
 def test_exhaustive_max_rescores_when_the_rank_rule_rejects_every_pruned_subset(
@@ -794,25 +987,25 @@ def test_exhaustive_max_rescores_when_the_rank_rule_rejects_every_pruned_subset(
     w = AdmissibleWeight.custom(
         lambda p: np.where(np.isclose(p[:, 0], centre), -25.0, 20.0)
     )
-    lift, _ = cheb.homogeneous_lift(cand, w, 4)
+    lift, _ = lifting.homogeneous_lift(cand, w, 4)
     block = vdm.monomial_values(degree_block(1, 2), lift.points)
     q = np.zeros(len(lift))
-    full = cheb._subset_scores(block, 2, 1, q)
+    full = lifting._subset_scores(block, 2, 1, q)
     floor = full.max() - 1e-6
-    pruned = cheb._subset_scores(block, 2, 1, q, floor)
-    assert cheb._best_regular(block, 2, 1, q, pruned, floor) is None
+    pruned = lifting._subset_scores(block, 2, 1, q, floor)
+    assert lifting._best_regular(block, 2, 1, q, pruned, floor) is None
     walks = []
-    walk = cheb._subset_scores
+    walk = lifting._subset_scores
 
     def spy(*args):
         walks.append(args[4:])
         return walk(*args)
 
-    monkeypatch.setattr(cheb, "_greedy_floor", lambda *args: floor)
-    monkeypatch.setattr(cheb, "_subset_scores", spy)
-    want = cheb._best_regular(block, 2, 1, q, full, -np.inf)
+    monkeypatch.setattr(lifting, "_greedy_floor", lambda *args: floor)
+    monkeypatch.setattr(lifting, "_subset_scores", spy)
+    want = lifting._best_regular(block, 2, 1, q, full, -np.inf)
     assert want > -np.inf
-    assert cheb._exhaustive_max(block, 2, 1, q) == want
+    assert lifting._exhaustive_max(block, 2, 1, q) == want
     assert walks == [(floor,), ()]
 
 
@@ -823,11 +1016,11 @@ def test_exhaustive_max_without_a_greedy_floor():
     cols = vdm.monomial_values(enumerate_basis(3, 1), cand.points)
     q = np.linspace(0.0, 0.5, 9)
     q[0] = -1000.0
-    assert cheb._greedy_floor(cols, 4, 3, q) == -np.inf
-    full = cheb._subset_scores(cols, 4, 3, q)
-    want = cheb._best_regular(cols, 4, 3, q, full, -np.inf)
+    assert lifting._greedy_floor(cols, 4, 3, q) == -np.inf
+    full = lifting._subset_scores(cols, 4, 3, q)
+    want = lifting._best_regular(cols, 4, 3, q, full, -np.inf)
     assert want > 1000.0
-    assert cheb._exhaustive_max(cols, 4, 3, q) == want
+    assert lifting._exhaustive_max(cols, 4, 3, q) == want
 
 
 def test_pruned_walk_scores_few_subsets_on_the_circle():
@@ -835,13 +1028,13 @@ def test_pruned_walk_scores_few_subsets_on_the_circle():
     # of 48 roots of unity to score.
     cols = vdm.monomial_values(enumerate_basis(3, 1), domains.circle(1.0, 48).points)
     q = np.zeros(48)
-    scores = cheb._subset_scores(cols, 4, 3, q, cheb._greedy_floor(cols, 4, 3, q))
+    scores = lifting._subset_scores(cols, 4, 3, q, lifting._greedy_floor(cols, 4, 3, q))
     assert len(scores) == 194_580
     assert np.isfinite(scores).sum() <= 10_000
 
 
 def test_batched_max_skips_infinite_q(monkeypatch):
-    monkeypatch.setattr(cheb, "_CHUNK_ENTRIES", 60)  # skipped subsets in every chunk
+    monkeypatch.setattr(lifting, "_CHUNK_ENTRIES", 60)  # skipped subsets in every chunk
     cand = domains.interval(-1.0, 1.0, 9)
     # w = 0 at both ends, Q = x^2 elsewhere
     w = AdmissibleWeight.custom(
@@ -865,11 +1058,11 @@ def test_batched_max_skips_infinite_q(monkeypatch):
 )
 def test_lift_identity_too_few_usable_points(cand, w):
     with pytest.raises(InvalidInputError, match="points of finite Q"):
-        cheb.lift_identity_check(cand, w, 2)
+        lifting.lift_identity_check(cand, w, 2)
 
 
 def test_lift_identity_without_unisolvent_subset():
     # 7 points on a line in C^2: no 6 of them are unisolvent at degree 2
     pts = np.array([[t, 2 * t] for t in np.linspace(-1.0, 1.0, 7)], dtype=complex)
     with pytest.raises(InvalidInputError, match="unisolvent"):
-        cheb.lift_identity_check(domains.custom(pts), AdmissibleWeight.zero(), 2)
+        lifting.lift_identity_check(domains.custom(pts), AdmissibleWeight.zero(), 2)

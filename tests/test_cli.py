@@ -359,6 +359,7 @@ def test_runs_load_no_scipy_linalg_optimize_sparse_or_spatial(tmp_path):
     circle_cfg = tmp_path / "bergman.cfg"
     circle_cfg.write_text("geometry = circle\nradius = 1.0\nm = 24\nn_max = 4\n")
     bergman_argv = ["bergman", "--config", str(circle_cfg), "--out", str(tmp_path / "b.json")]
+    cheb_argv = ["cheb", "--config", str(circle_cfg), "--out", str(tmp_path / "c.json")]
     script = (
         "import sys\n"
         "import pluripot.cli\n"
@@ -374,6 +375,9 @@ def test_runs_load_no_scipy_linalg_optimize_sparse_or_spatial(tmp_path):
         "assert not loaded(unused), loaded(unused)\n"
         f"assert pluripot.cli.main({bergman_argv!r}) == 0\n"
         "assert not loaded(unused), loaded(unused)\n"
+        f"assert pluripot.cli.main({cheb_argv!r}) == 0\n"
+        "searches = ('pluripot.fekete', 'pluripot.lift')\n"
+        "assert not loaded(searches), loaded(searches)\n"
         "from pluripot import cheb, domains, fekete, gram, optmeas\n"
         "assert not loaded(every), loaded(every)\n"
         "zero = domains.AdmissibleWeight.zero()\n"
@@ -388,10 +392,19 @@ def test_runs_load_no_scipy_linalg_optimize_sparse_or_spatial(tmp_path):
         "if cheb._highs() is not None:\n"
         "    assert not loaded(every), loaded(every)\n"
     )
+    # The lift check loads neither the minimax nor HiGHS.
+    lift_script = (
+        "import sys\n"
+        "from pluripot import domains, lift\n"
+        "lift.lift_identity_check(domains.circle(1.0, 12), domains.AdmissibleWeight.zero(), 2)\n"
+        "unused = [m for m in ('pluripot.cheb', 'scipy.optimize._highspy._core') if m in sys.modules]\n"
+        "assert not unused, unused\n"
+    )
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
+    for code in (script, lift_script):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_bergman_conditioning_decides_degree(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from pluripot import domains, vdm
 from pluripot.basis import enumerate_basis
+from pluripot.cheb import chebyshev_constant
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import DegenerateMeasureError, InvalidInputError
+from pluripot.fekete import search_fekete
 from pluripot.gram import (
     MIN_PIVOT,
     DiscreteMeasure,
@@ -25,6 +28,7 @@ from pluripot.gram import (
     gram_sequence,
     normalized_log_det,
 )
+from pluripot.optmeas import solve_optimal_measure
 
 ZERO = AdmissibleWeight.zero()
 
@@ -269,3 +273,26 @@ def test_gram_sequence_raises_at_the_first_refused_degree():
     assert "degree 15" in str(seq.value)
     assert str(seq.value) == str(single.value)
     assert seq.value.rank == single.value.rank
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda cand, w: solve_optimal_measure(cand, w, 2),
+        lambda cand, w: gram_matrix(DiscreteMeasure.uniform(cand), w, 2),
+        lambda cand, w: search_fekete(cand, 2, w),
+        lambda cand, w: chebyshev_constant(cand, (2,), "weighted", w),
+    ],
+    ids=["optmeas", "gram", "fekete", "cheb"],
+)
+def test_an_overflowing_w_n_is_refused_by_name(solve):
+    # Q = -400 at x = 1 overflows w^2 = exp(800).  Unchecked, the scaled
+    # columns met a pivot check (a degenerate measure of rank 0), the
+    # pivoted QR's finiteness check, or LAPACK's least squares.
+    x = np.linspace(-1.0, 1.0, 11)
+    w = AdmissibleWeight.custom(lambda p: np.where(p[:, 0].real > 0.9, -400.0, 0.0))
+    cand = domains.custom(x.astype(complex)[:, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"w\^2 = exp\(-2 Q\) overflows at Q = -400.0"):
+            solve(cand, w)

@@ -9,7 +9,7 @@ import pytest
 
 from pluripot import domains, optmeas
 from pluripot.domains import AdmissibleWeight
-from pluripot.errors import DegenerateMeasureError, InvalidInputError
+from pluripot.errors import InvalidInputError
 from pluripot.gram import DiscreteMeasure, bergman_function, gram_and_bergman, gram_matrix
 from pluripot.gram import _basis_columns, _whitened_columns
 from pluripot.optmeas import DEFAULT_TOL, solve_optimal_measure
@@ -400,14 +400,3 @@ def test_exchange_sweep_matches_its_reference(cand, weight, n, monkeypatch):
     ref = solve_optimal_measure(cand, weight, n)
     assert (rep.iterations, rep.log_det) == (ref.iterations, ref.log_det)
     assert np.array_equal(rep.measure.masses, ref.measure.masses)
-
-
-def test_non_finite_columns_are_refused_before_the_iterations():
-    # Q = -400 at x = 1 overflows w^2 = exp(800): the uniform start's Gram
-    # fails its pivot check, before the iterations whiten the columns
-    # unchecked.
-    x = np.linspace(-1.0, 1.0, 11)
-    w = AdmissibleWeight.custom(lambda p: np.where(p[:, 0].real > 0.9, -400.0, 0.0))
-    cand = domains.custom(x.astype(complex)[:, None])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegenerateMeasureError):
-        solve_optimal_measure(cand, w, 2)
