@@ -159,10 +159,11 @@ def gram_matrix(
 def _whitened_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
     """Y = L^{-1} C: the columns in a basis orthonormal in L2(mu).
 
-    A column holding inf or NaN raises ValueError.  L has the positive
+    A column holding inf or NaN raises InvalidInputError.  L has the positive
     diagonal that _gram_from_columns checked, so LAPACK trtrs cannot fail.
     """
-    cols = np.asarray_chkfinite(cols)
+    if not np.isfinite(cols).all():
+        raise InvalidInputError("basis values at the evaluation points are not finite")
     y, _ = _lapack("trtrs", sys.chol, cols)(sys.chol, cols, lower=1)
     return y
 

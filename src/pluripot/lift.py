@@ -17,16 +17,16 @@ import math
 import numpy as np
 
 from .basis import degree_block, enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet, weight_power
+from .domains import AdmissibleWeight, CandidateSet, finite_weight_power, weight_power
 from .errors import InvalidInputError
 from .fekete import search_fekete
 from .vdm import _logdet_qr, diameter_exponent, monomial_values, pivoted_qr
 
 # Entries of the products U^H a_x that one chunk of prefix-tree nodes forms
 # in the exhaustive lift check: nodes * (N - k) * m at depth k.  A chunk's
-# child bases hold at most N times as many.  On a 48-point circle at N = 4,
-# 2^14 keeps the walk's traced peak near 4 MB, 1.6 MB of it the scores; 2^15
-# takes 5.8 MB and is no faster.
+# child bases hold at most N times as many.  On a 48-point circle at N = 4
+# with no floor, 2^14 keeps the walk's traced peak near 5 MB, 2.3 MB of it
+# the scores and subsets it returns; 2^15 takes 6 MB and is no faster.
 _CHUNK_ENTRIES = 1 << 14
 # Largest subset count a lift-check side maximizes exhaustively.
 EXHAUSTIVE_CAP = 200_000
@@ -53,25 +53,13 @@ def homogeneous_lift(
     dropped = int((~keep).sum())
     if keep.sum() == 0:
         raise InvalidInputError("weight vanishes on every candidate point")
-    w = weight_power(q[keep], 1)
+    w = finite_weight_power(q[keep], 1)
     lam = cand.points[keep]
     phases = np.exp(2j * np.pi * np.arange(m_t) / m_t)
     t = (w[:, None] * phases[None, :]).ravel()
     base = np.repeat(lam, m_t, axis=0)
     lifted = np.column_stack([t, base * t[:, None]])
     return CandidateSet(lifted), dropped
-
-
-def _combination(rank: int, m: int, count: int) -> list[int]:
-    """The rank-th count-subset of range(m) in lexicographic order."""
-    combo, x = [], 0
-    for slot in range(count, 0, -1):
-        while (skip := math.comb(m - x - 1, slot - 1)) <= rank:
-            rank -= skip
-            x += 1
-        combo.append(x)
-        x += 1
-    return combo
 
 
 def _chunk_nodes(dim: int, m: int) -> int:
@@ -81,25 +69,25 @@ def _chunk_nodes(dim: int, m: int) -> int:
 
 def _subset_scores(
     cols: np.ndarray, count: int, n: int, q: np.ndarray, floor: float = -math.inf
-) -> np.ndarray:
-    """log |det cols[:, S]| - n * sum Q(S) for every count-subset S, lexicographically.
+) -> tuple[np.ndarray, np.ndarray]:
+    """log |det cols[:, S]| - n * sum Q(S) and S, for count-subsets S in lexicographic order.
 
     A walk down the prefix tree of the subsets, one level at a time, by
     |det cols[:, S]| = prod_k |P_k a_{s_k}|, where a_x is column x and P_k
     projects onto the orthogonal complement of a_{s_1}, ..., a_{s_{k-1}}.
     A node at depth k holds an orthonormal basis U (count x (count - k)) of
-    its complement, its partial score, its last index and the lexicographic
-    rank of its first subset.  Child x > last gets alpha = U^H a_x and the
-    partial score + log |alpha| - n Q(x); above the leaves it also gets the
-    basis U H(alpha)[:, 1:], from the Householder reflector H(alpha) that
-    maps alpha to a multiple of e_1.  Each level is processed in chunks of
+    its complement, its partial score and its prefix s_1 < ... < s_k.
+    Child x > s_k (s_0 = -1) gets alpha = U^H a_x and the partial score
+    + log |alpha| - n Q(x); above the leaves it also gets the basis
+    U H(alpha)[:, 1:], from the Householder reflector H(alpha) that maps
+    alpha to a multiple of e_1.  Each level is processed in chunks of
     ``_chunk_nodes`` nodes with batched numpy operations, and the walk
     finishes a chunk's subtree before the next chunk.  A subset holding a
     point of non-finite Q scores -inf.
 
     A finite ``floor`` makes the walk a branch-and-bound: it scores each
-    subset or proves its score below the floor, and a proven subset reads
-    -inf.  By Hadamard's inequality no later projected norm exceeds the
+    subset or proves its score below the floor, and a proven subset is left
+    out.  By Hadamard's inequality no later projected norm exceeds the
     node's own, so with r = count - k - 1 slots left after child x, no
     subset below x scores more than its partial score + r max_{y > x}
     (log |U^H a_y| - n Q(y)).  A child whose bound, widened by
@@ -108,40 +96,31 @@ def _subset_scores(
     """
     m = cols.shape[1]
     cost = np.where(np.isfinite(q), n * q, math.inf)
-    scores = np.full(math.comb(m, count), -math.inf)
     cut = floor - _PRUNE_SLACK * max(1.0, abs(floor))
-    # ahead[dim][x] counts the subsets of a node with dim slots whose next
-    # index is below x: child x's first rank is its node's plus
-    # ahead[dim][x] - ahead[dim][last + 1].
-    ahead = {
-        dim: np.concatenate(
-            ([0], np.cumsum([math.comb(m - 1 - x, dim - 1) for x in range(m)]))
-        )
-        for dim in range(2, count + 1)
-    }
-    # Blocks of nodes: the rows U^H of their bases, partial scores, last
-    # indices and first ranks.
-    stack = [(np.eye(count, dtype=complex)[None], np.zeros(1), np.full(1, -1),
-              np.zeros(1, dtype=np.int64))]
+    index = np.min_scalar_type(-m)  # the smallest signed type that holds m
+    scored, subsets = [np.empty(0)], [np.empty((0, count), index)]
+    # Blocks of nodes: the rows U^H of their bases, partial scores and [-1, prefix].
+    stack = [(np.eye(count, dtype=complex)[None], np.zeros(1), np.full((1, 1), -1, index))]
     while stack:
-        rows, partial, last, first = stack.pop()
+        rows, partial, prefix = stack.pop()
         dim = rows.shape[1]
         size = _chunk_nodes(dim, m)
-        if len(last) > size:
+        if len(prefix) > size:
             stack.extend(
-                (rows[i:i + size], partial[i:i + size], last[i:i + size],
-                 first[i:i + size])
-                for i in reversed(range(0, len(last), size))
+                (rows[i:i + size], partial[i:i + size], prefix[i:i + size])
+                for i in reversed(range(0, len(prefix), size))
             )
             continue
         stop = m - dim + 1  # room for the dim - 1 indices still to come
-        keep = np.arange(stop) > last[:, None]
+        keep = np.arange(stop) > prefix[:, -1:]
         products = rows @ cols[:, :stop]
         if dim == 1:
             with np.errstate(divide="ignore"):
                 score = partial[:, None] + np.log(np.abs(products[:, 0])) - cost[:stop]
-            rank = first[:, None] + (np.arange(stop) - last[:, None] - 1)
-            scores[rank[keep]] = score[keep]
+            scored.append(score[keep])
+            child = np.broadcast_to(np.arange(stop, dtype=index), keep.shape)[keep]
+            heads = np.repeat(prefix[:, 1:], keep.sum(axis=1), axis=0)
+            subsets.append(np.column_stack((heads, child)))
             continue
         parent, child = np.nonzero(keep)
         alpha = products.transpose(0, 2, 1)[keep]
@@ -150,9 +129,9 @@ def _subset_scores(
             log_norm = np.log(norm)
             score = partial[parent] + log_norm - cost[child]
         if cut > -math.inf:
-            # gain[:, y] = log |U^H a_y| - n Q(y) for y > last, over all m
+            # gain[:, y] = log |U^H a_y| - n Q(y) for y > s_k, over all m
             # columns; later[:, x] is its maximum over y > x.
-            gain = np.full((len(last), m), -math.inf)
+            gain = np.full((len(prefix), m), -math.inf)
             gain[parent, child] = log_norm - cost[child]
             with np.errstate(divide="ignore"):
                 gain[:, stop:] = (np.log(np.linalg.norm(rows @ cols[:, stop:], axis=1))
@@ -162,8 +141,6 @@ def _subset_scores(
             parent, child, alpha, norm, score = (
                 parent[alive], child[alive], alpha[alive], norm[alive], score[alive]
             )
-        offsets = ahead[dim]
-        child_first = first[parent] + offsets[child] - offsets[last[parent] + 1]
         # H = I - beta v v^H with v = alpha + e^{i arg alpha_1} |alpha| e_1,
         # and the child's rows are H[1:, :] U^H = U^H[1:] - beta v[1:] (v^H U^H).
         lead = np.abs(alpha[:, 0])
@@ -175,8 +152,9 @@ def _subset_scores(
         vh_rows = (v.conj()[:, None, :] @ up)[:, 0]
         scaled = (beta[:, None] * v[:, 1:])[:, :, None]
         child_rows = up[:, 1:] - scaled * vh_rows[:, None]
-        stack.append((child_rows, score, child, child_first))
-    return scores
+        grown = np.concatenate((np.take(prefix, parent, axis=0), child[:, None]), axis=1, dtype=index)
+        stack.append((child_rows, score, grown))
+    return np.concatenate(scored), np.concatenate(subsets)
 
 
 def _greedy_floor(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
@@ -199,25 +177,6 @@ def _greedy_floor(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
     return value - _PRUNE_SLACK * max(1.0, abs(value))
 
 
-def _best_regular(
-    cols: np.ndarray, count: int, n: int, q: np.ndarray, scores: np.ndarray,
-    floor: float,
-) -> float | None:
-    """The pivoted-QR value of the best-scoring subset that the rank rule
-    accepts, trying finite scores of at least ``floor`` in decreasing order
-    (ties in lexicographic order); None when none is accepted.
-    """
-    m = cols.shape[1]
-    for rank in _descending(scores):
-        if scores[rank] == -math.inf or scores[rank] < floor:
-            break
-        combo = _combination(int(rank), m, count)
-        ld = _logdet_qr(cols[:, combo])
-        if not ld.is_zero:
-            return ld.log_abs - n * float(q[combo].sum())
-    return None
-
-
 def _exhaustive_max(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
     """Max of log |det cols[:, S]| - n * sum Q(S) over count-subsets S.
 
@@ -232,18 +191,25 @@ def _exhaustive_max(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> floa
     floor.  Subsets holding a point of non-finite Q are skipped.
     """
     floor = _greedy_floor(cols, count, n, q)
-    scores = _subset_scores(cols, count, n, q, floor)
-    best = _best_regular(cols, count, n, q, scores, floor)
-    if best is None and floor > -math.inf:
-        scores = _subset_scores(cols, count, n, q)
-        best = _best_regular(cols, count, n, q, scores, -math.inf)
-    return -math.inf if best is None else best
+    walks = [(floor, _subset_scores(cols, count, n, q, floor))]
+    while walks:
+        bound, (scores, subsets) = walks.pop()
+        for i in _descending(scores):
+            if scores[i] == -math.inf or scores[i] < bound:
+                break
+            ld = _logdet_qr(cols[:, subsets[i]])
+            if not ld.is_zero:
+                return ld.log_abs - n * float(q[subsets[i]].sum())
+        if bound > -math.inf:
+            walks.append((-math.inf, _subset_scores(cols, count, n, q)))
+    return -math.inf
 
 
 def _descending(scores: np.ndarray):
     """Indices by decreasing score, ties by index; sorts only past the first."""
-    yield int(np.argmax(scores))
-    yield from np.argsort(-scores, kind="stable")[1:]
+    if len(scores):
+        yield int(np.argmax(scores))
+        yield from np.argsort(-scores, kind="stable")[1:]
 
 
 def lift_identity_check(
@@ -269,10 +235,13 @@ def lift_identity_check(
     usable = int(np.isfinite(q).sum())
     searched = {s["n"]: s["log_vdm"] for s in fekete_seq or ()}
 
-    def search(n: int) -> float:
+    def side(n: int, indices, points: np.ndarray, q: np.ndarray) -> tuple[float, str]:
+        if math.comb(len(points), len(indices)) <= EXHAUSTIVE_CAP:
+            cols = monomial_values(indices, points)
+            return _exhaustive_max(cols, len(indices), n, q), "exhaustive"
         if n not in searched:
             searched[n] = search_fekete(cand, n, weight).log_weighted_vdm
-        return searched[n]
+        return searched[n], "search"
 
     out = []
     for n in range(1, n_max + 1):
@@ -283,20 +252,8 @@ def lift_identity_check(
                 f"degree {n} needs {n_pts} points of finite Q, got {usable}"
             )
 
-        if math.comb(len(cand), n_pts) <= EXHAUSTIVE_CAP:
-            cols = monomial_values(indices, cand.points)
-            lhs_log = _exhaustive_max(cols, n_pts, n, q)
-            lhs_method = "exhaustive"
-        else:
-            lhs_log = search(n)
-            lhs_method = "search"
-        if math.comb(len(lift), n_pts) <= EXHAUSTIVE_CAP:
-            block = monomial_values(degree_block(n, d + 1), lift.points)
-            rhs_log = _exhaustive_max(block, n_pts, n, np.zeros(len(lift)))
-            rhs_method = "exhaustive"
-        else:
-            rhs_log = search(n)
-            rhs_method = "search"
+        lhs_log, lhs_method = side(n, indices, cand.points, q)
+        rhs_log, rhs_method = side(n, degree_block(n, d + 1), lift.points, np.zeros(len(lift)))
         if lhs_log == rhs_log == -math.inf:
             raise InvalidInputError(
                 f"no {n_pts}-point subset is unisolvent at degree {n}"

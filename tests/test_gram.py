@@ -231,8 +231,16 @@ def test_whitened_columns_match_solve_triangular(part):
     for bad in (np.inf, np.nan):
         broken = cols.copy()
         broken[1, 2] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError, match="not finite"):
             _whitened_columns(sys, broken)
+
+
+def test_bergman_function_refuses_basis_values_that_overflow():
+    # z^3 = 1e360 is not a float.
+    sys = gram_matrix(DiscreteMeasure.uniform(domains.circle(1.0, 16)), AdmissibleWeight.zero(), 3)
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvalidInputError, match="basis values .* not finite"):
+            bergman_function(sys, np.array([[1e120 + 0j]]))
 
 
 @pytest.mark.parametrize(
