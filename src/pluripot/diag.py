@@ -132,18 +132,6 @@ def _moment_matrix(mu: DiscreteMeasure, indices) -> np.ndarray:
     return (emat * mu.masses) @ emat.conj().T
 
 
-def _model_moment(model: ExtremalModel, degree: int) -> float:
-    """int |z^alpha|^2 d mu_eq for |alpha| = degree; mixed moments vanish."""
-    if model.kind == "disk":
-        return model.radius ** (2 * degree)
-    if model.kind == "weighted_disk":
-        return 2.0 ** (-degree) / (degree + 1)
-    if model.kind in ("torus", "polydisk"):
-        r = 1.0 if model.kind == "torus" else model.radius
-        return r ** (2 * degree)
-    raise InvalidInputError(f"no closed-form moments for {model.kind}")
-
-
 def weak_star_distance(
     mu_a: DiscreteMeasure,
     ref: "DiscreteMeasure | ExtremalModel",
@@ -159,7 +147,9 @@ def weak_star_distance(
     if isinstance(ref, DiscreteMeasure):
         ref_moments = _moment_matrix(ref, indices)
     else:
-        ref_moments = np.diag([_model_moment(ref, sum(a)) for a in indices])
+        # The model's mixed moments vanish.
+        moment = ref.known("moment")
+        ref_moments = np.diag([moment(sum(a)) for a in indices])
     return float(np.max(np.abs(_moment_matrix(mu_a, indices) - ref_moments)))
 
 
@@ -168,9 +158,10 @@ def radial_cdf_distance(mu: DiscreteMeasure, model: ExtremalModel) -> float:
     if mu.candidates.dimension != 1:
         raise InvalidInputError("radial CDF distance is one-dimensional")
     rho = np.abs(mu.candidates.points[:, 0])
-    if model.kind == "disk":
-        # Radii within rounding of the disk's radius lie on its circle.
-        rho[np.isclose(rho, model.radius, rtol=1e-12, atol=0.0)] = model.radius
+    if model.has("torus_radius"):
+        # Radii within rounding of the model's Shilov circle lie on it.
+        r = model.known("torus_radius")()
+        rho[np.isclose(rho, r, rtol=1e-12, atol=0.0)] = r
     radii, tie = np.unique(rho, return_inverse=True)
     cum = np.cumsum(np.bincount(tie, weights=mu.masses))
     below = np.concatenate([[0.0], cum[:-1]])

@@ -1,10 +1,10 @@
 """Closed-form extremal models and relative Monge-Ampere energy.
 
 No PDE is solved here: energies are quadratures of (u - v) against the
-closed-form equilibrium-type measures of a small model table.  Internal
-convention: every top-degree measure carries total mass (2pi)^d; the
-mass-1 normalization appears only inside dw_vs_deltaw_check, which applies
-the conversion explicitly.
+closed-form equilibrium-type measures of the model table ``MODELS``, one
+``ClosedForm`` record per kind of model.  The functions here read its
+fields, and none branches on a model's kind, so a new model is one record.
+Every top-degree measure carries total mass (2pi)^d.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,12 +31,36 @@ QUAD_NODES = 200
 
 
 @dataclass(frozen=True)
+class ClosedForm:
+    """What one kind of model has in closed form; None where it has nothing.
+
+    Each function field takes the model, then the arguments in its comment,
+    which also names the function that reads it.  mu is the mass-1
+    equilibrium measure, and the quadrature's measure has mass 2pi.
+    """
+
+    extremal: Callable  # eval_extremal: (z) -> V at points z of shape (M, d)
+    one_dimensional: bool = False
+    max_radius: float | None = None  # largest radius supported; None: no radius
+    robin: Callable | None = None  # robin_constant: () -> Robin constant
+    q_integral: Callable | None = None  # weight_energy_integral: () -> int Q dmu
+    moment: Callable | None = None  # weak_star_distance: (k) -> int |z^alpha|^2 dmu, |alpha| = k
+    cdf: Callable | None = None  # equilibrium_cdf: (rho) -> mu(|z| <= rho)
+    kinks: Callable | None = None  # energy: () -> radii where V kinks
+    quadrature: Callable | None = None  # energy, d = 1: (f, breaks) -> int f, split at breaks
+    torus_radius: Callable | None = None  # energy, d >= 2: () -> radius of the Shilov torus
+    candidates: Callable | None = None  # rumely_check: () -> a set for Fekete searches
+    weight: Callable = lambda model: AdmissibleWeight.zero()  # rumely_check: () -> the weight
+
+
+@dataclass(frozen=True)
 class ExtremalModel:
     """A set/weight pair whose extremal function is known in closed form.
 
     kinds: ``disk`` (|z| <= r, d=1, no weight), ``weighted_disk`` (unit
     disk with Q = |z|^2, d=1), ``torus`` (unit torus in C^d), ``polydisk``
-    (equal radius r <= 1 in C^d).
+    (equal radius r <= 1 in C^d).  ``MODELS[kind]`` holds what the kind
+    has in closed form.
     """
 
     kind: str
@@ -43,16 +68,29 @@ class ExtremalModel:
     dimension: int = 1
 
     def __post_init__(self):
-        if self.kind in ("disk", "weighted_disk") and self.dimension != 1:
-            raise InvalidInputError(f"{self.kind} model is one-dimensional")
-        if self.kind in ("disk", "polydisk") and not 0 < self.radius < math.inf:
-            raise InvalidInputError("radius must be finite and positive")
-        if self.kind == "polydisk" and self.radius > 1.0:
-            raise UnsupportedModelError(
-                "polydisk energies are tabulated for radius <= 1 only"
-            )
-        if self.kind not in ("disk", "weighted_disk", "torus", "polydisk"):
+        form = MODELS.get(self.kind) if isinstance(self.kind, str) else None
+        if form is None:
             raise InvalidInputError(f"unknown model kind {self.kind!r}")
+        if form.one_dimensional and self.dimension != 1:
+            raise InvalidInputError(f"{self.kind} model is one-dimensional")
+        if form.max_radius is not None and not 0 < self.radius < math.inf:
+            raise InvalidInputError("radius must be finite and positive")
+        if form.max_radius is not None and self.radius > form.max_radius:
+            raise UnsupportedModelError(
+                f"{self.kind} energies are tabulated for radius <= {form.max_radius:g} only"
+            )
+
+    def has(self, field: str) -> bool:
+        """Whether the model's kind has the ClosedForm ``field``."""
+        return getattr(MODELS[self.kind], field) is not None
+
+    def known(self, field: str) -> Callable:
+        """The model's ClosedForm ``field`` as a function of the other
+        arguments; UnsupportedModelError, naming the field, where it is None."""
+        found = getattr(MODELS[self.kind], field)
+        if found is None:
+            raise UnsupportedModelError(f"the {self.kind} model has no closed-form {field}")
+        return functools.partial(found, self)
 
 
 def disk(radius: float = 1.0) -> ExtremalModel:
@@ -71,40 +109,30 @@ def polydisk(radius: float, dimension: int) -> ExtremalModel:
     return ExtremalModel("polydisk", radius=radius, dimension=dimension)
 
 
-def eval_extremal(model: ExtremalModel, z: np.ndarray) -> np.ndarray:
-    """The extremal function V of the model at points z (shape (M, d))."""
-    z = as_points(z)
-    if model.kind == "disk":
-        rho = np.abs(z[:, 0])
-        return np.where(rho > model.radius, np.log(
-            np.maximum(rho, 1e-300) / model.radius), 0.0)
-    if model.kind == "weighted_disk":
-        rho = np.abs(z[:, 0])
-        inside = rho <= _SQRT_HALF
-        with np.errstate(divide="ignore"):
-            outer = np.log(np.maximum(rho, 1e-300)) + _WDISK_RHO
-        return np.where(inside, rho**2, outer)
-    # torus / polydisk
-    r = 1.0 if model.kind == "torus" else model.radius
+def _log_plus(model: ExtremalModel, z: np.ndarray) -> np.ndarray:
+    """V of a polydisk: max over coordinates of log+ (|z_j| / r), r its torus radius."""
+    r = model.known("torus_radius")()
     rho = np.abs(z)
     return np.max(np.where(rho > r, np.log(np.maximum(rho, 1e-300) / r), 0.0), axis=1)
 
 
-def robin_constant(model: ExtremalModel) -> float:
-    """Logarithmic growth correction at infinity; d = 1 models only."""
-    if model.kind == "disk":
-        return -math.log(model.radius)
-    if model.kind == "weighted_disk":
-        return _WDISK_RHO
-    raise UnsupportedModelError(
-        "Robin constant is a number only for d = 1 models"
-    )
+def _torus_moment(model: ExtremalModel, degree: int) -> float:
+    """Haar measure on a torus: mixed moments vanish."""
+    return model.known("torus_radius")() ** (2 * degree)
 
 
-def _circle_average(f, radius: float) -> float:
-    """(2pi/m) * sum over m = QUAD_NODES equispaced angles; spectrally exact here."""
+def _wdisk_extremal(model: ExtremalModel, z: np.ndarray) -> np.ndarray:
+    """V of the quadratic-weight disk: |z|^2 up to 1/sqrt(2), log |z| + rho past it."""
+    rho = np.abs(z[:, 0])
+    outer = np.log(np.maximum(rho, 1e-300)) + _WDISK_RHO
+    return np.where(rho <= _SQRT_HALF, rho**2, outer)
+
+
+def _circle_average(model: ExtremalModel, f, breaks=()) -> float:
+    """(2pi/m) * sum over m = QUAD_NODES equispaced angles of the model's
+    Shilov circle; spectrally exact here, so ``breaks`` go unused."""
     theta = 2 * np.pi * np.arange(QUAD_NODES) / QUAD_NODES
-    pts = (radius * np.exp(1j * theta))[:, None]
+    pts = (model.known("torus_radius")() * np.exp(1j * theta))[:, None]
     return float(np.sum(f(pts)) * (2 * np.pi / QUAD_NODES))
 
 
@@ -136,83 +164,79 @@ def _wdisk_area_integral(f, m_theta: int, breaks=()) -> float:
     return total
 
 
-def _kink_radii(model: ExtremalModel):
-    return (model.radius,) if model.kind == "disk" else (_SQRT_HALF,)
+MODELS = {
+    "disk": ClosedForm(
+        extremal=_log_plus,
+        one_dimensional=True,
+        max_radius=math.inf,
+        robin=lambda m: -math.log(m.radius),
+        q_integral=lambda m: 0.0,
+        moment=_torus_moment,
+        cdf=lambda m, rho: (rho >= m.radius).astype(float),
+        kinks=lambda m: (m.radius,),
+        quadrature=_circle_average,
+        torus_radius=lambda m: m.radius,
+        candidates=lambda m: circle_set(m.radius, 201),
+    ),
+    "weighted_disk": ClosedForm(
+        extremal=_wdisk_extremal,
+        one_dimensional=True,
+        robin=lambda m: _WDISK_RHO,
+        q_integral=lambda m: _wdisk_area_integral(lambda z: np.abs(z[:, 0]) ** 2, 8) / (2 * np.pi),
+        moment=lambda m, k: 2.0 ** (-k) / (k + 1),
+        cdf=lambda m, rho: np.clip(2.0 * rho**2, 0.0, 1.0),
+        kinks=lambda m: (_SQRT_HALF,),
+        quadrature=lambda m, f, breaks: _wdisk_area_integral(f, QUAD_NODES, breaks),
+        candidates=lambda m: disk_set(1.0, 50, 160),
+        weight=lambda m: AdmissibleWeight.quadratic(),
+    ),
+    "torus": ClosedForm(extremal=_log_plus, moment=_torus_moment, torus_radius=lambda m: 1.0),
+    "polydisk": ClosedForm(
+        extremal=_log_plus, max_radius=1.0, moment=_torus_moment, torus_radius=lambda m: m.radius
+    ),
+}
 
 
-def _measure_integral(model: ExtremalModel, f, breaks=()) -> float:
-    """Integral of f against the model's top-degree measure (mass 2pi, d=1)."""
-    if model.kind == "disk":
-        return _circle_average(f, model.radius)
-    if model.kind == "weighted_disk":
-        return _wdisk_area_integral(f, QUAD_NODES, breaks)
-    raise UnsupportedModelError(model.kind)
+def eval_extremal(model: ExtremalModel, z: np.ndarray) -> np.ndarray:
+    """The extremal function V of the model at points z (shape (M, d))."""
+    return model.known("extremal")(as_points(z))
+
+
+def robin_constant(model: ExtremalModel) -> float:
+    """Logarithmic growth correction at infinity; d = 1 models only."""
+    return model.known("robin")()
 
 
 def energy(u: ExtremalModel, v: ExtremalModel) -> float:
-    """Relative energy of u with respect to v over the supported pair table."""
+    """Relative energy of u with respect to v: by the d = 1 quadratures where
+    both models have one, else on the mixed Shilov tori."""
     if u == v:
         return 0.0
-    d1_kinds = ("disk", "weighted_disk")
-    if u.kind in d1_kinds and v.kind in d1_kinds:
+    if u.has("quadrature") and v.has("quadrature"):
         diff = lambda z: eval_extremal(u, z) - eval_extremal(v, z)
-        return _measure_integral(u, diff, _kink_radii(v)) + _measure_integral(
-            v, diff, _kink_radii(u)
-        )
-    multi = ("torus", "polydisk")
-    if u.kind in multi and v.kind in multi:
-        if u.dimension != v.dimension:
-            raise UnsupportedModelError("dimension mismatch")
-        d = u.dimension
-        ru = 1.0 if u.kind == "torus" else u.radius
-        rv = 1.0 if v.kind == "torus" else v.radius
-        total = 0.0
-        # Mixed measure j: Haar (mass (2pi)^d) on the torus with j coords
-        # at radius ru and d-j at rv; u - v is constant there.
-        for j in range(d + 1):
-            radii = np.array([ru] * j + [rv] * (d - j), dtype=complex)
-            z = radii[None, :]
-            du = float(eval_extremal(u, z)[0] - eval_extremal(v, z)[0])
-            total += du * (2 * math.pi) ** d
-        return total
-    raise UnsupportedModelError(
-        f"unsupported model pair ({u.kind}, {v.kind})"
-    )
+        u_kinks, v_kinks = u.known("kinks")(), v.known("kinks")()
+        return u.known("quadrature")(diff, v_kinks) + v.known("quadrature")(diff, u_kinks)
+    ru, rv = u.known("torus_radius")(), v.known("torus_radius")()
+    if u.dimension != v.dimension:
+        raise UnsupportedModelError("dimension mismatch")
+    d = u.dimension
+    # Row j: the torus with j coords at radius ru and d-j at rv, which
+    # carries a mixed measure, Haar of mass (2pi)^d; u - v is constant there.
+    z = np.array([[ru] * j + [rv] * (d - j) for j in range(d + 1)], dtype=complex)
+    total = 0.0
+    for du in eval_extremal(u, z) - eval_extremal(v, z):
+        total += float(du) * (2 * math.pi) ** d
+    return total
 
 
 def equilibrium_cdf(model: ExtremalModel, rho: np.ndarray) -> np.ndarray:
     """Radial CDF of the model's normalized equilibrium measure (d = 1)."""
-    rho = np.asarray(rho, dtype=float)
-    if model.kind == "disk":
-        return (rho >= model.radius).astype(float)
-    if model.kind == "weighted_disk":
-        return np.clip(2.0 * rho**2, 0.0, 1.0)
-    raise UnsupportedModelError("radial CDF is tabulated for d = 1 models")
+    return model.known("cdf")(np.asarray(rho, dtype=float))
 
 
 def weight_energy_integral(model: ExtremalModel) -> float:
     """Integral of Q against the mass-1 equilibrium measure of the model."""
-    if model.kind == "disk":
-        return 0.0
-    if model.kind == "weighted_disk":
-        q = lambda z: np.abs(z[:, 0]) ** 2
-        return _wdisk_area_integral(q, 8) / (2 * math.pi)
-    raise UnsupportedModelError(model.kind)
-
-
-def default_candidates(model: ExtremalModel) -> CandidateSet:
-    """A reasonable discretization of the model's set for Fekete searches."""
-    if model.kind == "disk":
-        return circle_set(model.radius, 201)
-    if model.kind == "weighted_disk":
-        return disk_set(1.0, 50, 160)
-    raise UnsupportedModelError(model.kind)
-
-
-def model_weight(model: ExtremalModel) -> AdmissibleWeight:
-    if model.kind == "weighted_disk":
-        return AdmissibleWeight.quadratic()
-    return AdmissibleWeight.zero()
+    return model.known("q_integral")()
 
 
 def rumely_check(
@@ -221,11 +245,9 @@ def rumely_check(
     n_max: int = 20,
 ) -> dict:
     """Compare -log delta^w from Fekete searches with the model energy."""
-    if model.kind not in ("disk", "weighted_disk"):
-        raise UnsupportedModelError("rumely_check needs a d = 1 model")
     if cand is None:
-        cand = default_candidates(model)
-    weight = model_weight(model)
+        cand = model.known("candidates")()
+    weight = model.known("weight")()
     rhs = energy(model, disk(1.0)) / (2 * math.pi)
     seq = diameter_sequence(cand, weight, n_max)
     delta_hat = extrapolate_diameter(seq)
@@ -248,8 +270,6 @@ def dw_vs_deltaw_check(model: ExtremalModel) -> dict:
     Uses the mass-1 normalization for the Q integral; d^w is the capacity
     of the sublevel set of the Robin function, a disk of radius e^{-rho}.
     """
-    if model.kind not in ("disk", "weighted_disk"):
-        raise UnsupportedModelError("dw_vs_deltaw_check needs a d = 1 model")
     rho = robin_constant(model)
     d_w = math.exp(-rho)
     q_int = weight_energy_integral(model)

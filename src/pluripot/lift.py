@@ -20,7 +20,7 @@ from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, finite_weight_power, weight_power
 from .errors import InvalidInputError
 from .fekete import search_fekete
-from .vdm import _logdet_qr, diameter_exponent, monomial_values, pivoted_qr
+from .vdm import _logdet_qr, _overflow_peaks, diameter_exponent, monomial_values, pivoted_qr
 
 # Entries of the products U^H a_x that one chunk of prefix-tree nodes forms
 # in the exhaustive lift check: nodes * (N - k) * m at depth k.  A chunk's
@@ -83,7 +83,9 @@ def _subset_scores(
     alpha to a multiple of e_1.  Each level is processed in chunks of
     ``_chunk_nodes`` nodes with batched numpy operations, and the walk
     finishes a chunk's subtree before the next chunk.  A subset holding a
-    point of non-finite Q scores -inf.
+    point of non-finite Q scores -inf.  A column too large for the
+    reflectors (``vdm._overflow_peaks``) is walked divided by its largest
+    modulus, whose log its cost takes back.
 
     A finite ``floor`` makes the walk a branch-and-bound: it scores each
     subset or proves its score below the floor, and a proven subset is left
@@ -96,6 +98,9 @@ def _subset_scores(
     """
     m = cols.shape[1]
     cost = np.where(np.isfinite(q), n * q, math.inf)
+    peaks = _overflow_peaks(cols)
+    if peaks is not None:
+        cols, cost = cols / peaks, cost - np.log(peaks)
     cut = floor - _PRUNE_SLACK * max(1.0, abs(floor))
     index = np.min_scalar_type(-m)  # the smallest signed type that holds m
     scored, subsets = [np.empty(0)], [np.empty((0, count), index)]
@@ -207,6 +212,8 @@ def _exhaustive_max(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> floa
 
 def _descending(scores: np.ndarray):
     """Indices by decreasing score, ties by index; sorts only past the first."""
+    if np.isnan(scores).any():
+        raise InvalidInputError("a subset score is NaN, so the scores have no order")
     if len(scores):
         yield int(np.argmax(scores))
         yield from np.argsort(-scores, kind="stable")[1:]

@@ -12,7 +12,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -106,6 +106,20 @@ def pivoted_qr(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np
     return factor, piv
 
 
+def _overflow_peaks(mat: np.ndarray) -> np.ndarray | None:
+    """Largest modulus of each column whose norm, squared and doubled as in a
+    Householder step, overflows (a norm past about 9.5e153), 1 for the
+    others; None where no column's does."""
+    # 2 |a|^2 <= 2 N max |a_i|^2, so no column of smaller entries overflows.
+    limit = math.sqrt(sys.float_info.max / (2 * max(len(mat), 1)))
+    if not np.abs(mat).max(initial=0.0) > limit:  # NaN entries too
+        return None
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=0)
+        over = np.isinf(2 * norms * norms)
+    return np.where(over, np.abs(mat).max(axis=0), 1.0) if over.any() else None
+
+
 def _logdet_qr(mat: np.ndarray) -> LogDet:
     if mat.shape[0] != mat.shape[1]:
         raise InvalidInputError("square matrix required")
@@ -113,6 +127,10 @@ def _logdet_qr(mat: np.ndarray) -> LogDet:
         return LogDet(0.0, False, 1.0)
     # Unit-norm columns keep the rank rule blind to column scale (weights
     # spanning many orders of magnitude); |det| scales back exactly.
+    peaks = _overflow_peaks(mat)
+    if peaks is not None:
+        ld = _logdet_qr(mat / peaks)
+        return replace(ld, log_abs=ld.log_abs + float(np.sum(np.log(peaks))))
     norms = np.linalg.norm(mat, axis=0)
     if not norms.all():
         return LogDet(-math.inf, True, math.inf)

@@ -394,3 +394,37 @@ def test_lift_identity_without_unisolvent_subset():
     pts = np.array([[t, 2 * t] for t in np.linspace(-1.0, 1.0, 7)], dtype=complex)
     with pytest.raises(InvalidInputError, match="unisolvent"):
         lifting.lift_identity_check(domains.custom(pts), AdmissibleWeight.zero(), 2)
+
+
+def test_lift_identity_past_the_column_norm_overflow():
+    # Q = -200 at z = 1: at n = 2 that point's lifted columns carry
+    # |t|^2 = e^400, whose squares overflow a float, so their norms do too.
+    w = AdmissibleWeight.custom(lambda p: np.where(np.isclose(p[:, 0], 1.0), -200.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = lifting.lift_identity_check(domains.circle(1.0, 10), w, 2)
+    for rec in out:
+        assert rec["relative_gap"] <= 1e-12, rec
+    assert out[1]["rhs_log"] == pytest.approx(out[1]["lhs_log"], rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1.2e154, 1e155])
+def test_subset_scores_of_columns_past_the_reflector_overflow(scale):
+    # A column of norm 1.28e154 has a finite norm whose square overflows in
+    # the reflector; one of norm 1.06e155 has an infinite norm.
+    rng = np.random.default_rng(1)
+    cols = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+    cols[:, 0] = np.array([1.0, 0.3, 0.2]) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores, subsets = lifting._subset_scores(cols, 3, 1, np.zeros(6))
+    assert len(scores) == math.comb(6, 3)
+    for score, subset in zip(scores, subsets):
+        peak = np.abs(cols[:, subset]).max()
+        want = np.linalg.slogdet(cols[:, subset] / peak)[1] + 3 * math.log(peak)
+        assert score == pytest.approx(want, rel=1e-13)
+
+
+def test_descending_refuses_a_nan_score():
+    with pytest.raises(InvalidInputError, match="NaN"):
+        list(lifting._descending(np.array([1.0, math.nan, 3.0, 2.0])))

@@ -129,6 +129,15 @@ def test_homogeneous_vdm_d2_oracle():
     )
 
 
+def test_homogeneous_vdm_past_the_column_norm_overflow():
+    # The first point's column (1e160, 2e160) has a norm past the float
+    # range; det [[1e160, 3], [2e160, 5]] = -1e160.
+    pts = np.array([[1e160, 2e160], [3.0, 5.0]], dtype=complex)
+    ld = vdm.log_abs_homogeneous_vdm(pts, 1)
+    assert not ld.is_zero
+    assert ld.log_abs == pytest.approx(160 * math.log(10.0), rel=1e-14)
+
+
 def test_homogeneous_vdm_point_count_checked():
     with pytest.raises(InvalidInputError):
         vdm.log_abs_homogeneous_vdm(np.array([[1.0 + 0j, 2.0 + 0j]]), 2)
