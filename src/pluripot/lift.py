@@ -20,7 +20,7 @@ from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, finite_weight_power, weight_power
 from .errors import InvalidInputError
 from .fekete import search_fekete
-from .vdm import _logdet_qr, _overflow_peaks, diameter_exponent, monomial_values, pivoted_qr
+from .vdm import _logdet_qr, _out_of_range_peaks, diameter_exponent, monomial_values, pivoted_qr
 
 # Entries of the products U^H a_x that one chunk of prefix-tree nodes forms
 # in the exhaustive lift check: nodes * (N - k) * m at depth k.  A chunk's
@@ -36,30 +36,23 @@ EXHAUSTIVE_CAP = 200_000
 _PRUNE_SLACK = 1e-9
 
 
-def homogeneous_lift(
-    cand: CandidateSet,
-    weight: AdmissibleWeight,
-    m_t: int,
-) -> tuple[CandidateSet, int]:
+def homogeneous_lift(cand: CandidateSet, weight: AdmissibleWeight, m_t: int) -> np.ndarray:
     """Points (t, t*lambda) with |t| = w(lambda), m_t phases per base point.
 
-    Returns the lifted set in C^{d+1} and the number of dropped (w = 0)
-    base points.
+    Returns the (m' * m_t, d + 1) array of the lifts of the m' base points
+    of finite Q; a point where w = 0 has no lift.
     """
     if m_t < 1:
         raise InvalidInputError("phase resolution must be >= 1")
     q = weight(cand.points)
     keep = np.isfinite(q)
-    dropped = int((~keep).sum())
-    if keep.sum() == 0:
+    if not keep.any():
         raise InvalidInputError("weight vanishes on every candidate point")
     w = finite_weight_power(q[keep], 1)
-    lam = cand.points[keep]
     phases = np.exp(2j * np.pi * np.arange(m_t) / m_t)
     t = (w[:, None] * phases[None, :]).ravel()
-    base = np.repeat(lam, m_t, axis=0)
-    lifted = np.column_stack([t, base * t[:, None]])
-    return CandidateSet(lifted), dropped
+    base = np.repeat(cand.points[keep], m_t, axis=0)
+    return np.column_stack([t, base * t[:, None]])
 
 
 def _chunk_nodes(dim: int, m: int) -> int:
@@ -83,9 +76,9 @@ def _subset_scores(
     alpha to a multiple of e_1.  Each level is processed in chunks of
     ``_chunk_nodes`` nodes with batched numpy operations, and the walk
     finishes a chunk's subtree before the next chunk.  A subset holding a
-    point of non-finite Q scores -inf.  A column too large for the
-    reflectors (``vdm._overflow_peaks``) is walked divided by its largest
-    modulus, whose log its cost takes back.
+    point of non-finite Q scores -inf.  A column too large or too small for
+    the reflectors' norms (``vdm._out_of_range_peaks``) is walked divided by
+    its largest modulus, whose log its cost takes back.
 
     A finite ``floor`` makes the walk a branch-and-bound: it scores each
     subset or proves its score below the floor, and a proven subset is left
@@ -98,7 +91,7 @@ def _subset_scores(
     """
     m = cols.shape[1]
     cost = np.where(np.isfinite(q), n * q, math.inf)
-    peaks = _overflow_peaks(cols)
+    peaks = _out_of_range_peaks(cols)
     if peaks is not None:
         cols, cost = cols / peaks, cost - np.log(peaks)
     cut = floor - _PRUNE_SLACK * max(1.0, abs(floor))
@@ -176,7 +169,7 @@ def _greedy_floor(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
         return -math.inf
     _, piv = pivoted_qr(scaled, overwrite=True)
     pick = piv[:count]
-    value = _logdet_qr(cols[:, pick]).value - n * float(q[pick].sum())
+    value = _logdet_qr(cols[:, pick]).log_abs - n * float(q[pick].sum())
     if not math.isfinite(value):
         return -math.inf
     return value - _PRUNE_SLACK * max(1.0, abs(value))
@@ -237,7 +230,7 @@ def lift_identity_check(
     searched values of its degrees; only the other degrees are searched.
     """
     d = cand.dimension
-    lift, _ = homogeneous_lift(cand, weight, m_t)
+    lift = homogeneous_lift(cand, weight, m_t)
     q = weight(cand.points)
     usable = int(np.isfinite(q).sum())
     searched = {s["n"]: s["log_vdm"] for s in fekete_seq or ()}
@@ -258,9 +251,10 @@ def lift_identity_check(
             raise InvalidInputError(
                 f"degree {n} needs {n_pts} points of finite Q, got {usable}"
             )
+        finite_weight_power(q, n)  # the lifted columns carry t^n, and |t^n| = w^n
 
         lhs_log, lhs_method = side(n, indices, cand.points, q)
-        rhs_log, rhs_method = side(n, degree_block(n, d + 1), lift.points, np.zeros(len(lift)))
+        rhs_log, rhs_method = side(n, degree_block(n, d + 1), lift, np.zeros(len(lift)))
         if lhs_log == rhs_log == -math.inf:
             raise InvalidInputError(
                 f"no {n_pts}-point subset is unisolvent at degree {n}"

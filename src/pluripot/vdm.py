@@ -27,15 +27,14 @@ _RANK_TOL = 1e-13
 
 @dataclass(frozen=True)
 class LogDet:
-    """log |det| of a Vandermonde-type matrix; -inf encoded via is_zero."""
+    """log |det| of a Vandermonde-type matrix, -inf for a zero determinant."""
 
     log_abs: float
-    is_zero: bool
     condition: float
 
     @property
-    def value(self) -> float:
-        return -math.inf if self.is_zero else self.log_abs
+    def is_zero(self) -> bool:
+        return self.log_abs == -math.inf
 
 
 def _scipy_module(subpackage: str, name: str):
@@ -106,42 +105,49 @@ def pivoted_qr(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np
     return factor, piv
 
 
-def _overflow_peaks(mat: np.ndarray) -> np.ndarray | None:
-    """Largest modulus of each column whose norm, squared and doubled as in a
-    Householder step, overflows (a norm past about 9.5e153), 1 for the
-    others; None where no column's does."""
+def _out_of_range_peaks(mat: np.ndarray) -> np.ndarray | None:
+    """Largest modulus of each column out of range for its norm, 1 for the
+    others; None where no column is out of range.
+
+    A column is out of range when its norm, squared and doubled as in a
+    Householder step, overflows (a norm past about 9.5e153), or when it is
+    nonzero but no entry reaches the square root of the smallest normal
+    float (about 1.5e-154), so that its squared norm underflows.
+    """
+    peaks = np.abs(mat).max(axis=0, initial=0.0)
     # 2 |a|^2 <= 2 N max |a_i|^2, so no column of smaller entries overflows.
     limit = math.sqrt(sys.float_info.max / (2 * max(len(mat), 1)))
-    if not np.abs(mat).max(initial=0.0) > limit:  # NaN entries too
+    tiny = math.sqrt(sys.float_info.min)
+    if not (peaks.max(initial=0.0) > limit or peaks.min(initial=1.0) < tiny):  # NaN too
         return None
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(mat, axis=0)
-        over = np.isinf(2 * norms * norms)
-    return np.where(over, np.abs(mat).max(axis=0), 1.0) if over.any() else None
+        out = np.isinf(2 * norms * norms) | ((peaks > 0) & (peaks < tiny))
+    return np.where(out, peaks, 1.0) if out.any() else None
 
 
 def _logdet_qr(mat: np.ndarray) -> LogDet:
     if mat.shape[0] != mat.shape[1]:
         raise InvalidInputError("square matrix required")
     if mat.shape[0] == 0:
-        return LogDet(0.0, False, 1.0)
+        return LogDet(0.0, 1.0)
     # Unit-norm columns keep the rank rule blind to column scale (weights
     # spanning many orders of magnitude); |det| scales back exactly.
-    peaks = _overflow_peaks(mat)
+    peaks = _out_of_range_peaks(mat)
     if peaks is not None:
         ld = _logdet_qr(mat / peaks)
         return replace(ld, log_abs=ld.log_abs + float(np.sum(np.log(peaks))))
     norms = np.linalg.norm(mat, axis=0)
     if not norms.all():
-        return LogDet(-math.inf, True, math.inf)
+        return LogDet(-math.inf, math.inf)
     factor, _ = pivoted_qr(np.divide(mat, norms, order="F"), overwrite=True)
     diag = np.abs(np.diag(factor))
     dmax = diag.max()
     if np.any(diag <= _RANK_TOL * dmax):
-        return LogDet(-math.inf, True, math.inf)
+        return LogDet(-math.inf, math.inf)
     cond = dmax / diag.min()
     log_abs = float(np.sum(np.log(diag)) + np.sum(np.log(norms)))
-    return LogDet(log_abs, False, float(cond))
+    return LogDet(log_abs, float(cond))
 
 
 def _log_abs_det(points: np.ndarray, indices, what: str) -> LogDet:
@@ -167,13 +173,11 @@ def log_abs_weighted_vdm(
     points = as_points(points)
     q = weight(points)
     if not np.all(np.isfinite(q)):
-        return LogDet(-math.inf, True, math.inf)
+        return LogDet(-math.inf, math.inf)
     unweighted = log_abs_vdm(points, n)
     if unweighted.is_zero:
         return unweighted
-    return LogDet(
-        unweighted.log_abs - n * float(q.sum()), False, unweighted.condition
-    )
+    return LogDet(unweighted.log_abs - n * float(q.sum()), unweighted.condition)
 
 
 def diameter_exponent(n: int, d: int) -> float:

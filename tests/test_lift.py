@@ -20,13 +20,12 @@ from pluripot.errors import InvalidInputError
 def test_lift_geometry():
     cand = domains.circle(1.0, 6)
     w = AdmissibleWeight.quadratic()
-    lifted, dropped = lifting.homogeneous_lift(cand, w, 3)
-    assert dropped == 0
-    assert lifted.dimension == 2 and len(lifted) == 18
-    t = lifted.points[:, 0]
+    lifted = lifting.homogeneous_lift(cand, w, 3)
+    assert lifted.shape == (18, 2)  # no base point dropped
+    t = lifted[:, 0]
     assert np.allclose(np.abs(t), math.exp(-1.0))  # |t| = w on the unit circle
     # second coordinate is t * lambda
-    lam = lifted.points[:, 1] / t
+    lam = lifted[:, 1] / t
     assert np.allclose(np.abs(lam), 1.0)
 
 
@@ -36,8 +35,8 @@ def test_lift_drops_zero_weight_points():
     w = AdmissibleWeight.custom(
         lambda p: np.where(p[:, 0].real > 1.5, np.inf, 0.0)
     )
-    lifted, dropped = lifting.homogeneous_lift(cand, w, 2)
-    assert dropped == 1 and len(lifted) == 4
+    lifted = lifting.homogeneous_lift(cand, w, 2)
+    assert len(lifted) == 4  # 2 phases over the 2 points of finite Q
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 2))
@@ -51,9 +50,9 @@ def test_lift_identity_on_one_configuration(seed, n, d):
     base = rng.normal(size=(m_n, d)) + 1j * rng.normal(size=(m_n, d))
     w = AdmissibleWeight.quadratic()
     m_t = 8
-    lift, _ = lifting.homogeneous_lift(domains.custom(base), w, m_t)
+    lift = lifting.homogeneous_lift(domains.custom(base), w, m_t)
     one_phase = np.arange(m_n) * m_t + rng.integers(m_t, size=m_n)
-    homogeneous = vdm.log_abs_homogeneous_vdm(lift.points[one_phase], n)
+    homogeneous = vdm.log_abs_homogeneous_vdm(lift[one_phase], n)
     weighted = vdm.log_abs_weighted_vdm(base, n, w)
     assert homogeneous.log_abs == pytest.approx(weighted.log_abs, rel=1e-10)
 
@@ -84,6 +83,39 @@ def test_lift_refuses_an_overflowing_w_by_name():
             lifting.lift_identity_check(domains.circle(1.0, 10), w, 2)
 
 
+def test_lift_refuses_an_overflowing_w_n_by_name():
+    # Q = -400 at z = 1: w = e^400 is a float, but the degree-2 lifted
+    # columns carry t^2, of modulus e^800.
+    w = AdmissibleWeight.custom(lambda p: np.where(np.isclose(p[:, 0], 1.0), -400.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=r"w\^2 = exp\(-2 Q\) overflows at Q = -400.0"):
+            lifting.lift_identity_check(domains.circle(1.0, 10), w, 2)
+
+
+def test_lift_identity_where_the_weight_is_negligible():
+    # Q = x^2 on [-6, 6]: near the ends w * max(1, |x|) falls below 1e-12,
+    # so neighbouring lifted points lie within 1e-12 of each other.
+    cand = domains.interval(-6.0, 6.0, 25)
+    out = lifting.lift_identity_check(cand, AdmissibleWeight.quadratic(), 2)
+    for rec in out:
+        assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
+        assert rec["relative_gap"] <= 1e-12, rec
+
+
+def test_lift_identity_past_the_column_norm_underflow():
+    # Q = 100: at n = 4 every lifted column carries |t|^4 = e^-400, whose
+    # square underflows a float, so its norm does too.
+    w = AdmissibleWeight.custom(lambda p: np.full(len(p), 100.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = lifting.lift_identity_check(domains.circle(1.0, 6), w, 4)
+    for rec in out:
+        assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
+        assert rec["relative_gap"] <= 1e-12, rec
+    assert out[3]["rhs_log"] == pytest.approx(out[3]["lhs_log"], rel=1e-14)
+
+
 def test_lift_identity_matches_brute_force():
     """Exhaustive maxima equal a max of the public VDMs over all subsets."""
     cand = domains.circle(1.0, 12)
@@ -91,18 +123,18 @@ def test_lift_identity_matches_brute_force():
     w = AdmissibleWeight.custom(
         lambda p: np.where(np.isclose(p[:, 0], 1.0), np.inf, 0.3 * p[:, 0].real)
     )
-    lift, dropped = lifting.homogeneous_lift(cand, w, 4)
-    assert dropped == 1
+    lift = lifting.homogeneous_lift(cand, w, 4)
+    assert len(lift) == 4 * 11  # z = 1 dropped
     out = lifting.lift_identity_check(cand, w, 2)
     for rec, n_pts in zip(out, (2, 3)):
         n = rec["n"]
         assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
         lhs = max(
-            vdm.log_abs_weighted_vdm(cand.points[list(c)], n, w).value
+            vdm.log_abs_weighted_vdm(cand.points[list(c)], n, w).log_abs
             for c in itertools.combinations(range(len(cand)), n_pts)
         )
         rhs = max(
-            vdm.log_abs_homogeneous_vdm(lift.points[list(c)], n).value
+            vdm.log_abs_homogeneous_vdm(lift[list(c)], n).log_abs
             for c in itertools.combinations(range(len(lift)), n_pts)
         )
         assert rec["lhs_log"] == pytest.approx(lhs, rel=1e-12)
@@ -124,17 +156,17 @@ def test_lift_identity_with_widely_spread_weights():
 
 def _assert_matches_brute_force(cand, w, n_max, m_t):
     """Exhaustive maxima equal a max of the public VDMs over all subsets."""
-    lift, _ = lifting.homogeneous_lift(cand, w, m_t)
+    lift = lifting.homogeneous_lift(cand, w, m_t)
     for rec in lifting.lift_identity_check(cand, w, n_max, m_t=m_t):
         n = rec["n"]
         n_pts = dimension_counts(n, cand.dimension)[0]
         assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
         lhs = max(
-            vdm.log_abs_weighted_vdm(cand.points[list(c)], n, w).value
+            vdm.log_abs_weighted_vdm(cand.points[list(c)], n, w).log_abs
             for c in itertools.combinations(range(len(cand)), n_pts)
         )
         rhs = max(
-            vdm.log_abs_homogeneous_vdm(lift.points[list(c)], n).value
+            vdm.log_abs_homogeneous_vdm(lift[list(c)], n).log_abs
             for c in itertools.combinations(range(len(lift)), n_pts)
         )
         assert rec["lhs_log"] == pytest.approx(lhs, rel=1e-12)
@@ -162,12 +194,12 @@ def test_batched_max_walks_past_rank_deficient_subsets():
     w = AdmissibleWeight.custom(
         lambda p: np.where(np.isclose(p[:, 0], centre), -25.0, 20.0)
     )
-    lift, _ = lifting.homogeneous_lift(cand, w, 4)
-    block = vdm.monomial_values(degree_block(1, 2), lift.points)
+    lift = lifting.homogeneous_lift(cand, w, 4)
+    block = vdm.monomial_values(degree_block(1, 2), lift)
     pairs = list(itertools.combinations(range(len(lift)), 2))
     scores = [np.linalg.slogdet(block[:, list(c)])[1] for c in pairs]
     best = pairs[int(np.argmax(scores))]
-    assert vdm.log_abs_homogeneous_vdm(lift.points[list(best)], 1).is_zero
+    assert vdm.log_abs_homogeneous_vdm(lift[list(best)], 1).is_zero
     _assert_matches_brute_force(cand, w, 1, 4)
 
 
@@ -213,8 +245,8 @@ def _rank_deficient_lift_pairs():
     w = AdmissibleWeight.custom(
         lambda p: np.where(np.isclose(p[:, 0], centre), -25.0, 20.0)
     )
-    lift, _ = lifting.homogeneous_lift(cand, w, 4)
-    return lift, vdm.monomial_values(degree_block(1, 2), lift.points)
+    lift = lifting.homogeneous_lift(cand, w, 4)
+    return lift, vdm.monomial_values(degree_block(1, 2), lift)
 
 
 @pytest.mark.parametrize(
@@ -408,10 +440,9 @@ def test_lift_identity_past_the_column_norm_overflow():
     assert out[1]["rhs_log"] == pytest.approx(out[1]["lhs_log"], rel=1e-14)
 
 
-@pytest.mark.parametrize("scale", [1.2e154, 1e155])
-def test_subset_scores_of_columns_past_the_reflector_overflow(scale):
-    # A column of norm 1.28e154 has a finite norm whose square overflows in
-    # the reflector; one of norm 1.06e155 has an infinite norm.
+def _assert_scores_match_scaled_slogdet(scale):
+    """Scores of 3-subsets of 6 random columns, the first scaled to ``scale``,
+    against slogdet of each subset divided by its largest modulus."""
     rng = np.random.default_rng(1)
     cols = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
     cols[:, 0] = np.array([1.0, 0.3, 0.2]) * scale
@@ -423,6 +454,18 @@ def test_subset_scores_of_columns_past_the_reflector_overflow(scale):
         peak = np.abs(cols[:, subset]).max()
         want = np.linalg.slogdet(cols[:, subset] / peak)[1] + 3 * math.log(peak)
         assert score == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1.2e154, 1e155])
+def test_subset_scores_of_columns_past_the_reflector_overflow(scale):
+    # A column of norm 1.28e154 has a finite norm whose square overflows in
+    # the reflector; one of norm 1.06e155 has an infinite norm.
+    _assert_scores_match_scaled_slogdet(scale)
+
+
+def test_subset_scores_of_a_column_past_the_norm_underflow():
+    # A column of norm 1.06e-160 has a square that underflows.
+    _assert_scores_match_scaled_slogdet(1e-160)
 
 
 def test_descending_refuses_a_nan_score():

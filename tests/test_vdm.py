@@ -74,7 +74,7 @@ def test_vdm_large_degree_no_overflow():
 def test_vdm_zero_on_coincident_points():
     z = np.array([1.0, 2.0, 1.0 + 1e-16j])
     ld = vdm.log_abs_vdm(z, 2)
-    assert ld.is_zero and ld.value == -math.inf
+    assert ld.is_zero and ld.log_abs == -math.inf
 
 
 def test_vdm_point_count_checked():
@@ -232,3 +232,10 @@ def test_scipy_loader_binds_scipys_own_routines():
     proc = subprocess.run([sys.executable, "-c", _LOADER_SCRIPT], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_homogeneous_vdm_past_the_column_norm_underflow():
+    # The square of 1e-200 underflows a float, so its norm does too.
+    ld = vdm.log_abs_homogeneous_vdm([[1e-200]], 1)
+    assert not ld.is_zero
+    assert ld.log_abs == pytest.approx(-200 * math.log(10.0), rel=1e-14)
