@@ -231,15 +231,11 @@ class AdmissibleWeight:
         return q
 
 
-def weight_power(q: np.ndarray, k: float) -> np.ndarray:
-    """The factor w^k = exp(-k Q) at each point; 0 where Q = +inf."""
-    return np.where(np.isfinite(q), np.exp(-k * q), 0.0)
-
-
 def finite_weight_power(q: np.ndarray, k: float) -> np.ndarray:
-    """weight_power(q, k); InvalidInputError where w^k overflows a float."""
+    """The factor w^k = exp(-k Q) at each point, 0 where Q = +inf;
+    InvalidInputError where w^k overflows a float."""
     with np.errstate(over="ignore"):
-        scale = weight_power(q, k)
+        scale = np.where(np.isfinite(q), np.exp(-k * q), 0.0)
     over = np.isinf(scale)
     if over.any():
         raise InvalidInputError(f"w^{k} = exp(-{k} Q) overflows at Q = {float(q[over].min())!r}")

@@ -63,7 +63,7 @@ def search_fekete(
     r, piv = pivoted_qr(_basis_columns(cand.points, q, n), overwrite=True)
     logw = log_abs_weighted_vdm(cand.points[piv[:n_pts]], n, weight)
     if logw.is_zero:
-        raise InvalidInputError("greedy selection is degenerate; enlarge the grid")
+        raise InvalidInputError(f"no {n_pts}-point subset is unisolvent at degree {n}")
     # R has n_pts rows, so geqp3 keeps Householder vectors only below the
     # diagonal of R11, its leading n_pts columns.
     r[np.tril_indices(n_pts, -1)] = 0.0

@@ -3,24 +3,25 @@
 The homogeneous-lift check maximizes each side exhaustively when it has at
 most ``EXHAUSTIVE_CAP`` subsets.  One walk down the prefix tree of the
 subsets scores each subset, as a product of projected column norms with
-one Householder reflector per tree node, or proves it below the greedy
-pick's value (the first pivots of a column-pivoted QR) by Hadamard's
-inequality: a branch-and-bound, as in exact D-optimal design (Welch,
-Technometrics 1982; Ko, Lee and Queyranne, Oper. Res. 1995).  The best
-score is confirmed by a pivoted QR, so the maximum is exact.
+one Householder reflector per tree node, or proves it below the weighted
+Fekete search's value by Hadamard's inequality: a branch-and-bound, as in
+exact D-optimal design (Welch, Technometrics 1982; Ko, Lee and Queyranne,
+Oper. Res. 1995).  The best score is confirmed by a pivoted QR, so the
+maximum is exact.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .basis import degree_block, enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet, finite_weight_power, weight_power
+from .domains import AdmissibleWeight, CandidateSet, finite_weight_power
 from .errors import InvalidInputError
 from .fekete import search_fekete
-from .vdm import _logdet_qr, _out_of_range_peaks, diameter_exponent, monomial_values, pivoted_qr
+from .vdm import _logdet_qr, _out_of_range_peaks, diameter_exponent, monomial_values
 
 # Entries of the products U^H a_x that one chunk of prefix-tree nodes forms
 # in the exhaustive lift check: nodes * (N - k) * m at depth k.  A chunk's
@@ -31,7 +32,7 @@ _CHUNK_ENTRIES = 1 << 14
 # Largest subset count a lift-check side maximizes exhaustively.
 EXHAUSTIVE_CAP = 200_000
 # Relative rounding margin of the exhaustive max's branch-and-bound: the
-# floor sits this far below the greedy pick's value, and a subtree whose
+# floor sits this far below the known value, and a subtree whose
 # bound falls this far short of the floor is still expanded.
 _PRUNE_SLACK = 1e-9
 
@@ -155,32 +156,15 @@ def _subset_scores(
     return np.concatenate(scored), np.concatenate(subsets)
 
 
-def _greedy_floor(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
-    """The greedy pick's score, less ``_PRUNE_SLACK`` relative; -inf without one.
-
-    The pick is the first ``count`` pivots of a column-pivoted QR of the
-    w^n-scaled columns, as in ``fekete.search_fekete``.  Its score is the
-    value ``_exhaustive_max`` would report for it: any subset's value is a
-    floor for the maximum.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = cols * weight_power(q, n)
-    if not np.isfinite(scaled).all():  # w^n overflows where Q < -709 / n
-        return -math.inf
-    _, piv = pivoted_qr(scaled, overwrite=True)
-    pick = piv[:count]
-    value = _logdet_qr(cols[:, pick]).log_abs - n * float(q[pick].sum())
-    if not math.isfinite(value):
-        return -math.inf
-    return value - _PRUNE_SLACK * max(1.0, abs(value))
-
-
-def _exhaustive_max(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> float:
+def _exhaustive_max(
+    cols: np.ndarray, count: int, n: int, q: np.ndarray, known: float = -math.inf
+) -> float:
     """Max of log |det cols[:, S]| - n * sum Q(S) over count-subsets S.
 
     ``_subset_scores`` scores each subset by projections down the prefix
-    tree of the subsets, or proves it below the greedy pick's value
-    (``_greedy_floor``).  The value reported is the pivoted QR of the
+    tree of the subsets, or proves it below the floor: ``known``, the value
+    of some subset (-inf, no floor, when none is known), less
+    ``_PRUNE_SLACK`` relative.  The value reported is the pivoted QR of the
     best-scoring subset, whose rank rule alone judges singularity: if it
     rejects that subset, the next scores are tried in decreasing order
     (ties in lexicographic order).  Every subset scoring at least the floor
@@ -188,7 +172,7 @@ def _exhaustive_max(cols: np.ndarray, count: int, n: int, q: np.ndarray) -> floa
     If the rank rule rejects them all, the subsets are scored again with no
     floor.  Subsets holding a point of non-finite Q are skipped.
     """
-    floor = _greedy_floor(cols, count, n, q)
+    floor = known - _PRUNE_SLACK * max(1.0, abs(known))
     walks = [(floor, _subset_scores(cols, count, n, q, floor))]
     while walks:
         bound, (scores, subsets) = walks.pop()
@@ -222,12 +206,14 @@ def lift_identity_check(
     """Compare the weighted-VDM max on K against the homogeneous max on the lift.
 
     At any fixed degree the two maxima agree exactly (phase factors carry
-    modulus w^n); the reported gap measures search error only.  Where a
-    side is too large for the exhaustive max, both use one weighted Fekete
-    search on K: a base configuration maximizing |W| lifts to one with the
-    same homogeneous determinant modulus.  ``fekete_seq``, the output of
-    ``fekete.diameter_sequence`` on the same set and weight, supplies the
-    searched values of its degrees; only the other degrees are searched.
+    modulus w^n); the reported gap measures search error only.  Each degree
+    runs one weighted Fekete search on K, whose value is the floor of each
+    exhaustive side: a base configuration lifts to one with the same
+    homogeneous determinant modulus.  Where a side is too large for the
+    exhaustive max, it reports the search's value.  ``fekete_seq``, the
+    output of ``fekete.diameter_sequence`` on the same set and weight,
+    supplies the searched values of its degrees; only the other degrees are
+    searched.
     """
     d = cand.dimension
     lift = homogeneous_lift(cand, weight, m_t)
@@ -235,13 +221,18 @@ def lift_identity_check(
     usable = int(np.isfinite(q).sum())
     searched = {s["n"]: s["log_vdm"] for s in fekete_seq or ()}
 
-    def side(n: int, indices, points: np.ndarray, q: np.ndarray) -> tuple[float, str]:
-        if math.comb(len(points), len(indices)) <= EXHAUSTIVE_CAP:
-            cols = monomial_values(indices, points)
-            return _exhaustive_max(cols, len(indices), n, q), "exhaustive"
-        if n not in searched:
-            searched[n] = search_fekete(cand, n, weight).log_weighted_vdm
-        return searched[n], "search"
+    def side(n: int, indices, points: np.ndarray, cost: np.ndarray) -> tuple[float, str]:
+        if math.comb(len(points), len(indices)) > EXHAUSTIVE_CAP:
+            return searched[n], "search"
+        cols = monomial_values(indices, points)
+        peaks = np.abs(cols).max(axis=0)
+        if peaks.min() < sys.float_info.min:  # only a lifted column: one on K holds 1
+            base = np.flatnonzero(np.isfinite(q))[np.argmin(peaks) // m_t]
+            raise InvalidInputError(
+                f"degree {n}: w^{n} = exp(-{n} Q) underflows a lifted column"
+                f" at Q = {float(q[base])!r}"
+            )
+        return _exhaustive_max(cols, len(indices), n, cost, searched[n]), "exhaustive"
 
     out = []
     for n in range(1, n_max + 1):
@@ -251,18 +242,17 @@ def lift_identity_check(
             raise InvalidInputError(
                 f"degree {n} needs {n_pts} points of finite Q, got {usable}"
             )
-        finite_weight_power(q, n)  # the lifted columns carry t^n, and |t^n| = w^n
-
+        # The search refuses an overflowing w^n by name, which the lifted
+        # columns carry as t^n, and a degree with no unisolvent subset.
+        if n not in searched:
+            searched[n] = search_fekete(cand, n, weight).log_weighted_vdm
         lhs_log, lhs_method = side(n, indices, cand.points, q)
         rhs_log, rhs_method = side(n, degree_block(n, d + 1), lift, np.zeros(len(lift)))
-        if lhs_log == rhs_log == -math.inf:
-            raise InvalidInputError(
-                f"no {n_pts}-point subset is unisolvent at degree {n}"
-            )
 
         expo = diameter_exponent(n, d)
         lhs = math.exp(expo * lhs_log)
         rhs = math.exp(expo * rhs_log)
+        top = max(lhs, rhs)
         out.append(
             {
                 "n": n,
@@ -270,7 +260,9 @@ def lift_identity_check(
                 "rhs_log": rhs_log,
                 "delta_lhs": lhs,
                 "delta_rhs": rhs,
-                "relative_gap": abs(lhs - rhs) / max(lhs, rhs),
+                # Where both delta_n underflow, the gap 1 - min/max from the logs.
+                "relative_gap": (abs(lhs - rhs) / top if top > 0
+                                 else -math.expm1(-expo * abs(lhs_log - rhs_log))),
                 "lhs_method": lhs_method,
                 "rhs_method": rhs_method,
             }

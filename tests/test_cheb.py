@@ -437,7 +437,7 @@ def test_real_lp_falls_back_to_the_full_lp():
     cand = domains.interval(-1.0, 1.0, 401)
     weight = AdmissibleWeight.quadratic()
     rec = cheb.chebyshev_constant(cand, (14,), "weighted", weight)
-    scale = domains.weight_power(weight(cand.points), 14)
+    scale = domains.finite_weight_power(weight(cand.points), 14)
     target = vdm.monomial_values([(14,)], cand.points)[0] * scale
     lower = vdm.monomial_values(cheb._class_monomials((14,), 1, "plain"), cand.points).T
     assert rec.value >= _lawson_lower_bound(target, lower * scale[:, None]) * (1 - 1e-9)
@@ -464,7 +464,7 @@ def test_real_active_set_matches_the_full_lp(seed, m, k, weighted):
     pts = np.random.default_rng(seed).uniform(-2.0, 2.0, m)[:, None]
     target = vdm.monomial_values([(k,)], pts)[0]
     lower = vdm.monomial_values(cheb._class_monomials((k,), 1, "plain"), pts).T
-    scale = domains.weight_power(pts[:, 0] ** 2, k) if weighted else np.ones(m)
+    scale = domains.finite_weight_power(pts[:, 0] ** 2, k) if weighted else np.ones(m)
     value, _, _, bound = cheb._solve_minimax(target, lower, scale)
     full = _full_real_lp_peak(target, lower, scale)
     # HiGHS's tolerances are absolute on the unit-peak data both LPs see:
@@ -616,7 +616,7 @@ def _reference_minimax(
 def _minimax_data(cand, alpha, class_tag="plain", weight=None):
     """_solve_minimax's arguments in chebyshev_constant(cand, alpha, class_tag, weight)."""
     deg, d = sum(alpha), cand.dimension
-    scale = domains.weight_power(weight(cand.points), deg) if weight else np.ones(len(cand))
+    scale = domains.finite_weight_power(weight(cand.points), deg) if weight else np.ones(len(cand))
     target = vdm.monomial_values([alpha], cand.points)[0]
     lower = vdm.monomial_values(cheb._class_monomials(alpha, d, class_tag), cand.points).T
     return target, lower, scale

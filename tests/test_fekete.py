@@ -61,6 +61,13 @@ def test_greedy_needs_enough_candidates():
         fekete.search_fekete(c, 5, AdmissibleWeight.zero(), max_sweeps=0)
 
 
+def test_search_without_a_unisolvent_subset_raises():
+    # 7 points on a line in C^2: no 6 of them are unisolvent at degree 2
+    pts = np.array([[t, 2 * t] for t in np.linspace(-1.0, 1.0, 7)], dtype=complex)
+    with pytest.raises(InvalidInputError, match="no 6-point subset is unisolvent at degree 2"):
+        fekete.search_fekete(domains.custom(pts), 2, AdmissibleWeight.zero())
+
+
 def test_weight_positive_at_too_few_points_raises():
     c = domains.interval(-1.0, 1.0, 3)
     w = AdmissibleWeight.custom(lambda p: np.where(np.abs(p[:, 0]) > 0.5, np.inf, 0.0))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pluripot import domains, vdm
+from pluripot import domains, fekete, vdm
 from pluripot import lift as lifting
 from pluripot.basis import degree_block, dimension_counts, enumerate_basis
 from pluripot.domains import AdmissibleWeight
@@ -114,6 +114,66 @@ def test_lift_identity_past_the_column_norm_underflow():
         assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
         assert rec["relative_gap"] <= 1e-12, rec
     assert out[3]["rhs_log"] == pytest.approx(out[3]["lhs_log"], rel=1e-14)
+
+
+def test_lift_identity_where_both_deltas_underflow():
+    # Q = 400: at n = 1 both sides' logs are near -799.3, so both delta_1
+    # are 0.0 and the gap comes from the logs.
+    w = AdmissibleWeight.custom(lambda p: np.full(len(p), 400.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (rec,) = lifting.lift_identity_check(domains.circle(1.0, 6), w, 1)
+    assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
+    assert rec["delta_lhs"] == rec["delta_rhs"] == 0.0
+    assert rec["lhs_log"] == pytest.approx(-799.3, abs=0.1)
+    assert rec["relative_gap"] <= 1e-12, rec
+
+
+def test_lift_refuses_an_underflowing_lifted_column_by_name():
+    # Q = 300: the lifted columns carry |t|^n = e^(-300 n), a normal float
+    # for n <= 2 and 0 at n = 3.
+    w = AdmissibleWeight.custom(lambda p: np.full(len(p), 300.0))
+    cand = domains.circle(1.0, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = lifting.lift_identity_check(cand, w, 2)
+        message = r"degree 3: w\^3 = exp\(-3 Q\) underflows a lifted column at Q = 300.0"
+        with pytest.raises(InvalidInputError, match=message):
+            lifting.lift_identity_check(cand, w, 3)
+    for rec in out:
+        assert rec["lhs_method"] == rec["rhs_method"] == "exhaustive"
+        assert rec["relative_gap"] <= 1e-12, rec
+
+
+@pytest.mark.parametrize(
+    "cand, w",
+    [
+        (domains.circle(1.0, 48), AdmissibleWeight.zero()),
+        (domains.disk(1.0, 4, 8), AdmissibleWeight.quadratic()),
+    ],
+)
+def test_lift_identity_with_the_fekete_sequence(cand, w):
+    # The sequence's searched values equal the check's own searches.
+    seq = fekete.diameter_sequence(cand, w, 3)
+    own = lifting.lift_identity_check(cand, w, 3)
+    assert lifting.lift_identity_check(cand, w, 3, fekete_seq=seq) == own
+
+
+def test_pruned_walk_scores_few_subsets_on_the_weighted_disk(monkeypatch):
+    # At n = 3 the search's value leaves at most 3,000 of the C(33, 4) =
+    # 40,920 4-subsets of the weighted disk to score.
+    counts = {}
+    walk = lifting._subset_scores
+
+    def spy(cols, count, *args):
+        scores, subsets = walk(cols, count, *args)
+        counts[count, cols.shape[1]] = len(scores)
+        return scores, subsets
+
+    monkeypatch.setattr(lifting, "_subset_scores", spy)
+    out = lifting.lift_identity_check(domains.disk(1.0, 4, 8), AdmissibleWeight.quadratic(), 3)
+    assert out[2]["lhs_method"] == "exhaustive"
+    assert counts[4, 33] <= 3_000
 
 
 def test_lift_identity_matches_brute_force():
@@ -237,6 +297,16 @@ def _brute_force_max(cols, n, q):
     return best
 
 
+def _search_value(pts, n, q):
+    """``fekete.search_fekete``'s value on the points pts, where Q = q."""
+
+    def weight(p):
+        return q[(p[:, None, :] == pts[None]).all(axis=2).argmax(axis=1)]
+
+    cfg = fekete.search_fekete(domains.custom(pts), n, AdmissibleWeight.custom(weight))
+    return cfg.log_weighted_vdm
+
+
 def _rank_deficient_lift_pairs():
     """The lift of three points with Q = -25 at one and 20 at the others, and its
     degree-1 block: pairs over one base point are singular."""
@@ -268,11 +338,13 @@ def test_subset_scores_on_rank_deficient_lift_pairs():
 
 
 def test_exhaustive_max_traced_peak():
-    # The greedy floor leaves 210 subsets to score and one chunk per depth.
-    cols = vdm.monomial_values(enumerate_basis(3, 1), domains.circle(1.0, 48).points)
+    # The search's value leaves 210 subsets to score and one chunk per depth.
+    cand = domains.circle(1.0, 48)
+    cols = vdm.monomial_values(enumerate_basis(3, 1), cand.points)
+    known = fekete.search_fekete(cand, 3, AdmissibleWeight.zero()).log_weighted_vdm
     tracemalloc.start()
     try:
-        value = lifting._exhaustive_max(cols, 4, 3, np.zeros(48))
+        value = lifting._exhaustive_max(cols, 4, 3, np.zeros(48), known)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -302,9 +374,9 @@ def test_walk_without_a_floor_traced_peak():
 )
 @settings(max_examples=40, deadline=None)
 def test_pruned_walk_matches_the_full_walk(seed, dn, extra, weighted):
-    # Random points in C^d, one of Q = +inf.  The greedy floor prunes only
-    # subsets scoring below it, and leaves the other scores and the maximum
-    # as they are with no floor.
+    # Random points in C^d, one of Q = +inf.  The search's value, as the
+    # floor, prunes only subsets scoring below it, and leaves the other
+    # scores and the maximum as they are with no floor.
     d, n = dn
     count = dimension_counts(n, d)[0]
     m = count + extra
@@ -313,7 +385,7 @@ def test_pruned_walk_matches_the_full_walk(seed, dn, extra, weighted):
     q = rng.uniform(-0.5, 0.5, m) if weighted else np.zeros(m)
     q[rng.integers(m)] = np.inf
     cols = vdm.monomial_values(enumerate_basis(n, d), pts)
-    floor = lifting._greedy_floor(cols, count, n, q)
+    floor = _search_value(pts, n, q)
     assert floor > -np.inf
     full, every = lifting._subset_scores(cols, count, n, q)
     pruned, subsets = lifting._subset_scores(cols, count, n, q, floor)
@@ -324,20 +396,21 @@ def test_pruned_walk_matches_the_full_walk(seed, dn, extra, weighted):
     left_out = np.ones(len(full), dtype=bool)
     left_out[kept] = False
     assert np.all(full[left_out] < floor)
-    assert lifting._exhaustive_max(cols, count, n, q) == _brute_force_max(cols, n, q)
+    assert lifting._exhaustive_max(cols, count, n, q, floor) == _brute_force_max(cols, n, q)
 
 
 def test_exhaustive_max_rescores_when_the_rank_rule_rejects_every_pruned_subset(
     monkeypatch,
 ):
     # The lift pairs of test_batched_max_walks_past_rank_deficient_subsets,
-    # with a floor just below the best score, which is a singular pair's:
-    # every pair scored at the floor or above is singular, so the maximum
-    # comes from a second walk with no floor.
+    # with a known value just below the best score, which is a singular
+    # pair's: every pair scored at the floor or above is singular, so the
+    # maximum comes from a second walk with no floor.
     lift, block = _rank_deficient_lift_pairs()
     q = np.zeros(len(lift))
     full, _ = lifting._subset_scores(block, 2, 1, q)
-    floor = full.max() - 1e-6
+    known = full.max() - 1e-6
+    floor = known - lifting._PRUNE_SLACK * max(1.0, abs(known))
     pruned, subsets = lifting._subset_scores(block, 2, 1, q, floor)
     above = subsets[pruned >= floor]
     assert len(above) > 0
@@ -349,15 +422,14 @@ def test_exhaustive_max_rescores_when_the_rank_rule_rejects_every_pruned_subset(
         walks.append(args[4:])
         return walk(*args)
 
-    monkeypatch.setattr(lifting, "_greedy_floor", lambda *args: floor)
     monkeypatch.setattr(lifting, "_subset_scores", spy)
     want = _brute_force_max(block, 1, q)
     assert want > -np.inf
-    assert lifting._exhaustive_max(block, 2, 1, q) == want
+    assert lifting._exhaustive_max(block, 2, 1, q, known) == want
     assert walks == [(floor,), ()]
 
 
-def test_exhaustive_max_rescores_when_the_floor_prunes_every_subset(monkeypatch):
+def test_exhaustive_max_rescores_when_the_floor_prunes_every_subset():
     # A floor above every pair's Hadamard bound |a_x| |a_y|: the floored
     # walk returns no subset, and the maximum comes from a second walk with
     # no floor.
@@ -366,29 +438,28 @@ def test_exhaustive_max_rescores_when_the_floor_prunes_every_subset(monkeypatch)
     floor = 2 * np.log(np.linalg.norm(block, axis=0)).max() + 1.0
     scores, subsets = lifting._subset_scores(block, 2, 1, q, floor)
     assert scores.shape == (0,) and subsets.shape == (0, 2)
-    monkeypatch.setattr(lifting, "_greedy_floor", lambda *args: floor)
-    assert lifting._exhaustive_max(block, 2, 1, q) == _brute_force_max(block, 1, q)
+    assert lifting._exhaustive_max(block, 2, 1, q, floor) == _brute_force_max(block, 1, q)
 
 
 def test_exhaustive_max_without_a_greedy_floor():
-    # w^3 = e^3000 overflows at the first point, so the greedy QR has no
-    # finite input and the walk runs with no floor.
+    # w^3 = e^3000 overflows at the first point, and with no known value
+    # the walk runs with no floor.
     cand = domains.interval(-1.0, 1.0, 9)
     cols = vdm.monomial_values(enumerate_basis(3, 1), cand.points)
     q = np.linspace(0.0, 0.5, 9)
     q[0] = -1000.0
-    assert lifting._greedy_floor(cols, 4, 3, q) == -np.inf
     want = _brute_force_max(cols, 3, q)
     assert want > 1000.0
     assert lifting._exhaustive_max(cols, 4, 3, q) == want
 
 
 def test_pruned_walk_scores_few_subsets_on_the_circle():
-    # At n = 3 the greedy pick's floor leaves 210 of the 194,580 4-subsets
-    # of 48 roots of unity to score.
-    cols = vdm.monomial_values(enumerate_basis(3, 1), domains.circle(1.0, 48).points)
-    q = np.zeros(48)
-    scores, subsets = lifting._subset_scores(cols, 4, 3, q, lifting._greedy_floor(cols, 4, 3, q))
+    # At n = 3 the search's value leaves 210 of the 194,580 4-subsets of
+    # 48 roots of unity to score.
+    cand = domains.circle(1.0, 48)
+    cols = vdm.monomial_values(enumerate_basis(3, 1), cand.points)
+    known = fekete.search_fekete(cand, 3, AdmissibleWeight.zero()).log_weighted_vdm
+    scores, subsets = lifting._subset_scores(cols, 4, 3, np.zeros(48), known)
     assert subsets.shape == (len(scores), 4)
     assert len(scores) <= 10_000
 
