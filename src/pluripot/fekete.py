@@ -14,17 +14,16 @@ a local maximum of the weighted Vandermonde modulus, not a global one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import dimension_counts
-from .domains import AdmissibleWeight, CandidateSet
+from .basis import dimension_counts, enumerate_basis
+from .domains import AdmissibleWeight, CandidateSet, finite_weight_power
 from .errors import InvalidInputError
-from .gram import EXCHANGE_TOL, DiscreteMeasure, _basis_columns
-from .vdm import _lapack, diameter_exponent, log_abs_weighted_vdm, pivoted_qr
-# Unused here; bench/test_bench_harness.py checks the tracer rebinds it.
-from .vdm import monomial_values  # noqa: F401
+from .gram import EXCHANGE_TOL, DiscreteMeasure
+from .vdm import _lapack, diameter_exponent, log_abs_weighted_vdm, monomial_values, pivoted_qr
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,11 @@ def search_fekete(
     when it raises log |W| by more than EXCHANGE_TOL; the search stops after
     a sweep without a swap.  max_sweeps = 0 returns the greedy pick.  The
     value is log |W| recomputed from the selected points, never read off C.
+
+    The columns of A carry w^n.  Where some point's w^n underflows, they
+    carry instead w^n relative to the largest, floored at the square root of
+    the smallest normal float: no column of finite Q is zero, and the points
+    whose w^n lies within that floor of the largest keep their exact ratios.
     """
     n_pts = dimension_counts(n, cand.dimension)[0]
     if len(cand) < n_pts:
@@ -55,12 +59,18 @@ def search_fekete(
             f"need at least {n_pts} candidates for degree {n}, got {len(cand)}"
         )
     q = weight(cand.points)
-    usable = int(np.isfinite(q).sum())
+    finite = np.isfinite(q)
+    usable = int(finite.sum())
     if usable < n_pts:
         raise InvalidInputError(
             f"weight vanishes on too many candidates: {usable} < {n_pts}"
         )
-    r, piv = pivoted_qr(_basis_columns(cand.points, q, n), overwrite=True)
+    scale = finite_weight_power(q, n)  # refuses an overflowing w^n by name
+    if scale[finite].min() < sys.float_info.min:
+        relative = np.exp(-n * (q[finite] - q[finite].min()))
+        scale[finite] = np.maximum(relative, math.sqrt(sys.float_info.min))
+    cols = monomial_values(enumerate_basis(n, cand.dimension), cand.points) * scale
+    r, piv = pivoted_qr(cols, overwrite=True)
     logw = log_abs_weighted_vdm(cand.points[piv[:n_pts]], n, weight)
     if logw.is_zero:
         raise InvalidInputError(f"no {n_pts}-point subset is unisolvent at degree {n}")

@@ -6,8 +6,10 @@ subsets scores each subset, as a product of projected column norms with
 one Householder reflector per tree node, or proves it below the weighted
 Fekete search's value by Hadamard's inequality: a branch-and-bound, as in
 exact D-optimal design (Welch, Technometrics 1982; Ko, Lee and Queyranne,
-Oper. Res. 1995).  The best score is confirmed by a pivoted QR, so the
-maximum is exact.
+Oper. Res. 1995).  The walk runs in a basis of the row space whose rows are
+orthonormal for the weighted columns, where Hadamard's bound is a product
+of weighted leverages, as no rescaling of the rows can move it.  The best
+score is confirmed by a pivoted QR, so the maximum is exact.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, finite_weight_power
 from .errors import InvalidInputError
 from .fekete import search_fekete
-from .vdm import _logdet_qr, _out_of_range_peaks, diameter_exponent, monomial_values
+from .vdm import _lapack, _logdet_qr, diameter_exponent, monomial_values
 
 # Entries of the products U^H a_x that one chunk of prefix-tree nodes forms
 # in the exhaustive lift check: nodes * (N - k) * m at depth k.  A chunk's
@@ -35,6 +37,11 @@ EXHAUSTIVE_CAP = 200_000
 # floor sits this far below the known value, and a subtree whose
 # bound falls this far short of the floor is still expanded.
 _PRUNE_SLACK = 1e-9
+# Span of the log weights that set the walk's row basis: a column weighs
+# exp(-min(cost - lowest cost, _WEIGHT_SPAN)).  The basis change's condition
+# number grows like e^_WEIGHT_SPAN: at 5 the scores keep the 1e-13 relative
+# accuracy that the lift tests ask of them, at 10 three of those tests fail.
+_WEIGHT_SPAN = 5.0
 
 
 def homogeneous_lift(cand: CandidateSet, weight: AdmissibleWeight, m_t: int) -> np.ndarray:
@@ -61,6 +68,28 @@ def _chunk_nodes(dim: int, m: int) -> int:
     return max(1, _CHUNK_ENTRIES // (dim * m))
 
 
+def _leverage_basis(cols: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(T cols, log |det R|) for T = R^-H, where (cols rel)^H = Q R and
+    rel = exp(-min(cost - lowest finite cost, _WEIGHT_SPAN)).
+
+    The weighted columns T cols rel are Q^H's: their rows are orthonormal,
+    and column x has norm sqrt(h_x), its leverage, at most 1.  Then
+    log |det (T cols)[:, S]| = log |det cols[:, S]| - log |det R|.  Where R
+    has a zero pivot, or fewer than count rows, the rows of cols are
+    linearly dependent and the result is None.
+    """
+    count = len(cols)
+    finite = np.isfinite(cost)
+    low = cost[finite].min() if finite.any() else 0.0
+    rel = np.exp(-np.minimum(cost - low, _WEIGHT_SPAN))
+    r = np.linalg.qr((cols * rel).conj().T, mode="r")
+    pivots = np.abs(r.diagonal())
+    if len(pivots) < count or not pivots.all():
+        return None
+    rows, _ = _lapack("trtrs", r, cols)(r, cols, trans=2)
+    return rows, float(np.log(pivots).sum())
+
+
 def _subset_scores(
     cols: np.ndarray, count: int, n: int, q: np.ndarray, floor: float = -math.inf
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -77,25 +106,37 @@ def _subset_scores(
     alpha to a multiple of e_1.  Each level is processed in chunks of
     ``_chunk_nodes`` nodes with batched numpy operations, and the walk
     finishes a chunk's subtree before the next chunk.  A subset holding a
-    point of non-finite Q scores -inf.  A column too large or too small for
-    the reflectors' norms (``vdm._out_of_range_peaks``) is walked divided by
-    its largest modulus, whose log its cost takes back.
+    point of non-finite Q scores -inf.
+
+    Each column is divided by its largest modulus, whose log its cost
+    takes back, so that no norm is out of range for the reflectors, and is
+    walked in the row basis of ``_leverage_basis``, as T a_x.  That shifts
+    every score by log |det T| = -log |det R|, which is added back at the
+    end.  Where R has a zero pivot, the rows of cols are linearly dependent
+    and every subset scores -inf.
 
     A finite ``floor`` makes the walk a branch-and-bound: it scores each
     subset or proves its score below the floor, and a proven subset is left
     out.  By Hadamard's inequality no later projected norm exceeds the
     node's own, so with r = count - k - 1 slots left after child x, no
     subset below x scores more than its partial score + r max_{y > x}
-    (log |U^H a_y| - n Q(y)).  A child whose bound, widened by
-    ``_PRUNE_SLACK`` for rounding, falls short of the floor is not expanded.
+    (log |U^H a_y| - n Q(y)); in the row basis, that bound is one of
+    weighted leverages, which rescaling the rows cannot loosen.  A child
+    whose bound, widened by ``_PRUNE_SLACK`` for rounding, falls short of
+    the floor is not expanded.
     The subsets that are scored score bit for bit as with no floor.
     """
     m = cols.shape[1]
-    cost = np.where(np.isfinite(q), n * q, math.inf)
-    peaks = _out_of_range_peaks(cols)
-    if peaks is not None:
-        cols, cost = cols / peaks, cost - np.log(peaks)
-    cut = floor - _PRUNE_SLACK * max(1.0, abs(floor))
+    peaks = np.abs(cols).max(axis=0, initial=0.0)
+    peaks[peaks == 0] = 1.0
+    cols = cols / peaks
+    cost = np.where(np.isfinite(q), n * q, math.inf) - np.log(peaks)
+    basis = _leverage_basis(cols, cost)
+    if basis is None:  # the rows are dependent: every subset is singular
+        cost, shift = np.full(m, math.inf), 0.0
+    else:
+        cols, shift = basis
+    cut = floor - _PRUNE_SLACK * max(1.0, abs(floor)) - shift
     index = np.min_scalar_type(-m)  # the smallest signed type that holds m
     scored, subsets = [np.empty(0)], [np.empty((0, count), index)]
     # Blocks of nodes: the rows U^H of their bases, partial scores and [-1, prefix].
@@ -153,7 +194,7 @@ def _subset_scores(
         child_rows = up[:, 1:] - scaled * vh_rows[:, None]
         grown = np.concatenate((np.take(prefix, parent, axis=0), child[:, None]), axis=1, dtype=index)
         stack.append((child_rows, score, grown))
-    return np.concatenate(scored), np.concatenate(subsets)
+    return np.concatenate(scored) + shift, np.concatenate(subsets)
 
 
 def _exhaustive_max(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,25 @@ def test_greedy_skips_zero_weight_points():
     )
     cfg = fekete.search_fekete(cand, 3, w)
     assert all(pts[i].real <= 0 for i in cfg.indices)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        lambda p: np.full(len(p), 300.0),
+        lambda p: np.where(np.isclose(p[:, 0], 1.0), 0.0, 300.0),
+    ],
+    ids=["every-point", "all-but-one"],
+)
+def test_search_where_w_n_underflows(q):
+    # At n = 3, w^3 = e^-900 underflows to 0 at every point of Q = 300.  The
+    # pick once took those points in input order, log 2 below the maximum.
+    cand = domains.circle(1.0, 6)
+    w = AdmissibleWeight.custom(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = fekete.search_fekete(cand, 3, w)
+    assert cfg.log_weighted_vdm == pytest.approx(_exhaustive_best(cand, 3, w), rel=1e-14)
 
 
 def test_empirical_measure():

@@ -453,15 +453,56 @@ def test_exhaustive_max_without_a_greedy_floor():
     assert lifting._exhaustive_max(cols, 4, 3, q) == want
 
 
-def test_pruned_walk_scores_few_subsets_on_the_circle():
-    # At n = 3 the search's value leaves 210 of the 194,580 4-subsets of
-    # 48 roots of unity to score.
-    cand = domains.circle(1.0, 48)
+@pytest.mark.parametrize("radius", [0.8, 1.0, 1.2])
+def test_pruned_walk_scores_few_subsets_on_the_circle(radius):
+    # At n = 3 the search's value leaves 210 of the 194,580 4-subsets of 48
+    # points of the circle to score at every radius: the walk's row basis,
+    # orthonormal for the columns, makes the bound blind to how the rows
+    # scale with the radius.
+    cand = domains.circle(radius, 48)
     cols = vdm.monomial_values(enumerate_basis(3, 1), cand.points)
     known = fekete.search_fekete(cand, 3, AdmissibleWeight.zero()).log_weighted_vdm
     scores, subsets = lifting._subset_scores(cols, 4, 3, np.zeros(48), known)
     assert subsets.shape == (len(scores), 4)
-    assert len(scores) <= 10_000
+    assert len(scores) <= 250
+
+
+def test_pruned_walk_scores_few_subsets_on_the_weighted_interval(monkeypatch):
+    # 24 Chebyshev nodes under Q = x^2: at n = 2 the search's value leaves
+    # about 10,250 of the C(96, 3) = 142,880 3-subsets of the lift to score.
+    counts = {}
+    walk = lifting._subset_scores
+
+    def spy(cols, count, *args):
+        scores, subsets = walk(cols, count, *args)
+        counts[count, cols.shape[1]] = len(scores)
+        return scores, subsets
+
+    monkeypatch.setattr(lifting, "_subset_scores", spy)
+    cand = domains.interval(-1.0, 1.0, 24, "chebyshev")
+    out = lifting.lift_identity_check(cand, AdmissibleWeight.quadratic(), 2)
+    assert out[1]["rhs_method"] == "exhaustive"
+    assert counts[3, 96] <= 12_000
+
+
+@pytest.mark.parametrize("slope", [0.0, 2.0], ids=["on-an-axis", "on-a-line"])
+def test_exhaustive_max_of_columns_with_dependent_rows(slope):
+    # 7 points on the line y = slope x in C^2: the 6 degree-2 monomials span
+    # 3 dimensions there, so every 6-subset is singular.  On the axis y = 0
+    # three rows are zero and R has zero pivots, so every subset scores
+    # -inf; on y = 2x R's pivots are rounding noise, not zero, so the
+    # scores are too, and the rank rule rejects every subset.
+    t = np.linspace(-1.0, 1.0, 7)
+    cols = vdm.monomial_values(enumerate_basis(2, 2), np.column_stack([t, slope * t]))
+    q = np.zeros(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores, subsets = lifting._subset_scores(cols, 6, 2, q)
+        assert np.array_equal(subsets, list(itertools.combinations(range(7), 6)))
+        if slope == 0.0:
+            assert np.all(scores == -np.inf)
+        assert lifting._exhaustive_max(cols, 6, 2, q) == -np.inf
+        assert lifting._exhaustive_max(cols, 6, 2, q, 0.0) == -np.inf
 
 
 def test_batched_max_skips_infinite_q(monkeypatch):
