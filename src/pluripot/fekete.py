@@ -9,6 +9,11 @@ selected point j is swapped for candidate c.  Single-point exchanges read
 their gains from C and update it per swap by one Gauss-Jordan step, one
 in-place BLAS rank-1 update (the "maxvol" update of Goreinov et al.), up to
 a local maximum of the weighted Vandermonde modulus, not a global one.
+
+A degree sequence evaluates Q and the basis once, at its top degree, and
+searches each degree on the leading rows of that table; the greedy and
+final values are log-determinants of the table's selected columns.  So a
+sequence and single-degree searches agree to rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ from .basis import dimension_counts, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, finite_weight_power
 from .errors import InvalidInputError
 from .gram import EXCHANGE_TOL, DiscreteMeasure
-from .vdm import _lapack, diameter_exponent, log_abs_weighted_vdm, monomial_values, pivoted_qr
+from .vdm import _lapack, _logdet_qr, diameter_exponent, monomial_values, pivoted_qr
+
+
+_MAX_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -39,7 +47,7 @@ def search_fekete(
     cand: CandidateSet,
     n: int,
     weight: AdmissibleWeight,
-    max_sweeps: int = 10,
+    max_sweeps: int = _MAX_SWEEPS,
 ) -> FeketeConfiguration:
     """Greedy pick by pivoted QR, then up to max_sweeps exchange sweeps.
 
@@ -53,12 +61,16 @@ def search_fekete(
     the smallest normal float: no column of finite Q is zero, and the points
     whose w^n lies within that floor of the largest keep their exact ratios.
     """
-    n_pts = dimension_counts(n, cand.dimension)[0]
-    if len(cand) < n_pts:
-        raise InvalidInputError(
-            f"need at least {n_pts} candidates for degree {n}, got {len(cand)}"
-        )
-    q = weight(cand.points)
+    rows = monomial_values(enumerate_basis(n, cand.dimension), cand.points)
+    return _search(rows, weight(cand.points), n, max_sweeps)
+
+
+def _search(rows: np.ndarray, q: np.ndarray, n: int, max_sweeps: int) -> FeketeConfiguration:
+    """search_fekete at degree n from the unweighted basis rows at the
+    candidates and Q there."""
+    n_pts, m = rows.shape
+    if m < n_pts:
+        raise InvalidInputError(f"need at least {n_pts} candidates for degree {n}, got {m}")
     finite = np.isfinite(q)
     usable = int(finite.sum())
     if usable < n_pts:
@@ -69,10 +81,10 @@ def search_fekete(
     if scale[finite].min() < sys.float_info.min:
         relative = np.exp(-n * (q[finite] - q[finite].min()))
         scale[finite] = np.maximum(relative, math.sqrt(sys.float_info.min))
-    cols = monomial_values(enumerate_basis(n, cand.dimension), cand.points) * scale
-    r, piv = pivoted_qr(cols, overwrite=True)
-    logw = log_abs_weighted_vdm(cand.points[piv[:n_pts]], n, weight)
-    if logw.is_zero:
+    # Fortran order lets geqp3 factor the columns in place, without a copy.
+    r, piv = pivoted_qr(np.multiply(rows, scale, order="F"), overwrite=True)
+    greedy = _log_weighted_vdm(rows, q, n, piv[:n_pts])
+    if greedy == -math.inf:
         raise InvalidInputError(f"no {n_pts}-point subset is unisolvent at degree {n}")
     # R has n_pts rows, so geqp3 keeps Householder vectors only below the
     # diagonal of R11, its leading n_pts columns.
@@ -85,11 +97,12 @@ def search_fekete(
     trsm, ger = _lapack("trsm", r), _lapack("geru" if np.iscomplexobj(r) else "ger", r)
     coef = trsm(1.0, r[:, :n_pts].copy(), r.T, side=1, trans_a=1, overwrite_b=True).T
     selected = np.arange(n_pts)  # positions in pivot order
+    gains = np.empty(m)
     swapped = False
     for _ in range(max_sweeps):
         improved = False
         for j in range(n_pts):
-            gains = np.abs(coef[j])
+            np.abs(coef[j], out=gains)
             gains[selected] = 0.0  # re-picking a selected point zeroes the det
             best = gains.max()
             if best > 0 and math.log(best) > EXCHANGE_TOL:
@@ -107,13 +120,18 @@ def search_fekete(
         if not improved:
             break
         swapped = True
-    indices = tuple(int(i) for i in piv[selected])
+    chosen = piv[selected]
     # Without a swap the selection, and so its value, is the greedy pick's.
-    value = (
-        log_abs_weighted_vdm(cand.points[list(indices)], n, weight).log_abs
-        if swapped else logw.log_abs
-    )
-    return FeketeConfiguration(n, indices, value)
+    value = _log_weighted_vdm(rows, q, n, chosen) if swapped else greedy
+    return FeketeConfiguration(n, tuple(int(i) for i in chosen), value)
+
+
+def _log_weighted_vdm(rows: np.ndarray, q: np.ndarray, n: int, chosen: np.ndarray) -> float:
+    """log |W| of the chosen candidates from their basis rows: the rank rule
+    and arithmetic of vdm.log_abs_weighted_vdm, -inf for a zero W."""
+    if not np.isfinite(q[chosen]).all():
+        return -math.inf
+    return _logdet_qr(rows[:, chosen]).log_abs - n * float(q[chosen].sum())
 
 
 def empirical_measure(
@@ -128,12 +146,19 @@ def empirical_measure(
 def diameter_sequence(
     cand: CandidateSet, weight: AdmissibleWeight, n_max: int
 ) -> list[dict]:
-    """Per-degree diameter estimates from greedy+exchange configurations."""
+    """Per-degree diameter estimates from greedy+exchange configurations.
+
+    Q and the degree-n_max basis are evaluated once: in graded-lex order the
+    degree-n basis is the first m_n rows, which each degree's search takes.
+    """
+    d = cand.dimension
+    q = weight(cand.points)
+    rows = monomial_values(enumerate_basis(n_max, d), cand.points)
     out = []
     for n in range(1, n_max + 1):
-        cfg = search_fekete(cand, n, weight)
+        cfg = _search(rows[: dimension_counts(n, d)[0]], q, n, _MAX_SWEEPS)
         delta = math.exp(
-            diameter_exponent(n, cand.dimension) * cfg.log_weighted_vdm
+            diameter_exponent(n, d) * cfg.log_weighted_vdm
         )
         out.append(
             {

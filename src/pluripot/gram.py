@@ -32,6 +32,11 @@ MIN_PIVOT = 5e-8
 # Relative gaps below factorization noise: no Fekete swap, and B argmax ties.
 EXCHANGE_TOL = 1e-12
 
+# log of the square root of the smallest normal float: a Gram entry carries
+# w^(2n), which underflows where w^n lies below this; and log of the largest.
+_LOG_TINY = 0.5 * math.log(np.finfo(float).tiny)
+_LOG_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
@@ -66,6 +71,9 @@ class GramSystem:
     matrix: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
     log_det: float
+    # matrix and chol are those of the columns scaled by exp(n shift); see
+    # _weight_shift.  log_det is the unscaled Gram's.
+    shift: float = 0.0
 
     @property
     def size(self) -> int:
@@ -78,13 +86,26 @@ class GramSystem:
         return float(shares.min())
 
 
-def _basis_columns(points: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+def _weight_shift(q: np.ndarray, n: int) -> float:
+    """The Q that a Gram's columns are scaled relative to: min Q where some
+    finite w^(2n) underflows, so that w^n / max w^n keeps the entries' digits;
+    0 elsewhere, which leaves w^n as it is, and where some w^n overflows, for
+    _basis_columns to refuse it by name."""
+    finite = q[np.isfinite(q)]
+    if finite.size and -n * finite.max() < _LOG_TINY and -n * finite.min() < _LOG_MAX:
+        return float(finite.min())
+    return 0.0
+
+
+def _basis_columns(points: np.ndarray, q: np.ndarray, n: int, shift: float = 0.0) -> np.ndarray:
     """The degree-n basis monomials (rows) at every point.
 
-    Each point's column is scaled by w^n; q holds Q at the (M, d) points.
+    Each point's column is scaled by w^n exp(n shift) = exp(-n (Q - shift));
+    q holds Q at the (M, d) points.  A scale that overflows is refused by
+    name.
     """
     indices = enumerate_basis(n, points.shape[1])
-    return monomial_values(indices, points) * finite_weight_power(q, n)
+    return monomial_values(indices, points) * finite_weight_power(q, n, shift)
 
 
 def _factor(cols: np.ndarray, masses: np.ndarray):
@@ -106,10 +127,11 @@ def _factor(cols: np.ndarray, masses: np.ndarray):
 
 
 def _system(
-    factor, dimension: int, weight: AdmissibleWeight, n: int, size: int
+    factor, dimension: int, weight: AdmissibleWeight, n: int, size: int, shift: float = 0.0
 ) -> GramSystem:
     """The degree-n system on the leading size x size block of _factor's
-    G and L.
+    G and L, whose columns carry exp(n shift): log det G subtracts
+    2 size n shift.
 
     The rank is the number of leading pivot shares above MIN_PIVOT; a block
     of lower rank raises DegenerateMeasureError.
@@ -125,7 +147,7 @@ def _system(
             f" numerical rank {rank} < {size}",
             rank=rank,
         )
-    log_det = 2.0 * float(np.sum(np.log(chol.diagonal().real[:size])))
+    log_det = 2.0 * float(np.sum(np.log(chol.diagonal().real[:size]))) - 2.0 * size * n * shift
     return GramSystem(
         degree=n,
         dimension=dimension,
@@ -133,6 +155,7 @@ def _system(
         matrix=g[:size, :size],
         chol=chol[:size, :size],
         log_det=log_det,
+        shift=shift,
     )
 
 
@@ -142,9 +165,11 @@ def _gram_from_columns(
     masses: np.ndarray,
     weight: AdmissibleWeight,
     n: int,
+    shift: float = 0.0,
 ) -> GramSystem:
-    """The Gram system over the w^n-scaled columns c_k (see _system)."""
-    return _system(_factor(cols, masses), dimension, weight, n, len(cols))
+    """The Gram system over the columns c_k that _basis_columns scaled with
+    this shift (see _system)."""
+    return _system(_factor(cols, masses), dimension, weight, n, len(cols), shift)
 
 
 def gram_matrix(
@@ -152,8 +177,10 @@ def gram_matrix(
 ) -> GramSystem:
     """G_ij = sum_k mass_k e_i(z_k) conj(e_j(z_k)) exp(-2 n Q(z_k))."""
     points = mu.candidates.points
-    cols = _basis_columns(points, weight(points), n)
-    return _gram_from_columns(points.shape[1], cols, mu.masses, weight, n)
+    q = weight(points)
+    shift = _weight_shift(q, n)
+    cols = _basis_columns(points, q, n, shift)
+    return _gram_from_columns(points.shape[1], cols, mu.masses, weight, n, shift)
 
 
 def _whitened_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
@@ -169,9 +196,13 @@ def _whitened_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
 
 
 def bergman_function(sys: GramSystem, eval_points: np.ndarray) -> np.ndarray:
-    """B(z) = exp(-2nQ(z)) P(z)* G^{-1} P(z) at each evaluation point."""
+    """B(z) = exp(-2nQ(z)) P(z)* G^{-1} P(z) at each evaluation point.
+
+    The columns are scaled as the Gram's were, so B is unchanged; a point
+    whose scale overflows is refused by name.
+    """
     pts = as_points(eval_points)
-    cols = _basis_columns(pts, sys.weight(pts), sys.degree)
+    cols = _basis_columns(pts, sys.weight(pts), sys.degree, sys.shift)
     return np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
 
 
@@ -180,8 +211,10 @@ def gram_and_bergman(
 ) -> tuple[GramSystem, np.ndarray]:
     """gram_matrix(mu, weight, n) and B at mu's points, from one basis evaluation."""
     points = mu.candidates.points
-    cols = _basis_columns(points, weight(points), n)
-    sys = _gram_from_columns(points.shape[1], cols, mu.masses, weight, n)
+    q = weight(points)
+    shift = _weight_shift(q, n)
+    cols = _basis_columns(points, q, n, shift)
+    sys = _gram_from_columns(points.shape[1], cols, mu.masses, weight, n, shift)
     return sys, np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
 
 

@@ -133,9 +133,13 @@ TORUS_41_N12 = [
 
 def test_torus_search_selection_is_pinned():
     # The 41 x 41 torus at n = 12 takes hundreds of swaps, so a change in
-    # how C is updated that alters a single gain comparison moves this set.
-    cfg = fekete.search_fekete(domains.torus(2, 41), 12, AdmissibleWeight.zero())
+    # how C is updated that alters a single gain comparison moves this set,
+    # whether the degree is searched alone or as the end of a sequence.
+    torus = domains.torus(2, 41)
+    cfg = fekete.search_fekete(torus, 12, AdmissibleWeight.zero())
     assert sorted(cfg.indices) == TORUS_41_N12
+    seq = fekete.diameter_sequence(torus, AdmissibleWeight.zero(), 12)
+    assert sorted(seq[-1]["indices"]) == TORUS_41_N12
 
 
 def test_greedy_skips_zero_weight_points():
@@ -165,6 +169,54 @@ def test_search_where_w_n_underflows(q):
         warnings.simplefilter("error")
         cfg = fekete.search_fekete(cand, 3, w)
     assert cfg.log_weighted_vdm == pytest.approx(_exhaustive_best(cand, 3, w), rel=1e-14)
+
+
+def _constant_300(p):
+    return np.full(len(p), 300.0)
+
+
+@pytest.mark.parametrize(
+    "cand, weight, n_max",
+    [
+        (domains.circle(1.0, 64), AdmissibleWeight.zero(), 6),
+        (domains.torus(2, 21), AdmissibleWeight.zero(), 6),
+        (domains.disk(1.0, 12, 40), AdmissibleWeight.quadratic(), 6),
+        (domains.interval(-1.0, 1.0, 24, "chebyshev"), AdmissibleWeight.quadratic(), 8),
+        (domains.circle(1.0, 6), AdmissibleWeight.custom(_constant_300), 3),
+        (domains.circle(1.1, 201), AdmissibleWeight.zero(), 3),
+    ],
+    ids=["circle", "torus", "disk-quadratic", "chebyshev-quadratic", "underflow", "circle-tie"],
+)
+def test_sequence_matches_single_searches(cand, weight, n_max):
+    # The sequence reads each degree's basis off one degree-n_max table,
+    # whose powers may round 1 ulp apart from a single search's.  On the
+    # r = 1.1 circle at n = 2 that moves the pick to another tied set.
+    seq = fekete.diameter_sequence(cand, weight, n_max)
+    assert [rec["n"] for rec in seq] == list(range(1, n_max + 1))
+    for rec in seq:
+        n = rec["n"]
+        cfg = fekete.search_fekete(cand, n, weight)
+        assert rec["log_vdm"] == pytest.approx(cfg.log_weighted_vdm, rel=1e-12, abs=0.0)
+        if sorted(rec["indices"]) != sorted(cfg.indices):
+            tied = log_abs_weighted_vdm(cand.points[rec["indices"]], n, weight).log_abs
+            assert tied == pytest.approx(cfg.log_weighted_vdm, rel=1e-15, abs=0.0), n
+
+
+def test_sequence_evaluates_the_basis_and_weight_once(monkeypatch):
+    calls = {"monomials": 0, "weight": 0}
+    monomial_values = fekete.monomial_values
+
+    def spy(indices, points):
+        calls["monomials"] += 1
+        return monomial_values(indices, points)
+
+    def q(p):
+        calls["weight"] += 1
+        return np.abs(p[:, 0]) ** 2
+
+    monkeypatch.setattr(fekete, "monomial_values", spy)
+    fekete.diameter_sequence(domains.disk(1.0, 12, 40), AdmissibleWeight.custom(q), 6)
+    assert calls == {"monomials": 1, "weight": 1}
 
 
 def test_empirical_measure():

@@ -304,3 +304,43 @@ def test_an_overflowing_w_n_is_refused_by_name(solve):
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match=r"w\^2 = exp\(-2 Q\) overflows at Q = -400.0"):
             solve(cand, w)
+
+
+def test_gram_where_w_2n_underflows():
+    # Q = 300: w^2 = e^-600 is a float, but every Gram entry at n = 2 carries
+    # w^4 = e^-1200, which is 0, so the Gram was once refused as rank 0.  Its
+    # columns are now taken relative to min Q, and log det G adds that back.
+    cand = domains.circle(1.0, 16)
+    mu = DiscreteMeasure.uniform(cand)
+    w = AdmissibleWeight.custom(lambda p: np.full(len(p), 300.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 3):
+            sys = gram_matrix(mu, w, n)
+            assert sys.log_det == pytest.approx(-2 * sys.size * n * 300.0, rel=1e-12)
+            b = bergman_function(sys, cand.points)
+            assert np.array_equal(b, bergman_function(gram_matrix(mu, ZERO, n), cand.points))
+            assert b == pytest.approx(np.full(16, n + 1.0), rel=1e-12)
+            both = gram_and_bergman(mu, w, n)
+            assert (both[0].log_det, both[0].shift) == (sys.log_det, sys.shift)
+            assert np.array_equal(both[1], b)
+            rep = solve_optimal_measure(cand, w, n)
+            assert rep.converged
+            assert rep.log_det == pytest.approx(sys.log_det, rel=1e-12)
+
+
+def test_bergman_refuses_a_point_past_the_gram_scale_by_name():
+    # The Gram of the unit circle, Q = 300 there, is scaled by exp(2 * 300);
+    # at z = 2, Q = -100, B's column would carry exp(2 * 400), not a float.
+    w = AdmissibleWeight.custom(lambda p: np.where(np.abs(p[:, 0]) < 1.5, 300.0, -100.0))
+    sys = gram_matrix(DiscreteMeasure.uniform(domains.circle(1.0, 16)), w, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            InvalidInputError, match=r"w\^2 = exp\(-2 Q\) overflows at Q = -100.0 relative to Q = 300.0"
+        ):
+            bergman_function(sys, np.array([[2.0 + 0j]]))
+        # Where some w^n also overflows, the Gram itself is refused as before.
+        both = AdmissibleWeight.custom(lambda p: np.where(p[:, 0].real > 0.5, -400.0, 400.0))
+        with pytest.raises(InvalidInputError, match=r"w\^2 = exp\(-2 Q\) overflows at Q = -400.0$"):
+            gram_matrix(DiscreteMeasure.uniform(domains.interval(-1.0, 1.0, 3)), both, 2)
