@@ -93,6 +93,21 @@ def test_bergman_constant_on_circle():
     assert np.array_equal(b, bergman_function(sys, c.points))
 
 
+def test_bergman_matches_the_radial_closed_form():
+    # The grid's 48 angles make the Gram of z^0, ..., z^n diagonal for
+    # n < 48, with c_k = sum_j mu_j |z_j|^2k w(z_j)^2n, so
+    # B_n(z) = sum_k |z|^2k w(z)^2n / c_k.
+    cand = domains.disk(1.0, 60, 48)
+    mu = DiscreteMeasure.from_reference(cand)
+    r2 = np.abs(cand.points[:, 0]) ** 2
+    for n in range(1, 25):
+        powers = r2[None, :] ** np.arange(n + 1)[:, None] * np.exp(-2 * n * r2)
+        c = powers @ mu.masses
+        want = (powers / c[:, None]).sum(axis=0)
+        _, b = gram_and_bergman(mu, AdmissibleWeight.quadratic(), n)
+        np.testing.assert_allclose(b, want, rtol=1e-12, atol=0.0, err_msg=f"n = {n}")
+
+
 def _brute_force_log_z(pts, masses, weight, n):
     """Sum over all N-tuples of |VDM_w|^2 with product masses."""
     q = weight(pts[:, None])

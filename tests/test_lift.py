@@ -7,10 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pluripot import domains, fekete, vdm
+from pluripot import domains, fekete, gram, vdm
 from pluripot import lift as lifting
 from pluripot.basis import degree_block, dimension_counts, enumerate_basis
 from pluripot.domains import AdmissibleWeight
@@ -578,6 +579,30 @@ def test_subset_scores_of_columns_past_the_reflector_overflow(scale):
 def test_subset_scores_of_a_column_past_the_norm_underflow():
     # A column of norm 1.06e-160 has a square that underflows.
     _assert_scores_match_scaled_slogdet(1e-160)
+
+
+@pytest.mark.parametrize(
+    "cand, w, n",
+    [
+        (domains.circle(1.0, 24), AdmissibleWeight.zero(), 3),
+        (domains.interval(-1.0, 1.0, 24, "chebyshev"), AdmissibleWeight.quadratic(), 3),
+        (domains.disk(1.0, 4, 8), AdmissibleWeight.quadratic(), 3),
+        (domains.torus(2, 5), AdmissibleWeight.zero(), 2),
+    ],
+    ids=["circle", "chebyshev-quadratic", "disk-quadratic", "torus2"],
+)
+def test_subset_scores_sum_to_the_gram_log_det(cand, w, n):
+    # Cauchy-Binet: det G = sum_S prod_{x in S} mu_x |det V_w[:, S]|^2 over
+    # the N-subsets S, so the walk's scores and the Gram's Cholesky factor
+    # give one log det by two routes.
+    mu = gram.DiscreteMeasure.from_reference(cand)
+    q = w(cand.points)
+    cols = vdm.monomial_values(enumerate_basis(n, cand.dimension), cand.points)
+    scores, subsets = lifting._subset_scores(cols, len(cols), n, q)
+    with np.errstate(divide="ignore"):  # the disk's centre has mass 0
+        log_mass = np.log(mu.masses)[subsets].sum(axis=1)
+    got = scipy.special.logsumexp(2 * scores + log_mass)
+    assert got == pytest.approx(gram.gram_matrix(mu, w, n).log_det, rel=0, abs=1e-13)
 
 
 def test_descending_refuses_a_nan_score():
