@@ -32,9 +32,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import degree_block, enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet, finite_weight_power
+from .domains import AdmissibleWeight, CandidateSet
 from .errors import InvalidInputError, PluripotError
-from .vdm import _scipy_module, monomial_values
+from .vdm import _scipy_module, monomial_values, weighted_columns
 
 CLASSES = ("plain", "homogeneous", "weighted")
 INITIAL_FACETS = 4
@@ -363,15 +363,29 @@ def chebyshev_constant(
     deg = sum(alpha)
     if deg == 0:
         raise InvalidInputError("degree-0 monomial has an empty class")
+    # The lower monomials' rows, then e_alpha's.
+    rows = np.concatenate([monomial_values(_class_monomials(alpha, d, class_tag), cand.points),
+                           monomial_values([alpha], cand.points)])
+    scale, top, lost = np.ones(len(cand)), 0.0, False
     if class_tag == "weighted":
         if weight is None:
             raise InvalidInputError("weighted class needs a weight")
-        scale = finite_weight_power(weight(cand.points), deg)
-    else:
-        scale = np.ones(len(cand))
-    target = monomial_values([alpha], cand.points)[0]
-    lower = monomial_values(_class_monomials(alpha, d, class_tag), cand.points).T
-    value, coeffs, converged, _ = _solve_minimax(target, lower, scale)
+        # The LP sees w^deg over its largest, e^top.  A point where that underflows is left
+        # out: exact while its residual, below tiny (1 + sum |c|) e^top, is below the value.
+        rows, s = weighted_columns(rows, weight(cand.points), deg)
+        top = float(s.max())
+        scale = np.exp(s - top)
+        lost = ((scale == 0) & (s > -math.inf)).any()
+    value, coeffs, converged, _ = _solve_minimax(rows[-1], rows[:-1].T, scale)
+    if lost and value <= np.finfo(float).tiny * (1.0 + np.abs(coeffs).sum()):
+        raise InvalidInputError(
+            f"w^{deg} = exp(-{deg} Q) spans more than a float on the grid, and the"
+            " minimax rests on the points where it underflows relative to its largest"
+        )
+    with np.errstate(over="ignore"):
+        value = value * float(np.exp(top)) if value else 0.0
+    if value == math.inf:
+        raise InvalidInputError(f"the weighted Chebyshev value, of scale e^{top:.6g}, overflows")
     return ChebyshevRecord(
         alpha=alpha,
         class_tag=class_tag,

@@ -231,18 +231,14 @@ class AdmissibleWeight:
         return q
 
 
-def finite_weight_power(q: np.ndarray, k: float, shift: float = 0.0) -> np.ndarray:
-    """The factor w^k = exp(-k Q) at each point, or exp(-k (Q - shift)) for
-    a nonzero shift, 0 where Q = +inf; InvalidInputError where it overflows
-    a float."""
+def finite_weight_power(q: np.ndarray, k: float) -> np.ndarray:
+    """The factor w^k = exp(-k Q) at each point, 0 where Q = +inf;
+    InvalidInputError where it overflows a float."""
     with np.errstate(over="ignore"):
-        scale = np.where(np.isfinite(q), np.exp(-k * (q - shift) if shift else -k * q), 0.0)
+        scale = np.where(np.isfinite(q), np.exp(-k * q), 0.0)
     over = np.isinf(scale)
     if over.any():
-        rel = f" relative to Q = {shift!r}" if shift else ""
-        raise InvalidInputError(
-            f"w^{k} = exp(-{k} Q) overflows at Q = {float(q[over].min())!r}{rel}"
-        )
+        raise InvalidInputError(f"w^{k} = exp(-{k} Q) overflows at Q = {float(q[over].min())!r}")
     return scale
 
 

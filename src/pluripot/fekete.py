@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import dimension_counts, enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet, finite_weight_power
+from .domains import AdmissibleWeight, CandidateSet
 from .errors import InvalidInputError
 from .gram import EXCHANGE_TOL, DiscreteMeasure
-from .vdm import _lapack, _logdet_qr, diameter_exponent, monomial_values, pivoted_qr
-
+from .vdm import _RANK_TOL, _lapack, _logdet_qr, diameter_exponent, monomial_values, pivoted_qr
+from .vdm import weighted_columns
 
 _MAX_SWEEPS = 10
 
@@ -56,10 +56,10 @@ def search_fekete(
     a sweep without a swap.  max_sweeps = 0 returns the greedy pick.  The
     value is log |W| recomputed from the selected points, never read off C.
 
-    The columns of A carry w^n.  Where some point's w^n underflows, they
-    carry instead w^n relative to the largest, floored at the square root of
-    the smallest normal float: no column of finite Q is zero, and the points
-    whose w^n lies within that floor of the largest keep their exact ratios.
+    Column x of A is vdm.weighted_columns' c_x e^(s_x - s_max), w^n relative
+    to the largest, floored at the square root of the smallest normal float:
+    no column of finite Q is zero, and the points within that floor of the
+    largest keep their exact ratios, whatever the range of w^n itself.
     """
     rows = monomial_values(enumerate_basis(n, cand.dimension), cand.points)
     return _search(rows, weight(cand.points), n, max_sweeps)
@@ -77,15 +77,17 @@ def _search(rows: np.ndarray, q: np.ndarray, n: int, max_sweeps: int) -> FeketeC
         raise InvalidInputError(
             f"weight vanishes on too many candidates: {usable} < {n_pts}"
         )
-    scale = finite_weight_power(q, n)  # refuses an overflowing w^n by name
-    if scale[finite].min() < sys.float_info.min:
-        relative = np.exp(-n * (q[finite] - q[finite].min()))
-        scale[finite] = np.maximum(relative, math.sqrt(sys.float_info.min))
+    cols, scale = weighted_columns(rows, q, n)
+    relative = np.exp(scale - scale[finite].max())  # 0 where Q = +inf
+    relative[finite] = np.maximum(relative[finite], math.sqrt(sys.float_info.min))
     # Fortran order lets geqp3 factor the columns in place, without a copy.
-    r, piv = pivoted_qr(np.multiply(rows, scale, order="F"), overwrite=True)
-    greedy = _log_weighted_vdm(rows, q, n, piv[:n_pts])
+    r, piv = pivoted_qr(np.multiply(cols, relative, order="F"), overwrite=True)
+    greedy = _logdet_qr(cols[:, piv[:n_pts]], scale[piv[:n_pts]]).log_abs
     if greedy == -math.inf:
-        raise InvalidInputError(f"no {n_pts}-point subset is unisolvent at degree {n}")
+        raise InvalidInputError(
+            f"the greedy {n_pts}-point pick at degree {n} is numerically singular under the"
+            f" rank rule (an R diagonal entry at most {_RANK_TOL:g} of the largest): the basis"
+            f" may be too ill-conditioned at this degree, or no {n_pts}-point subset is unisolvent")
     # R has n_pts rows, so geqp3 keeps Householder vectors only below the
     # diagonal of R11, its leading n_pts columns.
     r[np.tril_indices(n_pts, -1)] = 0.0
@@ -122,16 +124,8 @@ def _search(rows: np.ndarray, q: np.ndarray, n: int, max_sweeps: int) -> FeketeC
         swapped = True
     chosen = piv[selected]
     # Without a swap the selection, and so its value, is the greedy pick's.
-    value = _log_weighted_vdm(rows, q, n, chosen) if swapped else greedy
+    value = _logdet_qr(cols[:, chosen], scale[chosen]).log_abs if swapped else greedy
     return FeketeConfiguration(n, tuple(int(i) for i in chosen), value)
-
-
-def _log_weighted_vdm(rows: np.ndarray, q: np.ndarray, n: int, chosen: np.ndarray) -> float:
-    """log |W| of the chosen candidates from their basis rows: the rank rule
-    and arithmetic of vdm.log_abs_weighted_vdm, -inf for a zero W."""
-    if not np.isfinite(q[chosen]).all():
-        return -math.inf
-    return _logdet_qr(rows[:, chosen]).log_abs - n * float(q[chosen].sum())
 
 
 def empirical_measure(

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import dimension_counts, enumerate_basis
-from .domains import AdmissibleWeight, CandidateSet, as_points, check_masses, finite_weight_power
+from .domains import AdmissibleWeight, CandidateSet, as_points, check_masses
 from .errors import DegenerateMeasureError, InvalidInputError
-from .vdm import _lapack, diameter_exponent, monomial_values
+from .vdm import _lapack, diameter_exponent, monomial_values, weighted_columns
 
 # Smallest accepted equilibrated Cholesky pivot L_ii^2 / G_ii: the share of
 # basis function i's L2(mu) norm that the lower basis functions leave
@@ -31,11 +31,6 @@ MIN_PIVOT = 5e-8
 
 # Relative gaps below factorization noise: no Fekete swap, and B argmax ties.
 EXCHANGE_TOL = 1e-12
-
-# log of the square root of the smallest normal float: a Gram entry carries
-# w^(2n), which underflows where w^n lies below this; and log of the largest.
-_LOG_TINY = 0.5 * math.log(np.finfo(float).tiny)
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,10 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Degree-n Gram matrix for (mu, Q) with its Cholesky factor."""
+    """Degree-n Gram matrix for (mu, Q) with its Cholesky factor.
+
+    ``matrix`` and ``chol`` are the Gram's divided by e^(2 log_scale), the
+    largest log scale s_max at mu's points (see _basis_columns)."""
 
     degree: int
     dimension: int
@@ -71,9 +69,7 @@ class GramSystem:
     matrix: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
     log_det: float
-    # matrix and chol are those of the columns scaled by exp(n shift); see
-    # _weight_shift.  log_det is the unscaled Gram's.
-    shift: float = 0.0
+    log_scale: float = 0.0
 
     @property
     def size(self) -> int:
@@ -86,26 +82,14 @@ class GramSystem:
         return float(shares.min())
 
 
-def _weight_shift(q: np.ndarray, n: int) -> float:
-    """The Q that a Gram's columns are scaled relative to: min Q where some
-    finite w^(2n) underflows, so that w^n / max w^n keeps the entries' digits;
-    0 elsewhere, which leaves w^n as it is, and where some w^n overflows, for
-    _basis_columns to refuse it by name."""
-    finite = q[np.isfinite(q)]
-    if finite.size and -n * finite.max() < _LOG_TINY and -n * finite.min() < _LOG_MAX:
-        return float(finite.min())
-    return 0.0
-
-
-def _basis_columns(points: np.ndarray, q: np.ndarray, n: int, shift: float = 0.0) -> np.ndarray:
-    """The degree-n basis monomials (rows) at every point.
-
-    Each point's column is scaled by w^n exp(n shift) = exp(-n (Q - shift));
-    q holds Q at the (M, d) points.  A scale that overflows is refused by
-    name.
-    """
-    indices = enumerate_basis(n, points.shape[1])
-    return monomial_values(indices, points) * finite_weight_power(q, n, shift)
+def _basis_columns(points: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """(c_x e^(s_x - s_max) at each point x, s_max) from vdm.weighted_columns at
+    degree n, q holding Q at the (M, d) points; s_max is 0 where every Q = +inf."""
+    rows = monomial_values(enumerate_basis(n, points.shape[1]), points)
+    cols, scale = weighted_columns(rows, q, n)
+    finite = scale > -math.inf
+    top = float(scale[finite].max()) if finite.any() else 0.0
+    return cols * np.exp(scale - top), top
 
 
 def _factor(cols: np.ndarray, masses: np.ndarray):
@@ -127,11 +111,11 @@ def _factor(cols: np.ndarray, masses: np.ndarray):
 
 
 def _system(
-    factor, dimension: int, weight: AdmissibleWeight, n: int, size: int, shift: float = 0.0
+    factor, dimension: int, weight: AdmissibleWeight, n: int, size: int, log_scale: float
 ) -> GramSystem:
     """The degree-n system on the leading size x size block of _factor's
-    G and L, whose columns carry exp(n shift): log det G subtracts
-    2 size n shift.
+    G and L, whose columns were divided by e^(log_scale): log det G adds
+    2 size log_scale.
 
     The rank is the number of leading pivot shares above MIN_PIVOT; a block
     of lower rank raises DegenerateMeasureError.
@@ -147,7 +131,7 @@ def _system(
             f" numerical rank {rank} < {size}",
             rank=rank,
         )
-    log_det = 2.0 * float(np.sum(np.log(chol.diagonal().real[:size]))) - 2.0 * size * n * shift
+    log_det = 2.0 * float(np.sum(np.log(chol.diagonal().real[:size]))) + 2.0 * size * log_scale
     return GramSystem(
         degree=n,
         dimension=dimension,
@@ -155,21 +139,8 @@ def _system(
         matrix=g[:size, :size],
         chol=chol[:size, :size],
         log_det=log_det,
-        shift=shift,
+        log_scale=log_scale,
     )
-
-
-def _gram_from_columns(
-    dimension: int,
-    cols: np.ndarray,
-    masses: np.ndarray,
-    weight: AdmissibleWeight,
-    n: int,
-    shift: float = 0.0,
-) -> GramSystem:
-    """The Gram system over the columns c_k that _basis_columns scaled with
-    this shift (see _system)."""
-    return _system(_factor(cols, masses), dimension, weight, n, len(cols), shift)
 
 
 def gram_matrix(
@@ -177,17 +148,15 @@ def gram_matrix(
 ) -> GramSystem:
     """G_ij = sum_k mass_k e_i(z_k) conj(e_j(z_k)) exp(-2 n Q(z_k))."""
     points = mu.candidates.points
-    q = weight(points)
-    shift = _weight_shift(q, n)
-    cols = _basis_columns(points, q, n, shift)
-    return _gram_from_columns(points.shape[1], cols, mu.masses, weight, n, shift)
+    cols, top = _basis_columns(points, weight(points), n)
+    return _system(_factor(cols, mu.masses), points.shape[1], weight, n, len(cols), top)
 
 
 def _whitened_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
     """Y = L^{-1} C: the columns in a basis orthonormal in L2(mu).
 
     A column holding inf or NaN raises InvalidInputError.  L has the positive
-    diagonal that _gram_from_columns checked, so LAPACK trtrs cannot fail.
+    diagonal that _system checked, so LAPACK trtrs cannot fail.
     """
     if not np.isfinite(cols).all():
         raise InvalidInputError("basis values at the evaluation points are not finite")
@@ -202,7 +171,10 @@ def bergman_function(sys: GramSystem, eval_points: np.ndarray) -> np.ndarray:
     whose scale overflows is refused by name.
     """
     pts = as_points(eval_points)
-    cols = _basis_columns(pts, sys.weight(pts), sys.degree, sys.shift)
+    rows = monomial_values(enumerate_basis(sys.degree, sys.dimension), pts)
+    cols, scale = weighted_columns(rows, sys.weight(pts), sys.degree)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _whitened_columns
+        cols = cols * np.exp(scale - sys.log_scale)
     return np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
 
 
@@ -211,10 +183,8 @@ def gram_and_bergman(
 ) -> tuple[GramSystem, np.ndarray]:
     """gram_matrix(mu, weight, n) and B at mu's points, from one basis evaluation."""
     points = mu.candidates.points
-    q = weight(points)
-    shift = _weight_shift(q, n)
-    cols = _basis_columns(points, q, n, shift)
-    sys = _gram_from_columns(points.shape[1], cols, mu.masses, weight, n, shift)
+    cols, top = _basis_columns(points, weight(points), n)
+    sys = _system(_factor(cols, mu.masses), points.shape[1], weight, n, len(cols), top)
     return sys, np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
 
 
@@ -232,10 +202,10 @@ def gram_sequence(
         return [gram_and_bergman(mu, weight, n) for n in range(1, n_max + 1)]
     points = mu.candidates.points
     d = points.shape[1]
-    cols = _basis_columns(points, weight(points), n_max)
+    cols, top = _basis_columns(points, weight(points), n_max)
     factor = _factor(cols, mu.masses)
     systems = [
-        _system(factor, d, weight, n, dimension_counts(n, d)[0])
+        _system(factor, d, weight, n, dimension_counts(n, d)[0], top)
         for n in range(1, n_max + 1)
     ]
     partial = np.cumsum(np.abs(_whitened_columns(systems[-1], cols)) ** 2, axis=0)

@@ -23,7 +23,7 @@ from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, finite_weight_power
 from .errors import InvalidInputError
 from .fekete import search_fekete
-from .vdm import _lapack, _logdet_qr, diameter_exponent, monomial_values
+from .vdm import _lapack, _logdet_qr, diameter_exponent, monomial_values, weighted_columns
 
 # Entries of the products U^H a_x that one chunk of prefix-tree nodes forms
 # in the exhaustive lift check: nodes * (N - k) * m at depth k.  A chunk's
@@ -38,7 +38,7 @@ EXHAUSTIVE_CAP = 200_000
 # bound falls this far short of the floor is still expanded.
 _PRUNE_SLACK = 1e-9
 # Span of the log weights that set the walk's row basis: a column weighs
-# exp(-min(cost - lowest cost, _WEIGHT_SPAN)).  The basis change's condition
+# exp(max(scale - largest scale, -_WEIGHT_SPAN)).  The basis change's condition
 # number grows like e^_WEIGHT_SPAN: at 5 the scores keep the 1e-13 relative
 # accuracy that the lift tests ask of them, at 10 three of those tests fail.
 _WEIGHT_SPAN = 5.0
@@ -68,9 +68,9 @@ def _chunk_nodes(dim: int, m: int) -> int:
     return max(1, _CHUNK_ENTRIES // (dim * m))
 
 
-def _leverage_basis(cols: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _leverage_basis(cols: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, float] | None:
     """(T cols, log |det R|) for T = R^-H, where (cols rel)^H = Q R and
-    rel = exp(-min(cost - lowest finite cost, _WEIGHT_SPAN)).
+    rel = exp(max(scale - largest finite scale, -_WEIGHT_SPAN)).
 
     The weighted columns T cols rel are Q^H's: their rows are orthonormal,
     and column x has norm sqrt(h_x), its leverage, at most 1.  Then
@@ -79,9 +79,9 @@ def _leverage_basis(cols: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, flo
     linearly dependent and the result is None.
     """
     count = len(cols)
-    finite = np.isfinite(cost)
-    low = cost[finite].min() if finite.any() else 0.0
-    rel = np.exp(-np.minimum(cost - low, _WEIGHT_SPAN))
+    finite = np.isfinite(scale)
+    top = scale[finite].max() if finite.any() else 0.0
+    rel = np.exp(np.maximum(scale - top, -_WEIGHT_SPAN))
     r = np.linalg.qr((cols * rel).conj().T, mode="r")
     pivots = np.abs(r.diagonal())
     if len(pivots) < count or not pivots.all():
@@ -91,9 +91,13 @@ def _leverage_basis(cols: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, flo
 
 
 def _subset_scores(
-    cols: np.ndarray, count: int, n: int, q: np.ndarray, floor: float = -math.inf
+    cols: np.ndarray, count: int, scale: np.ndarray, floor: float = -math.inf
 ) -> tuple[np.ndarray, np.ndarray]:
-    """log |det cols[:, S]| - n * sum Q(S) and S, for count-subsets S in lexicographic order.
+    """log |det cols[:, S]| + sum scale(S) and S, for count-subsets S in lexicographic order.
+
+    ``cols`` and ``scale`` are ``vdm.weighted_columns``' unit-peak columns
+    and log scales, so the scores are those of the weighted columns
+    e^(scale_x) cols[:, x], and no norm is out of range for the reflectors.
 
     A walk down the prefix tree of the subsets, one level at a time, by
     |det cols[:, S]| = prod_k |P_k a_{s_k}|, where a_x is column x and P_k
@@ -101,39 +105,33 @@ def _subset_scores(
     A node at depth k holds an orthonormal basis U (count x (count - k)) of
     its complement, its partial score and its prefix s_1 < ... < s_k.
     Child x > s_k (s_0 = -1) gets alpha = U^H a_x and the partial score
-    + log |alpha| - n Q(x); above the leaves it also gets the basis
+    + log |alpha| + scale_x; above the leaves it also gets the basis
     U H(alpha)[:, 1:], from the Householder reflector H(alpha) that maps
     alpha to a multiple of e_1.  Each level is processed in chunks of
     ``_chunk_nodes`` nodes with batched numpy operations, and the walk
     finishes a chunk's subtree before the next chunk.  A subset holding a
-    point of non-finite Q scores -inf.
+    point of scale -inf (Q = +inf) scores -inf.
 
-    Each column is divided by its largest modulus, whose log its cost
-    takes back, so that no norm is out of range for the reflectors, and is
-    walked in the row basis of ``_leverage_basis``, as T a_x.  That shifts
-    every score by log |det T| = -log |det R|, which is added back at the
-    end.  Where R has a zero pivot, the rows of cols are linearly dependent
-    and every subset scores -inf.
+    Each column is walked in the row basis of ``_leverage_basis``, as T a_x.
+    That shifts every score by log |det T| = -log |det R|, which is added
+    back at the end.  Where R has a zero pivot, the rows of cols are
+    linearly dependent and every subset scores -inf.
 
     A finite ``floor`` makes the walk a branch-and-bound: it scores each
     subset or proves its score below the floor, and a proven subset is left
     out.  By Hadamard's inequality no later projected norm exceeds the
     node's own, so with r = count - k - 1 slots left after child x, no
     subset below x scores more than its partial score + r max_{y > x}
-    (log |U^H a_y| - n Q(y)); in the row basis, that bound is one of
+    (log |U^H a_y| + scale_y); in the row basis, that bound is one of
     weighted leverages, which rescaling the rows cannot loosen.  A child
     whose bound, widened by ``_PRUNE_SLACK`` for rounding, falls short of
     the floor is not expanded.
     The subsets that are scored score bit for bit as with no floor.
     """
     m = cols.shape[1]
-    peaks = np.abs(cols).max(axis=0, initial=0.0)
-    peaks[peaks == 0] = 1.0
-    cols = cols / peaks
-    cost = np.where(np.isfinite(q), n * q, math.inf) - np.log(peaks)
-    basis = _leverage_basis(cols, cost)
+    basis = _leverage_basis(cols, scale)
     if basis is None:  # the rows are dependent: every subset is singular
-        cost, shift = np.full(m, math.inf), 0.0
+        scale, shift = np.full(m, -math.inf), 0.0
     else:
         cols, shift = basis
     cut = floor - _PRUNE_SLACK * max(1.0, abs(floor)) - shift
@@ -156,7 +154,7 @@ def _subset_scores(
         products = rows @ cols[:, :stop]
         if dim == 1:
             with np.errstate(divide="ignore"):
-                score = partial[:, None] + np.log(np.abs(products[:, 0])) - cost[:stop]
+                score = partial[:, None] + np.log(np.abs(products[:, 0])) + scale[:stop]
             scored.append(score[keep])
             child = np.broadcast_to(np.arange(stop, dtype=index), keep.shape)[keep]
             heads = np.repeat(prefix[:, 1:], keep.sum(axis=1), axis=0)
@@ -167,15 +165,15 @@ def _subset_scores(
         norm = np.linalg.norm(alpha, axis=1)
         with np.errstate(divide="ignore"):
             log_norm = np.log(norm)
-            score = partial[parent] + log_norm - cost[child]
+            score = partial[parent] + log_norm + scale[child]
         if cut > -math.inf:
-            # gain[:, y] = log |U^H a_y| - n Q(y) for y > s_k, over all m
+            # gain[:, y] = log |U^H a_y| + scale_y for y > s_k, over all m
             # columns; later[:, x] is its maximum over y > x.
             gain = np.full((len(prefix), m), -math.inf)
-            gain[parent, child] = log_norm - cost[child]
+            gain[parent, child] = log_norm + scale[child]
             with np.errstate(divide="ignore"):
                 gain[:, stop:] = (np.log(np.linalg.norm(rows @ cols[:, stop:], axis=1))
-                                  - cost[stop:])
+                                  + scale[stop:])
             later = np.maximum.accumulate(gain[:, :0:-1], axis=1)[:, ::-1]
             alive = score + (dim - 1) * later[parent, child] >= cut
             parent, child, alpha, norm, score = (
@@ -198,9 +196,10 @@ def _subset_scores(
 
 
 def _exhaustive_max(
-    cols: np.ndarray, count: int, n: int, q: np.ndarray, known: float = -math.inf
+    cols: np.ndarray, count: int, scale: np.ndarray, known: float = -math.inf
 ) -> float:
-    """Max of log |det cols[:, S]| - n * sum Q(S) over count-subsets S.
+    """Max of log |det cols[:, S]| + sum scale(S) over count-subsets S, for
+    ``vdm.weighted_columns``' unit-peak columns and log scales.
 
     ``_subset_scores`` scores each subset by projections down the prefix
     tree of the subsets, or proves it below the floor: ``known``, the value
@@ -211,20 +210,20 @@ def _exhaustive_max(
     (ties in lexicographic order).  Every subset scoring at least the floor
     is scored, so the first one accepted is the maximum with no floor too.
     If the rank rule rejects them all, the subsets are scored again with no
-    floor.  Subsets holding a point of non-finite Q are skipped.
+    floor.  Subsets holding a point of scale -inf are skipped.
     """
     floor = known - _PRUNE_SLACK * max(1.0, abs(known))
-    walks = [(floor, _subset_scores(cols, count, n, q, floor))]
+    walks = [(floor, _subset_scores(cols, count, scale, floor))]
     while walks:
         bound, (scores, subsets) = walks.pop()
         for i in _descending(scores):
             if scores[i] == -math.inf or scores[i] < bound:
                 break
-            ld = _logdet_qr(cols[:, subsets[i]])
+            ld = _logdet_qr(cols[:, subsets[i]], scale[subsets[i]])
             if not ld.is_zero:
-                return ld.log_abs - n * float(q[subsets[i]].sum())
+                return ld.log_abs
         if bound > -math.inf:
-            walks.append((-math.inf, _subset_scores(cols, count, n, q)))
+            walks.append((-math.inf, _subset_scores(cols, count, scale)))
     return -math.inf
 
 
@@ -259,21 +258,22 @@ def lift_identity_check(
     d = cand.dimension
     lift = homogeneous_lift(cand, weight, m_t)
     q = weight(cand.points)
+    finite_weight_power(q[np.isfinite(q)], n_max)  # lifted columns carry t^n, |t| = w
     usable = int(np.isfinite(q).sum())
     searched = {s["n"]: s["log_vdm"] for s in fekete_seq or ()}
 
-    def side(n: int, indices, points: np.ndarray, cost: np.ndarray) -> tuple[float, str]:
+    def side(n: int, indices, points: np.ndarray, field: np.ndarray) -> tuple[float, str]:
         if math.comb(len(points), len(indices)) > EXHAUSTIVE_CAP:
             return searched[n], "search"
-        cols = monomial_values(indices, points)
-        peaks = np.abs(cols).max(axis=0)
-        if peaks.min() < sys.float_info.min:  # only a lifted column: one on K holds 1
-            base = np.flatnonzero(np.isfinite(q))[np.argmin(peaks) // m_t]
+        cols, scale = weighted_columns(monomial_values(indices, points), field, n)
+        if scale.min() < math.log(sys.float_info.min) and not field.any():
+            # Only a lifted column (field 0) is this small: one on K holds 1.
+            base = np.flatnonzero(np.isfinite(q))[np.argmin(scale) // m_t]
             raise InvalidInputError(
                 f"degree {n}: w^{n} = exp(-{n} Q) underflows a lifted column"
                 f" at Q = {float(q[base])!r}"
             )
-        return _exhaustive_max(cols, len(indices), n, cost, searched[n]), "exhaustive"
+        return _exhaustive_max(cols, len(indices), scale, searched[n]), "exhaustive"
 
     out = []
     for n in range(1, n_max + 1):
@@ -283,8 +283,7 @@ def lift_identity_check(
             raise InvalidInputError(
                 f"degree {n} needs {n_pts} points of finite Q, got {usable}"
             )
-        # The search refuses an overflowing w^n by name, which the lifted
-        # columns carry as t^n, and a degree with no unisolvent subset.
+        # The search refuses a degree whose greedy pick is singular.
         if n not in searched:
             searched[n] = search_fekete(cand, n, weight).log_weighted_vdm
         lhs_log, lhs_method = side(n, indices, cand.points, q)

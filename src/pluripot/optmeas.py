@@ -20,7 +20,7 @@ import numpy as np
 from .domains import AdmissibleWeight, CandidateSet
 from .errors import DegenerateMeasureError, InvalidInputError
 from .gram import DiscreteMeasure
-from .gram import _basis_columns, _gram_from_columns, _weight_shift
+from .gram import _basis_columns, _factor, _system
 from .vdm import _lapack, pivoted_qr
 
 DEFAULT_TOL = 1e-6
@@ -151,15 +151,14 @@ def solve_optimal_measure(
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
 
-    shift = _weight_shift(q, n)
-    cols = _basis_columns(cand.points, q, n, shift)
+    cols, top = _basis_columns(cand.points, q, n)
     n_dim = len(cols)
-    sys = _gram_from_columns(cand.dimension, cols, masses, weight, n, shift)
+    sys = _system(_factor(cols, masses), cand.dimension, weight, n, n_dim, top)
     _, piv = pivoted_qr(cols)
     greedy = np.zeros(len(masses))
     greedy[piv[:n_dim]] = 1.0 / n_dim
     try:
-        start = _gram_from_columns(cand.dimension, cols, greedy, weight, n, shift)
+        start = _system(_factor(cols, greedy), cand.dimension, weight, n, n_dim, top)
     except DegenerateMeasureError:
         start = sys
     if start.log_det > sys.log_det:
@@ -176,7 +175,7 @@ def solve_optimal_measure(
             break
         _exchange_sweep(masses, y, b)
         masses = masses / masses.sum()
-        sys = _gram_from_columns(cand.dimension, cols, masses, weight, n, shift)
+        sys = _system(_factor(cols, masses), cand.dimension, weight, n, n_dim, top)
     certificate = {
         "n": n,
         "N": n_dim,

@@ -1,8 +1,10 @@
 """Log-domain Vandermonde determinants (plain, weighted, homogeneous).
 
 Raw determinants of monomial Vandermonde matrices overflow binary64 by
-degree ~10, so every determinant here is the sum of the log column norms
-and the log-magnitudes of the R diagonal from a column-pivoted QR
+degree ~10, and w^n = e^(-nQ) may leave the float range on its own, so
+every weighted quantity starts from ``weighted_columns``' unit-peak columns
+and log scales.  A determinant is the sum of the log scales, the log column
+norms and the log-magnitudes of the R diagonal from a column-pivoted QR
 factorization of the unit-norm columns.
 """
 
@@ -12,7 +14,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
@@ -105,65 +107,65 @@ def pivoted_qr(mat: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np
     return factor, piv
 
 
-def _out_of_range_peaks(mat: np.ndarray) -> np.ndarray | None:
-    """Largest modulus of each column out of range for its norm, 1 for the
-    others; None where no column is out of range.
+def weighted_columns(rows: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns w(x)^n rows[:, x] as unit-peak columns and log scales.
 
-    A column is out of range when its norm, squared and doubled as in a
-    Householder step, overflows (a norm past about 9.5e153), or when it is
-    nonzero but no entry reaches the square root of the smallest normal
-    float (about 1.5e-154), so that its squared norm underflows.
+    ``rows`` holds the unweighted basis (rows) at the points (columns) and
+    ``q`` holds Q there.  Column x is divided by 2^k, its largest modulus
+    rounded down to a power of two: the division is exact, the column's
+    peak lies in [1, 2), and a zero column is left as it is.  Its log scale
+    is s_x = k log 2 - n Q(x), -inf where Q = +inf or the column is zero,
+    so that w(x)^n rows[:, x] = e^(s_x) cols[:, x] without forming e^(-nQ).
+    Non-finite basis values and Q = -inf are refused by name.
     """
-    peaks = np.abs(mat).max(axis=0, initial=0.0)
-    # 2 |a|^2 <= 2 N max |a_i|^2, so no column of smaller entries overflows.
-    limit = math.sqrt(sys.float_info.max / (2 * max(len(mat), 1)))
-    tiny = math.sqrt(sys.float_info.min)
-    if not (peaks.max(initial=0.0) > limit or peaks.min(initial=1.0) < tiny):  # NaN too
-        return None
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(mat, axis=0)
-        out = np.isinf(2 * norms * norms) | ((peaks > 0) & (peaks < tiny))
-    return np.where(out, peaks, 1.0) if out.any() else None
+    peaks = np.abs(rows).max(axis=0, initial=0.0)  # inf or NaN for such a column
+    if not np.isfinite(peaks).all() or np.isneginf(q).any():
+        raise InvalidInputError("basis values or w^n at the points are not finite")
+    power = np.frexp(peaks)[1] - 1
+    # Where every peak lies in [1, 2), the columns are the rows themselves.
+    cols = rows / np.ldexp(1.0, power) if power.any() else rows
+    scale = np.where(peaks > 0, power * math.log(2.0) - n * q, -math.inf)
+    return cols, scale
 
 
-def _logdet_qr(mat: np.ndarray) -> LogDet:
-    if mat.shape[0] != mat.shape[1]:
+def _logdet_qr(cols: np.ndarray, scale: np.ndarray) -> LogDet:
+    """log |det| of the square matrix whose column x is e^(scale_x) cols[:, x],
+    for weighted_columns' unit-peak columns, whose squared norms stay in range.
+    An R diagonal entry at most _RANK_TOL times the largest, a zero column or
+    a scale of -inf is a zero determinant."""
+    if cols.shape[0] != cols.shape[1]:
         raise InvalidInputError("square matrix required")
-    if mat.shape[0] == 0:
+    if cols.shape[0] == 0:
         return LogDet(0.0, 1.0)
     # Unit-norm columns keep the rank rule blind to column scale (weights
     # spanning many orders of magnitude); |det| scales back exactly.
-    peaks = _out_of_range_peaks(mat)
-    if peaks is not None:
-        ld = _logdet_qr(mat / peaks)
-        return replace(ld, log_abs=ld.log_abs + float(np.sum(np.log(peaks))))
-    norms = np.linalg.norm(mat, axis=0)
-    if not norms.all():
+    norms = np.linalg.norm(cols, axis=0)
+    total = float(scale.sum())
+    if not norms.all() or total == -math.inf:
         return LogDet(-math.inf, math.inf)
-    factor, _ = pivoted_qr(np.divide(mat, norms, order="F"), overwrite=True)
+    factor, _ = pivoted_qr(np.divide(cols, norms, order="F"), overwrite=True)
     diag = np.abs(np.diag(factor))
     dmax = diag.max()
     if np.any(diag <= _RANK_TOL * dmax):
         return LogDet(-math.inf, math.inf)
     cond = dmax / diag.min()
-    log_abs = float(np.sum(np.log(diag)) + np.sum(np.log(norms)))
+    log_abs = float(np.sum(np.log(diag)) + np.sum(np.log(norms))) + total
     return LogDet(log_abs, float(cond))
 
 
-def _log_abs_det(points: np.ndarray, indices, what: str) -> LogDet:
-    """log |det [e_alpha(z_j)]| over ``indices``, one point per index."""
+def _log_abs_det(points: np.ndarray, indices, what: str, q: np.ndarray, n: int) -> LogDet:
+    """log |det [w(z_j)^n e_alpha(z_j)]| over ``indices``, one point per index."""
     if len(points) != len(indices):
         raise InvalidInputError(
             f"{what} in dimension {points.shape[1]} needs {len(indices)}"
             f" points, got {len(points)}"
         )
-    return _logdet_qr(monomial_values(indices, points))
+    return _logdet_qr(*weighted_columns(monomial_values(indices, points), q, n))
 
 
 def log_abs_vdm(points: np.ndarray, n: int) -> LogDet:
     """log |VDM| for N = m_n points in C^d at degree n."""
-    points = as_points(points)
-    return _log_abs_det(points, enumerate_basis(n, points.shape[1]), f"degree {n}")
+    return log_abs_weighted_vdm(points, n, AdmissibleWeight.zero())
 
 
 def log_abs_weighted_vdm(
@@ -171,13 +173,8 @@ def log_abs_weighted_vdm(
 ) -> LogDet:
     """log |W| = log |VDM| - n * sum_i Q(z_i)."""
     points = as_points(points)
-    q = weight(points)
-    if not np.all(np.isfinite(q)):
-        return LogDet(-math.inf, math.inf)
-    unweighted = log_abs_vdm(points, n)
-    if unweighted.is_zero:
-        return unweighted
-    return LogDet(unweighted.log_abs - n * float(q.sum()), unweighted.condition)
+    basis = enumerate_basis(n, points.shape[1])
+    return _log_abs_det(points, basis, f"degree {n}", weight(points), n)
 
 
 def diameter_exponent(n: int, d: int) -> float:
@@ -190,4 +187,4 @@ def log_abs_homogeneous_vdm(points: np.ndarray, n: int) -> LogDet:
     """log |det| over the degree-n monomials at h_n points in C^d."""
     points = as_points(points)
     block = degree_block(n, points.shape[1])
-    return _log_abs_det(points, block, f"homogeneous degree {n}")
+    return _log_abs_det(points, block, f"homogeneous degree {n}", np.zeros(len(points)), n)

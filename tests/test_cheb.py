@@ -616,10 +616,13 @@ def _reference_minimax(
 def _minimax_data(cand, alpha, class_tag="plain", weight=None):
     """_solve_minimax's arguments in chebyshev_constant(cand, alpha, class_tag, weight)."""
     deg, d = sum(alpha), cand.dimension
-    scale = domains.finite_weight_power(weight(cand.points), deg) if weight else np.ones(len(cand))
-    target = vdm.monomial_values([alpha], cand.points)[0]
-    lower = vdm.monomial_values(cheb._class_monomials(alpha, d, class_tag), cand.points).T
-    return target, lower, scale
+    lower = vdm.monomial_values(cheb._class_monomials(alpha, d, class_tag), cand.points)
+    rows = np.concatenate([lower, vdm.monomial_values([alpha], cand.points)])
+    scale = np.ones(len(cand))
+    if weight:
+        rows, s = vdm.weighted_columns(rows, weight(cand.points), deg)
+        scale = np.exp(s - s.max())
+    return rows[-1], rows[:-1].T, scale
 
 
 def _outcome(solve, data):

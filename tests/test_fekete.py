@@ -65,8 +65,21 @@ def test_greedy_needs_enough_candidates():
 def test_search_without_a_unisolvent_subset_raises():
     # 7 points on a line in C^2: no 6 of them are unisolvent at degree 2
     pts = np.array([[t, 2 * t] for t in np.linspace(-1.0, 1.0, 7)], dtype=complex)
-    with pytest.raises(InvalidInputError, match="no 6-point subset is unisolvent at degree 2"):
+    message = "the greedy 6-point pick at degree 2 is numerically singular under the rank rule"
+    with pytest.raises(InvalidInputError, match=message):
         fekete.search_fekete(domains.custom(pts), 2, AdmissibleWeight.zero())
+
+
+def test_search_names_the_rank_rule_at_the_degree_cap():
+    # In d = 1 any 38 distinct points are unisolvent; what fails at n = 37
+    # on the 401-node interval is the rank rule on the monomial columns.
+    cand = domains.interval(-1.0, 1.0, 401, "chebyshev")
+    fekete.search_fekete(cand, 36, AdmissibleWeight.zero(), max_sweeps=0)
+    message = (r"the greedy 38-point pick at degree 37 is numerically singular under the rank"
+               r" rule \(an R diagonal entry at most 1e-13 of the largest\): the basis may be"
+               r" too ill-conditioned at this degree")
+    with pytest.raises(InvalidInputError, match=message):
+        fekete.search_fekete(cand, 37, AdmissibleWeight.zero())
 
 
 def test_weight_positive_at_too_few_points_raises():
@@ -105,7 +118,7 @@ def test_exchange_ends_at_a_local_maximum(make, weight, n_max):
     cand = make()
     for n in range(1, n_max + 1):
         cfg = fekete.search_fekete(cand, n, weight)
-        amat = _basis_columns(cand.points, weight(cand.points), n)
+        amat, _ = _basis_columns(cand.points, weight(cand.points), n)
         coef = np.linalg.solve(amat[:, list(cfg.indices)], amat)
         coef[:, list(cfg.indices)] = 0.0
         assert np.abs(coef).max() <= 1 + 1e-9, n

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -238,7 +239,7 @@ def test_whitened_columns_match_solve_triangular(part):
     mu, weight, n = _random_instance(3, n=3)
     sys = gram_matrix(mu, weight, n)
     pts = mu.candidates.points
-    cols = _basis_columns(pts, weight(pts), n)
+    cols, _ = _basis_columns(pts, weight(pts), n)
     if part == "real":
         cols = np.ascontiguousarray(cols.real)
     expected = scipy.linalg.solve_triangular(sys.chol, cols, lower=True)
@@ -298,27 +299,85 @@ def test_gram_sequence_raises_at_the_first_refused_degree():
     assert seq.value.rank == single.value.rank
 
 
+_ELEVEN = np.linspace(-1.0, 1.0, 11)
+
+
+def _q_minus_400_at_one(p):
+    return np.where(p[:, 0].real > 0.9, -400.0, 0.0)
+
+
+def _q_x2_minus_400(p):
+    return p[:, 0].real ** 2 - 400.0
+
+
+def _log_w(idx, q, n=2):
+    """log |W| of 11 points of [-1, 1] from their pairwise distances."""
+    i, j = np.triu_indices(len(idx), 1)
+    x = _ELEVEN[list(idx)]
+    return float(np.log(np.abs(x[i] - x[j])).sum() - n * q[list(idx)].sum())
+
+
+def _cauchy_binet_log_det(q, masses, n=2):
+    """log det G = log sum_S prod mu(S) |W(S)|^2 over the 3-subsets S of mass > 0."""
+    terms = [2 * _log_w(c, q, n) + np.log(masses[list(c)]).sum()
+             for c in itertools.combinations(range(11), 3) if masses[list(c)].all()]
+    return float(scipy.special.logsumexp(terms))
+
+
 @pytest.mark.parametrize(
     "solve",
-    [
-        lambda cand, w: solve_optimal_measure(cand, w, 2),
-        lambda cand, w: gram_matrix(DiscreteMeasure.uniform(cand), w, 2),
-        lambda cand, w: search_fekete(cand, 2, w),
-        lambda cand, w: chebyshev_constant(cand, (2,), "weighted", w),
-    ],
-    ids=["optmeas", "gram", "fekete", "cheb"],
+    [lambda cand, w: chebyshev_constant(cand, (2,), "weighted", w)],
+    ids=["cheb"],
 )
 def test_an_overflowing_w_n_is_refused_by_name(solve):
-    # Q = -400 at x = 1 overflows w^2 = exp(800).  Unchecked, the scaled
-    # columns met a pivot check (a degenerate measure of rank 0), the
-    # pivoted QR's finiteness check, or LAPACK's least squares.
-    x = np.linspace(-1.0, 1.0, 11)
-    w = AdmissibleWeight.custom(lambda p: np.where(p[:, 0].real > 0.9, -400.0, 0.0))
-    cand = domains.custom(x.astype(complex)[:, None])
+    # Q = -400 at x = 1: w^2 = exp(800) there.  The minimax pins p(1) = 0
+    # and rests on the other points, whose w^2 lies e^-800 below, past a
+    # float.  With Q = x^2 - 400 the value itself exceeds e^790.
+    cand = domains.custom(_ELEVEN.astype(complex)[:, None])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidInputError, match=r"w\^2 = exp\(-2 Q\) overflows at Q = -400.0"):
-            solve(cand, w)
+        with pytest.raises(InvalidInputError, match=r"w\^2 = exp\(-2 Q\) spans more than a float"):
+            solve(cand, AdmissibleWeight.custom(_q_minus_400_at_one))
+        message = r"weighted Chebyshev value, of scale e\^800, overflows"
+        with pytest.raises(InvalidInputError, match=message):
+            solve(cand, AdmissibleWeight.custom(_q_x2_minus_400))
+
+
+@pytest.mark.parametrize("part", ["fekete", "gram", "optmeas"])
+def test_an_overflowing_w_n_is_computed(part):
+    # w^2 = exp(800) overflows a float at x = 1 (Q = -400 there) or at
+    # every point (Q = x^2 - 400); the log scales of the weighted columns
+    # carry it.  Each value is checked against a log-domain brute force
+    # over the C(11, 3) subsets.
+    cand = domains.custom(_ELEVEN.astype(complex)[:, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for field in (_q_minus_400_at_one, _q_x2_minus_400):
+            w, q = AdmissibleWeight.custom(field), field(cand.points)
+            if part == "fekete":
+                want = max(_log_w(c, q) for c in itertools.combinations(range(11), 3))
+                assert search_fekete(cand, 2, w).log_weighted_vdm == pytest.approx(want, rel=1e-14)
+            elif field is _q_minus_400_at_one:
+                # The other columns lie e^-800 below the largest, so a Gram
+                # of the relative columns holds one point: degenerate in floats.
+                with pytest.raises(DegenerateMeasureError, match="numerical rank 1 < 3"):
+                    if part == "gram":
+                        gram_matrix(DiscreteMeasure.uniform(cand), w, 2)
+                    else:
+                        solve_optimal_measure(cand, w, 2)
+            elif part == "gram":
+                mu = DiscreteMeasure.uniform(cand)
+                want = _cauchy_binet_log_det(q, mu.masses)
+                assert gram_matrix(mu, w, 2).log_det == pytest.approx(want, rel=1e-14)
+            else:
+                rep = solve_optimal_measure(cand, w, 2)
+                assert rep.converged
+                masses = rep.measure.masses
+                assert rep.log_det == pytest.approx(_cauchy_binet_log_det(q, masses), rel=1e-14)
+                # Q and Q + 400 have one optimal measure, and log det G moves by 2 N n 400.
+                ref = solve_optimal_measure(cand, AdmissibleWeight.quadratic(), 2)
+                np.testing.assert_allclose(masses, ref.measure.masses, rtol=0, atol=1e-12)
+                assert rep.log_det == pytest.approx(ref.log_det + 4800.0, rel=1e-14)
 
 
 def test_gram_where_w_2n_underflows():
@@ -337,7 +396,7 @@ def test_gram_where_w_2n_underflows():
             assert np.array_equal(b, bergman_function(gram_matrix(mu, ZERO, n), cand.points))
             assert b == pytest.approx(np.full(16, n + 1.0), rel=1e-12)
             both = gram_and_bergman(mu, w, n)
-            assert (both[0].log_det, both[0].shift) == (sys.log_det, sys.shift)
+            assert (both[0].log_det, both[0].log_scale) == (sys.log_det, sys.log_scale)
             assert np.array_equal(both[1], b)
             rep = solve_optimal_measure(cand, w, n)
             assert rep.converged
@@ -345,17 +404,16 @@ def test_gram_where_w_2n_underflows():
 
 
 def test_bergman_refuses_a_point_past_the_gram_scale_by_name():
-    # The Gram of the unit circle, Q = 300 there, is scaled by exp(2 * 300);
-    # at z = 2, Q = -100, B's column would carry exp(2 * 400), not a float.
+    # The Gram of the unit circle, Q = 300 there, is divided by exp(-2 * 300);
+    # at z = 2, Q = -100, B carries exp(2 * 400) relative to it, past a float.
     w = AdmissibleWeight.custom(lambda p: np.where(np.abs(p[:, 0]) < 1.5, 300.0, -100.0))
     sys = gram_matrix(DiscreteMeasure.uniform(domains.circle(1.0, 16)), w, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(
-            InvalidInputError, match=r"w\^2 = exp\(-2 Q\) overflows at Q = -100.0 relative to Q = 300.0"
-        ):
+        with pytest.raises(InvalidInputError, match="evaluation points are not finite"):
             bergman_function(sys, np.array([[2.0 + 0j]]))
-        # Where some w^n also overflows, the Gram itself is refused as before.
+        # Where the columns' scales span e^1600, the relative Gram holds
+        # one point: degenerate in floats.
         both = AdmissibleWeight.custom(lambda p: np.where(p[:, 0].real > 0.5, -400.0, 400.0))
-        with pytest.raises(InvalidInputError, match=r"w\^2 = exp\(-2 Q\) overflows at Q = -400.0$"):
+        with pytest.raises(DegenerateMeasureError, match="numerical rank 1 < 3"):
             gram_matrix(DiscreteMeasure.uniform(domains.interval(-1.0, 1.0, 3)), both, 2)

@@ -268,7 +268,7 @@ def _assert_scores_match_slogdet(cols, n, q):
     """Every subset, in combinations order; scores equal slogdet - n sum Q near the maximum."""
     count, m = cols.shape
     combos = [list(c) for c in itertools.combinations(range(m), count)]
-    got, subsets = lifting._subset_scores(cols, count, n, q)
+    got, subsets = _scores(cols, count, n, q)
     assert np.array_equal(subsets, combos)
     finite = np.array([np.isfinite(q[c]).all() for c in combos])
     assert np.all(got[~finite] == -np.inf)
@@ -277,7 +277,8 @@ def _assert_scores_match_slogdet(cols, n, q):
                          for c in combos])
         hadamard = np.array([np.log(np.linalg.norm(cols[:, c], axis=0)).sum()
                              - n * q[c].sum() for c in combos])
-    singular = finite & np.array([vdm._logdet_qr(cols[:, c]).is_zero for c in combos])
+    unit, scale = vdm.weighted_columns(cols, q, n)
+    singular = finite & np.array([vdm._logdet_qr(unit[:, c], scale[c]).is_zero for c in combos])
     # A subset the rank rule rejects scores rounding noise by either route,
     # far below Hadamard's bound prod |a_s|.
     assert np.all(got[singular] < hadamard[singular] - 30)
@@ -287,14 +288,25 @@ def _assert_scores_match_slogdet(cols, n, q):
     assert np.abs(got[near] - want[near]).max() <= 1e-12
 
 
+def _scores(cols, count, n, q, *floor):
+    """The walk's scores of the weighted columns w^n cols, and its subsets."""
+    unit, scale = vdm.weighted_columns(cols, q, n)
+    return lifting._subset_scores(unit, count, scale, *floor)
+
+
+def _max(cols, count, n, q, *known):
+    """The exhaustive max over the weighted columns w^n cols."""
+    unit, scale = vdm.weighted_columns(cols, q, n)
+    return lifting._exhaustive_max(unit, count, scale, *known)
+
+
 def _brute_force_max(cols, n, q):
-    """The largest pivoted-QR value less n sum Q over the subsets of finite Q
-    that the rank rule accepts."""
+    """The largest pivoted-QR value of the weighted columns w^n cols over
+    the subsets of finite Q that the rank rule accepts."""
+    unit, scale = vdm.weighted_columns(cols, q, n)
     best = -math.inf
     for c in itertools.combinations(range(cols.shape[1]), cols.shape[0]):
-        ld = vdm._logdet_qr(cols[:, list(c)])
-        if np.isfinite(q[list(c)]).all() and not ld.is_zero:
-            best = max(best, ld.log_abs - n * float(q[list(c)].sum()))
+        best = max(best, vdm._logdet_qr(unit[:, list(c)], scale[list(c)]).log_abs)
     return best
 
 
@@ -345,7 +357,7 @@ def test_exhaustive_max_traced_peak():
     known = fekete.search_fekete(cand, 3, AdmissibleWeight.zero()).log_weighted_vdm
     tracemalloc.start()
     try:
-        value = lifting._exhaustive_max(cols, 4, 3, np.zeros(48), known)
+        value = _max(cols, 4, 3, np.zeros(48), known)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -359,7 +371,7 @@ def test_walk_without_a_floor_traced_peak():
     cols = vdm.monomial_values(enumerate_basis(3, 1), domains.circle(1.0, 48).points)
     tracemalloc.start()
     try:
-        scores, subsets = lifting._subset_scores(cols, 4, 3, np.zeros(48))
+        scores, subsets = _scores(cols, 4, 3, np.zeros(48))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -388,8 +400,8 @@ def test_pruned_walk_matches_the_full_walk(seed, dn, extra, weighted):
     cols = vdm.monomial_values(enumerate_basis(n, d), pts)
     floor = _search_value(pts, n, q)
     assert floor > -np.inf
-    full, every = lifting._subset_scores(cols, count, n, q)
-    pruned, subsets = lifting._subset_scores(cols, count, n, q, floor)
+    full, every = _scores(cols, count, n, q)
+    pruned, subsets = _scores(cols, count, n, q, floor)
     rank = {tuple(s): i for i, s in enumerate(every.tolist())}
     kept = np.array([rank[tuple(s)] for s in subsets.tolist()], dtype=int)
     assert np.all(np.diff(kept) > 0)  # a subsequence of the full walk's subsets
@@ -397,7 +409,7 @@ def test_pruned_walk_matches_the_full_walk(seed, dn, extra, weighted):
     left_out = np.ones(len(full), dtype=bool)
     left_out[kept] = False
     assert np.all(full[left_out] < floor)
-    assert lifting._exhaustive_max(cols, count, n, q, floor) == _brute_force_max(cols, n, q)
+    assert _max(cols, count, n, q, floor) == _brute_force_max(cols, n, q)
 
 
 def test_exhaustive_max_rescores_when_the_rank_rule_rejects_every_pruned_subset(
@@ -409,24 +421,25 @@ def test_exhaustive_max_rescores_when_the_rank_rule_rejects_every_pruned_subset(
     # maximum comes from a second walk with no floor.
     lift, block = _rank_deficient_lift_pairs()
     q = np.zeros(len(lift))
-    full, _ = lifting._subset_scores(block, 2, 1, q)
+    full, _ = _scores(block, 2, 1, q)
     known = full.max() - 1e-6
     floor = known - lifting._PRUNE_SLACK * max(1.0, abs(known))
-    pruned, subsets = lifting._subset_scores(block, 2, 1, q, floor)
+    pruned, subsets = _scores(block, 2, 1, q, floor)
     above = subsets[pruned >= floor]
     assert len(above) > 0
-    assert all(vdm._logdet_qr(block[:, s]).is_zero for s in above)
+    unit, scale = vdm.weighted_columns(block, q, 1)
+    assert all(vdm._logdet_qr(unit[:, s], scale[s]).is_zero for s in above)
     walks = []
     walk = lifting._subset_scores
 
     def spy(*args):
-        walks.append(args[4:])
+        walks.append(args[3:])
         return walk(*args)
 
     monkeypatch.setattr(lifting, "_subset_scores", spy)
     want = _brute_force_max(block, 1, q)
     assert want > -np.inf
-    assert lifting._exhaustive_max(block, 2, 1, q, known) == want
+    assert _max(block, 2, 1, q, known) == want
     assert walks == [(floor,), ()]
 
 
@@ -437,9 +450,9 @@ def test_exhaustive_max_rescores_when_the_floor_prunes_every_subset():
     lift, block = _rank_deficient_lift_pairs()
     q = np.zeros(len(lift))
     floor = 2 * np.log(np.linalg.norm(block, axis=0)).max() + 1.0
-    scores, subsets = lifting._subset_scores(block, 2, 1, q, floor)
+    scores, subsets = _scores(block, 2, 1, q, floor)
     assert scores.shape == (0,) and subsets.shape == (0, 2)
-    assert lifting._exhaustive_max(block, 2, 1, q, floor) == _brute_force_max(block, 1, q)
+    assert _max(block, 2, 1, q, floor) == _brute_force_max(block, 1, q)
 
 
 def test_exhaustive_max_without_a_greedy_floor():
@@ -451,7 +464,7 @@ def test_exhaustive_max_without_a_greedy_floor():
     q[0] = -1000.0
     want = _brute_force_max(cols, 3, q)
     assert want > 1000.0
-    assert lifting._exhaustive_max(cols, 4, 3, q) == want
+    assert _max(cols, 4, 3, q) == want
 
 
 @pytest.mark.parametrize("radius", [0.8, 1.0, 1.2])
@@ -463,7 +476,7 @@ def test_pruned_walk_scores_few_subsets_on_the_circle(radius):
     cand = domains.circle(radius, 48)
     cols = vdm.monomial_values(enumerate_basis(3, 1), cand.points)
     known = fekete.search_fekete(cand, 3, AdmissibleWeight.zero()).log_weighted_vdm
-    scores, subsets = lifting._subset_scores(cols, 4, 3, np.zeros(48), known)
+    scores, subsets = _scores(cols, 4, 3, np.zeros(48), known)
     assert subsets.shape == (len(scores), 4)
     assert len(scores) <= 250
 
@@ -498,12 +511,12 @@ def test_exhaustive_max_of_columns_with_dependent_rows(slope):
     q = np.zeros(7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scores, subsets = lifting._subset_scores(cols, 6, 2, q)
+        scores, subsets = _scores(cols, 6, 2, q)
         assert np.array_equal(subsets, list(itertools.combinations(range(7), 6)))
         if slope == 0.0:
             assert np.all(scores == -np.inf)
-        assert lifting._exhaustive_max(cols, 6, 2, q) == -np.inf
-        assert lifting._exhaustive_max(cols, 6, 2, q, 0.0) == -np.inf
+        assert _max(cols, 6, 2, q) == -np.inf
+        assert _max(cols, 6, 2, q, 0.0) == -np.inf
 
 
 def test_batched_max_skips_infinite_q(monkeypatch):
@@ -561,7 +574,7 @@ def _assert_scores_match_scaled_slogdet(scale):
     cols[:, 0] = np.array([1.0, 0.3, 0.2]) * scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scores, subsets = lifting._subset_scores(cols, 3, 1, np.zeros(6))
+        scores, subsets = _scores(cols, 3, 1, np.zeros(6))
     assert len(scores) == math.comb(6, 3)
     for score, subset in zip(scores, subsets):
         peak = np.abs(cols[:, subset]).max()
@@ -598,7 +611,7 @@ def test_subset_scores_sum_to_the_gram_log_det(cand, w, n):
     mu = gram.DiscreteMeasure.from_reference(cand)
     q = w(cand.points)
     cols = vdm.monomial_values(enumerate_basis(n, cand.dimension), cand.points)
-    scores, subsets = lifting._subset_scores(cols, len(cols), n, q)
+    scores, subsets = _scores(cols, len(cols), n, q)
     with np.errstate(divide="ignore"):  # the disk's centre has mass 0
         log_mass = np.log(mu.masses)[subsets].sum(axis=1)
     got = scipy.special.logsumexp(2 * scores + log_mass)
