@@ -34,7 +34,7 @@ import numpy as np
 from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet
 from .errors import InvalidInputError, PluripotError
-from .vdm import _scipy_module, monomial_values, weighted_columns
+from .vdm import _scipy_module, monomial_values, relative_scales, weighted_columns
 
 CLASSES = ("plain", "homogeneous", "weighted")
 INITIAL_FACETS = 4
@@ -373,8 +373,7 @@ def chebyshev_constant(
         # The LP sees w^deg over its largest, e^top.  A point where that underflows is left
         # out: exact while its residual, below tiny (1 + sum |c|) e^top, is below the value.
         rows, s = weighted_columns(rows, weight(cand.points), deg)
-        top = float(s.max())
-        scale = np.exp(s - top)
+        scale, top = relative_scales(s)
         lost = ((scale == 0) & (s > -math.inf)).any()
     value, coeffs, converged, _ = _solve_minimax(rows[-1], rows[:-1].T, scale)
     if lost and value <= np.finfo(float).tiny * (1.0 + np.abs(coeffs).sum()):

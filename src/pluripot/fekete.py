@@ -29,7 +29,7 @@ from .domains import AdmissibleWeight, CandidateSet
 from .errors import InvalidInputError
 from .gram import EXCHANGE_TOL, DiscreteMeasure
 from .vdm import _RANK_TOL, _lapack, _logdet_qr, diameter_exponent, monomial_values, pivoted_qr
-from .vdm import weighted_columns
+from .vdm import relative_scales, weighted_columns
 
 _MAX_SWEEPS = 10
 
@@ -57,9 +57,10 @@ def search_fekete(
     value is log |W| recomputed from the selected points, never read off C.
 
     Column x of A is vdm.weighted_columns' c_x e^(s_x - s_max), w^n relative
-    to the largest, floored at the square root of the smallest normal float:
-    no column of finite Q is zero, and the points within that floor of the
-    largest keep their exact ratios, whatever the range of w^n itself.
+    to the largest, whatever the range of w^n itself.  Where some point of
+    finite Q falls below the smallest normal float, the relative weights are
+    floored at its square root: no column of finite Q is zero, and the
+    points within that floor of the largest keep their exact ratios.
     """
     rows = monomial_values(enumerate_basis(n, cand.dimension), cand.points)
     return _search(rows, weight(cand.points), n, max_sweeps)
@@ -78,8 +79,9 @@ def _search(rows: np.ndarray, q: np.ndarray, n: int, max_sweeps: int) -> FeketeC
             f"weight vanishes on too many candidates: {usable} < {n_pts}"
         )
     cols, scale = weighted_columns(rows, q, n)
-    relative = np.exp(scale - scale[finite].max())  # 0 where Q = +inf
-    relative[finite] = np.maximum(relative[finite], math.sqrt(sys.float_info.min))
+    relative, _ = relative_scales(scale)  # 0 where Q = +inf
+    if (relative[finite] < sys.float_info.min).any():
+        relative[finite] = np.maximum(relative[finite], math.sqrt(sys.float_info.min))
     # Fortran order lets geqp3 factor the columns in place, without a copy.
     r, piv = pivoted_qr(np.multiply(cols, relative, order="F"), overwrite=True)
     greedy = _logdet_qr(cols[:, piv[:n_pts]], scale[piv[:n_pts]]).log_abs

@@ -18,7 +18,7 @@ import numpy as np
 from .basis import dimension_counts, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, as_points, check_masses
 from .errors import DegenerateMeasureError, InvalidInputError
-from .vdm import _lapack, diameter_exponent, monomial_values, weighted_columns
+from .vdm import _lapack, diameter_exponent, monomial_values, relative_scales, weighted_columns
 
 # Smallest accepted equilibrated Cholesky pivot L_ii^2 / G_ii: the share of
 # basis function i's L2(mu) norm that the lower basis functions leave
@@ -87,14 +87,14 @@ def _basis_columns(points: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarra
     degree n, q holding Q at the (M, d) points; s_max is 0 where every Q = +inf."""
     rows = monomial_values(enumerate_basis(n, points.shape[1]), points)
     cols, scale = weighted_columns(rows, q, n)
-    finite = scale > -math.inf
-    top = float(scale[finite].max()) if finite.any() else 0.0
-    return cols * np.exp(scale - top), top
+    relative, top = relative_scales(scale)
+    return cols * relative, top
 
 
 def _factor(cols: np.ndarray, masses: np.ndarray):
     """G = sum_k mass_k c_k c_k^* over the columns c_k, its Cholesky factor
-    L and the equilibrated pivots L_ii^2 / G_ii ("shares").
+    L, the equilibrated pivots L_ii^2 / G_ii ("shares") and the columns of
+    positive mass.
     """
     active = masses > 0
     support = cols[:, active]
@@ -107,7 +107,7 @@ def _factor(cols: np.ndarray, masses: np.ndarray):
     done = info - 1 if info > 0 else len(g)
     shares = np.zeros(len(g))
     shares[:done] = diag[:done] ** 2 / g.diagonal().real[:done]
-    return g, chol, shares
+    return g, chol, shares, support
 
 
 def _system(
@@ -118,17 +118,23 @@ def _system(
     2 size log_scale.
 
     The rank is the number of leading pivot shares above MIN_PIVOT; a block
-    of lower rank raises DegenerateMeasureError.
+    of lower rank raises DegenerateMeasureError, which names the support
+    points whose weighted columns lie too far below the largest to add to G
+    in floats.
     """
-    g, chol, shares = factor
+    g, chol, shares, support = factor
     shares = shares[:size]
     passed = shares > MIN_PIVOT  # False on NaN
     if not passed.all():
         rank = int(np.argmin(passed))
+        # A column under sqrt(tiny) adds less than the smallest normal float to G.
+        faint = int((np.abs(support[:size]).max(axis=0) < np.sqrt(np.finfo(float).tiny)).sum())
+        span = (f"; the weighted columns of {faint} support points lie more than e^354 below"
+                f" the largest, of log scale {log_scale:.6g}, and add nothing to G in floats")
         raise DegenerateMeasureError(
             f"measure is degenerate for degree {n}: smallest pivot"
             f" L_ii^2/G_ii {shares.min():.2e} < {MIN_PIVOT:.0e},"
-            f" numerical rank {rank} < {size}",
+            f" numerical rank {rank} < {size}" + (span if faint else ""),
             rank=rank,
         )
     log_det = 2.0 * float(np.sum(np.log(chol.diagonal().real[:size]))) + 2.0 * size * log_scale
@@ -155,11 +161,10 @@ def gram_matrix(
 def _whitened_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
     """Y = L^{-1} C: the columns in a basis orthonormal in L2(mu).
 
-    A column holding inf or NaN raises InvalidInputError.  L has the positive
-    diagonal that _system checked, so LAPACK trtrs cannot fail.
+    The columns come from _basis_columns, which refused values that are not
+    finite.  L has the positive diagonal that _system checked, so LAPACK
+    trtrs cannot fail.
     """
-    if not np.isfinite(cols).all():
-        raise InvalidInputError("basis values at the evaluation points are not finite")
     y, _ = _lapack("trtrs", sys.chol, cols)(sys.chol, cols, lower=1)
     return y
 
@@ -167,15 +172,21 @@ def _whitened_columns(sys: GramSystem, cols: np.ndarray) -> np.ndarray:
 def bergman_function(sys: GramSystem, eval_points: np.ndarray) -> np.ndarray:
     """B(z) = exp(-2nQ(z)) P(z)* G^{-1} P(z) at each evaluation point.
 
-    The columns are scaled as the Gram's were, so B is unchanged; a point
-    whose scale overflows is refused by name.
+    The columns are taken relative to their own largest log scale s, as the
+    Gram's were to s_max, and B carries e^(2(s - s_max)) back; a B past a
+    float is refused by name, with that span.
     """
     pts = as_points(eval_points)
-    rows = monomial_values(enumerate_basis(sys.degree, sys.dimension), pts)
-    cols, scale = weighted_columns(rows, sys.weight(pts), sys.degree)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _whitened_columns
-        cols = cols * np.exp(scale - sys.log_scale)
-    return np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0)
+    cols, top = _basis_columns(pts, sys.weight(pts), sys.degree)
+    span = top - sys.log_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.sum(np.abs(_whitened_columns(sys, cols)) ** 2, axis=0) * np.exp(2.0 * span)
+    if not np.isfinite(b).all():
+        raise InvalidInputError(
+            f"B overflows at the evaluation points, whose w^{sys.degree} reaches"
+            f" e^{span:.6g} times the Gram's largest"
+        )
+    return b
 
 
 def gram_and_bergman(

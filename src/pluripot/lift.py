@@ -23,7 +23,8 @@ from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, finite_weight_power
 from .errors import InvalidInputError
 from .fekete import search_fekete
-from .vdm import _lapack, _logdet_qr, diameter_exponent, monomial_values, weighted_columns
+from .vdm import _lapack, _logdet_qr, diameter_exponent, monomial_values, relative_scales
+from .vdm import weighted_columns
 
 # Entries of the products U^H a_x that one chunk of prefix-tree nodes forms
 # in the exhaustive lift check: nodes * (N - k) * m at depth k.  A chunk's
@@ -79,9 +80,7 @@ def _leverage_basis(cols: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, fl
     linearly dependent and the result is None.
     """
     count = len(cols)
-    finite = np.isfinite(scale)
-    top = scale[finite].max() if finite.any() else 0.0
-    rel = np.exp(np.maximum(scale - top, -_WEIGHT_SPAN))
+    rel = np.maximum(relative_scales(scale)[0], np.exp(-_WEIGHT_SPAN))
     r = np.linalg.qr((cols * rel).conj().T, mode="r")
     pivots = np.abs(r.diagonal())
     if len(pivots) < count or not pivots.all():

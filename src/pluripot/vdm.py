@@ -116,16 +116,31 @@ def weighted_columns(rows: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarra
     peak lies in [1, 2), and a zero column is left as it is.  Its log scale
     is s_x = k log 2 - n Q(x), -inf where Q = +inf or the column is zero,
     so that w(x)^n rows[:, x] = e^(s_x) cols[:, x] without forming e^(-nQ).
-    Non-finite basis values and Q = -inf are refused by name.
+    Non-finite basis values and a log scale of +inf (Q = -inf, or -nQ past
+    a float) are refused by name.
     """
     peaks = np.abs(rows).max(axis=0, initial=0.0)  # inf or NaN for such a column
-    if not np.isfinite(peaks).all() or np.isneginf(q).any():
-        raise InvalidInputError("basis values or w^n at the points are not finite")
+    if not np.isfinite(peaks).all():
+        raise InvalidInputError("basis values at the points are not finite")
     power = np.frexp(peaks)[1] - 1
+    with np.errstate(over="ignore"):
+        scale = power * math.log(2.0) - n * q
+    over = np.isposinf(scale)
+    if over.any():
+        raise InvalidInputError(
+            f"w^{n} = exp(-{n} Q) overflows its log scale at Q = {float(q[over].min())!r}"
+        )
     # Where every peak lies in [1, 2), the columns are the rows themselves.
     cols = rows / np.ldexp(1.0, power) if power.any() else rows
-    scale = np.where(peaks > 0, power * math.log(2.0) - n * q, -math.inf)
-    return cols, scale
+    return cols, np.where(peaks > 0, scale, -math.inf)
+
+
+def relative_scales(scale: np.ndarray) -> tuple[np.ndarray, float]:
+    """(e^(scale - s_max), s_max) for weighted_columns' log scales, s_max
+    the largest finite one, or 0 where every scale is -inf."""
+    finite = np.isfinite(scale)
+    top = float(scale[finite].max()) if finite.any() else 0.0
+    return np.exp(scale - top), top
 
 
 def _logdet_qr(cols: np.ndarray, scale: np.ndarray) -> LogDet:

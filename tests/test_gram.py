@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -244,11 +245,6 @@ def test_whitened_columns_match_solve_triangular(part):
         cols = np.ascontiguousarray(cols.real)
     expected = scipy.linalg.solve_triangular(sys.chol, cols, lower=True)
     assert np.array_equal(_whitened_columns(sys, cols), expected)
-    for bad in (np.inf, np.nan):
-        broken = cols.copy()
-        broken[1, 2] = bad
-        with pytest.raises(InvalidInputError, match="not finite"):
-            _whitened_columns(sys, broken)
 
 
 def test_bergman_function_refuses_basis_values_that_overflow():
@@ -310,6 +306,11 @@ def _q_x2_minus_400(p):
     return p[:, 0].real ** 2 - 400.0
 
 
+def _q_valley(p):
+    x = np.abs(p[:, 0].real)
+    return np.where(x > 0.99, 0.0, 180.0 + 20.0 * (1.0 - x))
+
+
 def _log_w(idx, q, n=2):
     """log |W| of 11 points of [-1, 1] from their pairwise distances."""
     i, j = np.triu_indices(len(idx), 1)
@@ -360,7 +361,8 @@ def test_an_overflowing_w_n_is_computed(part):
             elif field is _q_minus_400_at_one:
                 # The other columns lie e^-800 below the largest, so a Gram
                 # of the relative columns holds one point: degenerate in floats.
-                with pytest.raises(DegenerateMeasureError, match="numerical rank 1 < 3"):
+                message = "numerical rank 1 < 3; the weighted columns of 10 support points lie more"
+                with pytest.raises(DegenerateMeasureError, match=message):
                     if part == "gram":
                         gram_matrix(DiscreteMeasure.uniform(cand), w, 2)
                     else:
@@ -378,6 +380,45 @@ def test_an_overflowing_w_n_is_computed(part):
                 ref = solve_optimal_measure(cand, AdmissibleWeight.quadratic(), 2)
                 np.testing.assert_allclose(masses, ref.measure.masses, rtol=0, atol=1e-12)
                 assert rep.log_det == pytest.approx(ref.log_det + 4800.0, rel=1e-14)
+
+
+def test_search_keeps_exact_ratios_where_w_n_spans_less_than_a_float():
+    # Q = 0 at -1 and 1 and 180 + 20(1 - |x|) inside: w^2 spans e^400, a
+    # float's range, so no weight is floored and the exchange search reaches
+    # the brute-force max, log 0.72 - 368 at {-1, 0.8, 1} or {-1, -0.8, 1}.
+    # Floored relative weights would pick x = 0 for log 2 - 400.
+    cand = domains.custom(_ELEVEN.astype(complex)[:, None])
+    w = AdmissibleWeight.custom(_q_valley)
+    q = w(cand.points)
+    values = {c: _log_w(c, q) for c in itertools.combinations(range(11), 3)}
+    best = max(values.values())
+    assert best == pytest.approx(math.log(0.72) - 368.0, rel=1e-14)
+    cfg = search_fekete(cand, 2, w)
+    assert cfg.log_weighted_vdm == pytest.approx(best, rel=1e-14)
+    assert values[tuple(sorted(cfg.indices))] == pytest.approx(best, rel=1e-14)
+
+
+@pytest.mark.parametrize("q_bad", [-1e308, -np.inf], ids=["past-a-float", "minus-inf"])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda cand, w: vdm.weighted_columns(np.ones((3, len(cand))), w(cand.points), 2),
+        lambda cand, w: search_fekete(cand, 2, w),
+        lambda cand, w: gram_matrix(DiscreteMeasure.uniform(cand), w, 2),
+        lambda cand, w: solve_optimal_measure(cand, w, 2),
+        lambda cand, w: chebyshev_constant(cand, (2,), "weighted", w),
+    ],
+    ids=["columns", "fekete", "gram", "optmeas", "cheb"],
+)
+def test_a_log_scale_past_a_float_is_refused_by_name(solve, q_bad):
+    # -2Q is +inf at x = 1: no log scale, relative or not, holds it.
+    cand = domains.custom(_ELEVEN.astype(complex)[:, None])
+    w = AdmissibleWeight.custom(lambda p: np.where(p[:, 0].real > 0.9, q_bad, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"w\^2 = exp\(-2 Q\) overflows its log scale at Q = " + re.escape(repr(q_bad))
+        with pytest.raises(InvalidInputError, match=message):
+            solve(cand, w)
 
 
 def test_gram_where_w_2n_underflows():
@@ -410,10 +451,12 @@ def test_bergman_refuses_a_point_past_the_gram_scale_by_name():
     sys = gram_matrix(DiscreteMeasure.uniform(domains.circle(1.0, 16)), w, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidInputError, match="evaluation points are not finite"):
+        message = r"B overflows at the evaluation points, whose w\^2 reaches e\^80[0-9.]+ times"
+        with pytest.raises(InvalidInputError, match=message):
             bergman_function(sys, np.array([[2.0 + 0j]]))
         # Where the columns' scales span e^1600, the relative Gram holds
         # one point: degenerate in floats.
         both = AdmissibleWeight.custom(lambda p: np.where(p[:, 0].real > 0.5, -400.0, 400.0))
-        with pytest.raises(DegenerateMeasureError, match="numerical rank 1 < 3"):
+        message = "numerical rank 1 < 3; the weighted columns of 2 support points lie more"
+        with pytest.raises(DegenerateMeasureError, match=message):
             gram_matrix(DiscreteMeasure.uniform(domains.interval(-1.0, 1.0, 3)), both, 2)
