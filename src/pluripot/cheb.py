@@ -373,6 +373,8 @@ def chebyshev_constant(
         # The LP sees w^deg over its largest, e^top.  A point where that underflows is left
         # out: exact while its residual, below tiny (1 + sum |c|) e^top, is below the value.
         rows, s = weighted_columns(rows, weight(cand.points), deg)
+        if not np.isfinite(s).any():
+            raise InvalidInputError("weight vanishes on the whole candidate set")
         scale, top = relative_scales(s)
         lost = ((scale == 0) & (s > -math.inf)).any()
     value, coeffs, converged, _ = _solve_minimax(rows[-1], rows[:-1].T, scale)

@@ -4,11 +4,13 @@ A probability measure maximizes det G_n iff its Bergman function tops out
 at N on K (Kiefer-Wolfowitz 1960); the gap max_K B - N is the optimality
 certificate.  Pairwise vertex exchanges (Boehning 1986) drive it to zero:
 each moves mass between two nodes with a closed-form step, and a sweep of
-them shares one Cholesky factorization of the Gram.  A solve starts from
-the greedy Fekete pick (the first N pivots of a column-pivoted QR) when it
-beats the uniform measure.  The solve's report carries the certificate of
-the B its last iterate computed: one B evaluation per iterate, none after
-the solve.
+them shares one Cholesky factorization of the Gram; a Newton step on the
+support masses after each sweep cuts their linear tail.  A solve starts
+from the greedy Fekete pick (the first N pivots of a column-pivoted QR)
+when it beats the uniform measure, and where that start misses, from the
+Fekete search's pick if better (in d = 1, equal masses on the Fekete
+points are optimal: Guest 1958).  The report carries the certificate of
+the B its last iterate computed: one B evaluation per iterate, none after.
 """
 
 from __future__ import annotations
@@ -124,6 +126,46 @@ def _exchange_sweep(masses: np.ndarray, y: np.ndarray, b: np.ndarray) -> None:
     masses[s] = m
 
 
+def _gain(cols: np.ndarray, masses: np.ndarray, log_det: float, spec: tuple):
+    """The Gram system _system(_factor(cols, masses), *spec) where it passes
+    the pivot check with a log det above log_det, else None."""
+    try:
+        sys = _system(_factor(cols, masses), *spec)
+    except DegenerateMeasureError:
+        return None
+    return sys if sys.log_det > log_det else None
+
+
+def _newton_step(masses: np.ndarray, cols: np.ndarray, spec: tuple):
+    """One Newton step on the support masses S from their Gram: dx
+    maximizes log det's second-order model B_S . dx - dx^T |H_S|^2 dx / 2
+    (H_S = Y_S^* Y_S, Y_S = L^-1 C_S) over sum dx = 0, by least squares on
+    the KKT system, so a singular |H_S|^2 gives the minimum-norm step.  It
+    is cut where the first mass reaches 0 and halved at most twice until log
+    det rises ("optimal weights", Yang-Biedermann-Tan 2013)."""
+    sys = _system(_factor(cols, masses), *spec)
+    s = np.nonzero(masses)[0]
+    m = masses[s]
+    ys = _lapack("trtrs", sys.chol, cols)(sys.chol, cols[:, s], lower=1)[0]
+    h = ys.conj().T @ ys
+    kkt = np.pad(np.abs(h) ** 2, (0, 1), constant_values=1.0)
+    kkt[-1, -1] = 0.0
+    dx = np.linalg.lstsq(kkt, np.append(h.diagonal().real, 0.0), rcond=None)[0][:-1]
+    reach = np.full(len(s), np.inf)
+    np.divide(m, -dx, out=reach, where=dx < 0)
+    first = int(reach.argmin())
+    cut = min(1.0, reach[first])
+    for step in (cut, cut / 2, cut / 4):
+        trial = np.zeros_like(masses)
+        trial[s] = np.maximum(m + step * dx, 0.0)
+        if step == reach[first]:
+            trial[s[first]] = 0.0
+        trial /= trial.sum()
+        if (new := _gain(cols, trial, sys.log_det, spec)) is not None:
+            return trial, new
+    return masses, sys
+
+
 def solve_optimal_measure(
     cand: CandidateSet,
     weight: AdmissibleWeight,
@@ -134,12 +176,15 @@ def solve_optimal_measure(
     """Drive max_K B to at most N(1 + tol) and B on the support (masses >
     MASS_FLOOR) to at least N(1 - tol): ``converged``.  The start is equal
     mass on the greedy Fekete pick when its Gram passes the pivot check with
-    a log det above the uniform measure's, else the uniform measure.
+    a log det above the uniform measure's, else the uniform measure; where
+    its first iterate misses, search_fekete's pick (same n and Q) replaces
+    it on the same terms.
 
     An iteration factors the Gram once, computes B from it (only this fresh
     B decides kw_gap, convergence, the certificate and the reported log det),
     then runs one pairwise-exchange sweep (``_exchange_sweep``; Boehning
-    1986, batched as in REX, Harman-Filova-Richtarik 2020).
+    1986, batched as in REX, Harman-Filova-Richtarik 2020) and one
+    ``_newton_step``, whose Gram is the next iteration's.
     """
     q = weight(cand.points)
     masses = np.isfinite(q).astype(float)
@@ -153,15 +198,12 @@ def solve_optimal_measure(
 
     cols, top = _basis_columns(cand.points, q, n)
     n_dim = len(cols)
-    sys = _system(_factor(cols, masses), cand.dimension, weight, n, n_dim, top)
+    spec = (cand.dimension, weight, n, n_dim, top)
+    sys = _system(_factor(cols, masses), *spec)
     _, piv = pivoted_qr(cols)
     greedy = np.zeros(len(masses))
     greedy[piv[:n_dim]] = 1.0 / n_dim
-    try:
-        start = _system(_factor(cols, greedy), cand.dimension, weight, n, n_dim, top)
-    except DegenerateMeasureError:
-        start = sys
-    if start.log_det > sys.log_det:
+    if (start := _gain(cols, greedy, sys.log_det, spec)) is not None:
         masses, sys = greedy, start
     trtrs = _lapack("trtrs", sys.chol, cols)  # pivoted_qr refused inf and NaN
     for it in range(1, max_iter + 1):
@@ -173,9 +215,18 @@ def solve_optimal_measure(
         converged = max(gap, deficit) / n_dim <= tol
         if converged or it == max_iter:
             break
+        if it == 1:
+            from .fekete import empirical_measure, search_fekete  # loaded on a missed start
+            try:
+                pick = empirical_measure(search_fekete(cand, n, weight), cand).masses
+            except InvalidInputError:  # past the search's cap, or a singular greedy pick
+                pick = None
+            if pick is not None and (start := _gain(cols, pick, sys.log_det, spec)) is not None:
+                masses, sys = pick, start
+                y = trtrs(sys.chol, cols, lower=1)[0]
+                b = np.sum(np.abs(y) ** 2, axis=0)
         _exchange_sweep(masses, y, b)
-        masses = masses / masses.sum()
-        sys = _system(_factor(cols, masses), cand.dimension, weight, n, n_dim, top)
+        masses, sys = _newton_step(masses / masses.sum(), cols, spec)
     certificate = {
         "n": n,
         "N": n_dim,

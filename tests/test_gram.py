@@ -382,6 +382,23 @@ def test_an_overflowing_w_n_is_computed(part):
                 assert rep.log_det == pytest.approx(ref.log_det + 4800.0, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda cand, w: chebyshev_constant(cand, (2,), "weighted", w),
+        lambda cand, w: search_fekete(cand, 2, w),
+        lambda cand, w: solve_optimal_measure(cand, w, 2),
+    ],
+    ids=["cheb", "fekete", "optmeas"],
+)
+def test_a_weight_vanishing_everywhere_is_refused_by_name(solve):
+    # Q = +inf at every point: no weighted column is left to work on.
+    cand = domains.custom(_ELEVEN.astype(complex)[:, None])
+    w = AdmissibleWeight.custom(lambda p: np.full(len(p), np.inf))
+    with pytest.raises(InvalidInputError, match="weight vanishes on"):
+        solve(cand, w)
+
+
 def test_search_keeps_exact_ratios_where_w_n_spans_less_than_a_float():
     # Q = 0 at -1 and 1 and 180 + 20(1 - |x|) inside: w^2 spans e^400, a
     # float's range, so no weight is floored and the exchange search reaches

@@ -7,9 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pluripot import domains, optmeas
+from pluripot import domains, fekete, optmeas
 from pluripot.domains import AdmissibleWeight
 from pluripot.errors import InvalidInputError
+from pluripot.fekete import diameter_sequence
 from pluripot.gram import DiscreteMeasure, bergman_function, gram_and_bergman, gram_matrix
 from pluripot.gram import _basis_columns, _whitened_columns
 from pluripot.optmeas import DEFAULT_TOL, solve_optimal_measure
@@ -323,6 +324,61 @@ def test_report_dict_round():
     assert sum(d["mass_histogram"]["counts"]) == 3
     assert d["certificate"] is rep.certificate
     assert d["masses"] == rep.measure.masses.tolist()
+
+
+@pytest.mark.parametrize(
+    "cand, weight, n_max",
+    [
+        (domains.interval(-1.0, 1.0, 401, "chebyshev"), ZERO, 12),
+        (domains.interval(-1.0, 1.0, 401, "chebyshev"), AdmissibleWeight.quadratic(), 12),
+        (domains.circle(1.0, 64), ZERO, 8),
+        (domains.disk(1.0, 12, 40), AdmissibleWeight.quadratic(), 4),
+        (domains.torus(2, 21), ZERO, 4),
+    ],
+    ids=["chebyshev", "chebyshev-quadratic", "circle", "disk-quadratic", "torus"],
+)
+def test_fekete_values_lie_below_the_kiefer_wolfowitz_bound(cand, weight, n_max):
+    # log det is concave on measures, so for any measure nu and the equal
+    # masses on any N-subset S, log det G(S) <= log det G(nu) + max B_nu - N
+    # (Kiefer-Wolfowitz, Canad. J. Math. 1960).  With G(S) = N^-N |W(S)|^2
+    # that bounds every weighted Fekete value, the search's among them.
+    # The bound is exact on the Chebyshev grid at n = 2 (margin -1.1e-16).
+    for row in diameter_sequence(cand, weight, n_max):
+        n, n_dim = row["n"], row["N"]
+        rep = solve_optimal_measure(cand, weight, n)
+        bound = 0.5 * (rep.log_det + rep.kw_gap + n_dim * math.log(n_dim))
+        assert row["log_vdm"] <= bound + 1e-12 * max(1.0, abs(bound)), n
+
+
+@pytest.mark.parametrize(
+    "cand, n, most",
+    [
+        (domains.interval(-1.0, 1.0, 201), 3, 3),
+        (domains.interval(-1.0, 1.0, 201), 4, 3),
+        (domains.product([domains.interval(-1.0, 1.0, 21)] * 2), 3, 20),
+        (domains.product([domains.interval(-1.0, 1.0, 21)] * 2), 5, 30),
+    ],
+    ids=["interval-3", "interval-4", "square-3", "square-5"],
+)
+def test_search_start_and_newton_steps_shorten_the_tail(cand, n, most):
+    # Sweeps from the greedy start alone take 9, 5, 66 and 272 iterations
+    # here; with the start from the Fekete search's pick and a Newton step
+    # on the support masses after each sweep, 2, 2, 10 and 16.
+    rep = solve_optimal_measure(cand, ZERO, n)
+    assert rep.converged and rep.certificate["violations"] == []
+    assert rep.iterations <= most
+
+
+def test_a_refused_search_keeps_the_start(monkeypatch):
+    # search_fekete refuses a degree past its cap or a singular greedy pick;
+    # the solve then goes on from its own start, with sweeps and Newton steps.
+    def refuse(*args):
+        raise InvalidInputError("refused")
+
+    monkeypatch.setattr(fekete, "search_fekete", refuse)
+    rep = solve_optimal_measure(domains.interval(-1.0, 1.0, 201), ZERO, 3)
+    assert rep.converged and rep.certificate["violations"] == []
+    assert rep.iterations > 2
 
 
 def _reference_sweep(masses, y, b):
