@@ -122,10 +122,10 @@ def interval(a: float, b: float, m: int, rule: str = "equispaced") -> CandidateS
 
 
 def disk(radius: float, m_r: int, m_theta: int) -> CandidateSet:
-    """Polar tensor grid on the closed disk plus its center.
+    """Polar tensor grid in the disk of this radius, plus its center.
 
-    Masses are normalized area elements (r dr dtheta), with the midpoint
-    radii rule; they make the set usable as a reference area measure.
+    Its rings sit at the midpoint radii R (k - 1/2) / m_r, the outer one at
+    R (1 - 1/(2 m_r)), inside |z| = R.  Masses: normalized r dr dtheta.
     """
     if radius <= 0:
         raise InvalidInputError("radius must be positive")

@@ -9,6 +9,7 @@ selected point j is swapped for candidate c.  Single-point exchanges read
 their gains from C and update it per swap by one Gauss-Jordan step, one
 in-place BLAS rank-1 update (the "maxvol" update of Goreinov et al.), up to
 a local maximum of the weighted Vandermonde modulus, not a global one.
+optmeas runs the exchanges (``exchange``) on the QR of its greedy start.
 
 A degree sequence evaluates Q and the basis once, at its top degree, and
 searches each degree on the leading rows of that table; the greedy and
@@ -49,12 +50,9 @@ def search_fekete(
     weight: AdmissibleWeight,
     max_sweeps: int = _MAX_SWEEPS,
 ) -> FeketeConfiguration:
-    """Greedy pick by pivoted QR, then up to max_sweeps exchange sweeps.
-
-    A sweep offers each selected point j in turn its best swap and takes it
-    when it raises log |W| by more than EXCHANGE_TOL; the search stops after
-    a sweep without a swap.  max_sweeps = 0 returns the greedy pick.  The
-    value is log |W| recomputed from the selected points, never read off C.
+    """Greedy pick by pivoted QR, then up to max_sweeps exchange sweeps
+    (``exchange``; 0 returns the greedy pick).  The value is log |W|
+    recomputed from the selected points, never read off C.
 
     Column x of A is vdm.weighted_columns' c_x e^(s_x - s_max), w^n relative
     to the largest, whatever the range of w^n itself.  Where some point of
@@ -73,11 +71,8 @@ def _search(rows: np.ndarray, q: np.ndarray, n: int, max_sweeps: int) -> FeketeC
     if m < n_pts:
         raise InvalidInputError(f"need at least {n_pts} candidates for degree {n}, got {m}")
     finite = np.isfinite(q)
-    usable = int(finite.sum())
-    if usable < n_pts:
-        raise InvalidInputError(
-            f"weight vanishes on too many candidates: {usable} < {n_pts}"
-        )
+    if (usable := int(finite.sum())) < n_pts:
+        raise InvalidInputError(f"weight vanishes on too many candidates: {usable} < {n_pts}")
     cols, scale = weighted_columns(rows, q, n)
     relative, _ = relative_scales(scale)  # 0 where Q = +inf
     if (relative[finite] < sys.float_info.min).any():
@@ -90,6 +85,19 @@ def _search(rows: np.ndarray, q: np.ndarray, n: int, max_sweeps: int) -> FeketeC
             f"the greedy {n_pts}-point pick at degree {n} is numerically singular under the"
             f" rank rule (an R diagonal entry at most {_RANK_TOL:g} of the largest): the basis"
             f" may be too ill-conditioned at this degree, or no {n_pts}-point subset is unisolvent")
+    chosen = exchange(r, piv, max_sweeps)
+    # Without a swap the selection, and so its value, is the greedy pick's.
+    swapped = not np.array_equal(chosen, piv[:n_pts])
+    value = _logdet_qr(cols[:, chosen], scale[chosen]).log_abs if swapped else greedy
+    return FeketeConfiguration(n, tuple(int(i) for i in chosen), value)
+
+
+def exchange(r: np.ndarray, piv: np.ndarray, max_sweeps: int = _MAX_SWEEPS) -> np.ndarray:
+    """The pick of up to max_sweeps sweeps from piv[:N], given pivoted_qr's
+    (factor r, piv) of the N x M columns, M >= N; r is overwritten.  A sweep
+    offers each selected point j in turn its best swap and takes it when it
+    raises log |W| by more than EXCHANGE_TOL, until a sweep without one."""
+    n_pts, m = r.shape
     # R has n_pts rows, so geqp3 keeps Householder vectors only below the
     # diagonal of R11, its leading n_pts columns.
     r[np.tril_indices(n_pts, -1)] = 0.0
@@ -102,7 +110,6 @@ def _search(rows: np.ndarray, q: np.ndarray, n: int, max_sweeps: int) -> FeketeC
     coef = trsm(1.0, r[:, :n_pts].copy(), r.T, side=1, trans_a=1, overwrite_b=True).T
     selected = np.arange(n_pts)  # positions in pivot order
     gains = np.empty(m)
-    swapped = False
     for _ in range(max_sweeps):
         improved = False
         for j in range(n_pts):
@@ -123,11 +130,7 @@ def _search(rows: np.ndarray, q: np.ndarray, n: int, max_sweeps: int) -> FeketeC
                 improved = True
         if not improved:
             break
-        swapped = True
-    chosen = piv[selected]
-    # Without a swap the selection, and so its value, is the greedy pick's.
-    value = _logdet_qr(cols[:, chosen], scale[chosen]).log_abs if swapped else greedy
-    return FeketeConfiguration(n, tuple(int(i) for i in chosen), value)
+    return piv[selected]
 
 
 def empirical_measure(

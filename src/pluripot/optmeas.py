@@ -8,9 +8,9 @@ them shares one Cholesky factorization of the Gram; a Newton step on the
 support masses after each sweep cuts their linear tail.  A solve starts
 from the greedy Fekete pick (the first N pivots of a column-pivoted QR)
 when it beats the uniform measure, and where that start misses, from the
-Fekete search's pick if better (in d = 1, equal masses on the Fekete
-points are optimal: Guest 1958).  The report carries the certificate of
-the B its last iterate computed: one B evaluation per iterate, none after.
+Fekete search's pick (fekete.exchange on that QR) if better; in d = 1,
+equal masses on the Fekete points are optimal (Guest 1958).  The report
+carries the certificate of the last iterate's B (one B per iterate).
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         """The v1 ``optmeas`` report entry of this degree."""
-        hist, edges = np.histogram(self.measure.masses, bins=10, range=(0.0, 1.0))
+        # np.histogram's ten bins [e_k, e_k+1) on [0, 1], the last closed.
+        masses, edges = self.measure.masses, np.linspace(0.0, 1.0, 11)
+        hist = np.bincount(np.searchsorted(edges, masses, "right") - (masses == 1.0), minlength=12)
         return {
             "n": self.n,
             "algo": "vertex_exchange",
@@ -55,12 +57,9 @@ class SolveReport:
             "kw_gap": self.kw_gap,
             "log_det": self.log_det,
             "converged": self.converged,
-            "mass_histogram": {
-                "counts": hist.tolist(),
-                "edges": edges.tolist(),
-            },
+            "mass_histogram": {"counts": hist[1:11].tolist(), "edges": edges.tolist()},
             "certificate": self.certificate,
-            "masses": self.measure.masses.tolist(),
+            "masses": masses.tolist(),
         }
 
 
@@ -148,8 +147,8 @@ def _newton_step(masses: np.ndarray, cols: np.ndarray, spec: tuple):
     m = masses[s]
     ys = _lapack("trtrs", sys.chol, cols)(sys.chol, cols[:, s], lower=1)[0]
     h = ys.conj().T @ ys
-    kkt = np.pad(np.abs(h) ** 2, (0, 1), constant_values=1.0)
-    kkt[-1, -1] = 0.0
+    kkt = np.ones((len(s) + 1,) * 2)
+    kkt[:-1, :-1], kkt[-1, -1] = np.abs(h) ** 2, 0.0
     dx = np.linalg.lstsq(kkt, np.append(h.diagonal().real, 0.0), rcond=None)[0][:-1]
     reach = np.full(len(s), np.inf)
     np.divide(m, -dx, out=reach, where=dx < 0)
@@ -177,8 +176,8 @@ def solve_optimal_measure(
     MASS_FLOOR) to at least N(1 - tol): ``converged``.  The start is equal
     mass on the greedy Fekete pick when its Gram passes the pivot check with
     a log det above the uniform measure's, else the uniform measure; where
-    its first iterate misses, search_fekete's pick (same n and Q) replaces
-    it on the same terms.
+    its first iterate misses, fekete.exchange's pick on the same QR (the
+    search's pick at this n and Q) replaces it on the same terms.
 
     An iteration factors the Gram once, computes B from it (only this fresh
     B decides kw_gap, convergence, the certificate and the reported log det),
@@ -200,7 +199,7 @@ def solve_optimal_measure(
     n_dim = len(cols)
     spec = (cand.dimension, weight, n, n_dim, top)
     sys = _system(_factor(cols, masses), *spec)
-    _, piv = pivoted_qr(cols)
+    factor, piv = pivoted_qr(cols)
     greedy = np.zeros(len(masses))
     greedy[piv[:n_dim]] = 1.0 / n_dim
     if (start := _gain(cols, greedy, sys.log_det, spec)) is not None:
@@ -216,12 +215,10 @@ def solve_optimal_measure(
         if converged or it == max_iter:
             break
         if it == 1:
-            from .fekete import empirical_measure, search_fekete  # loaded on a missed start
-            try:
-                pick = empirical_measure(search_fekete(cand, n, weight), cand).masses
-            except InvalidInputError:  # past the search's cap, or a singular greedy pick
-                pick = None
-            if pick is not None and (start := _gain(cols, pick, sys.log_det, spec)) is not None:
+            from .fekete import exchange  # loaded on a missed start
+            pick = np.zeros(len(masses))
+            pick[exchange(factor, piv)] = 1.0 / n_dim
+            if (start := _gain(cols, pick, sys.log_det, spec)) is not None:
                 masses, sys = pick, start
                 y = trtrs(sys.chol, cols, lower=1)[0]
                 b = np.sum(np.abs(y) ** 2, axis=0)

@@ -13,7 +13,7 @@ from pluripot.errors import InvalidInputError
 from pluripot.fekete import diameter_sequence
 from pluripot.gram import DiscreteMeasure, bergman_function, gram_and_bergman, gram_matrix
 from pluripot.gram import _basis_columns, _whitened_columns
-from pluripot.optmeas import DEFAULT_TOL, solve_optimal_measure
+from pluripot.optmeas import DEFAULT_TOL, SolveReport, solve_optimal_measure
 from pluripot.vdm import diameter_exponent
 
 THREE_POINTS = domains.custom(np.array([-1.0, 0.0, 1.0]).astype(complex)[:, None])
@@ -326,6 +326,21 @@ def test_report_dict_round():
     assert d["masses"] == rep.measure.masses.tolist()
 
 
+def test_mass_histogram_bins_as_numpy_does():
+    # Masses at every edge 0.1 k, as linspace and as 0.1 * k, one float to
+    # either side of each, and 0 and 1: each alone and all at once, the
+    # counts and edges of np.histogram(masses, bins=10, range=(0, 1)).
+    edges = np.linspace(0.0, 1.0, 11)
+    exact = np.concatenate([edges, 0.1 * np.arange(11)])
+    masses = np.concatenate([exact, np.nextafter(exact, -1.0), np.nextafter(exact, 2.0)])
+    for x in [masses[i : i + 1] for i in range(len(masses))] + [masses]:
+        rep = SolveReport(SimpleNamespace(masses=x), 1, 1, 0.0, 0.0, True, {})
+        counts, want_edges = np.histogram(x, bins=10, range=(0.0, 1.0))
+        assert rep.to_dict()["mass_histogram"] == {
+            "counts": counts.tolist(), "edges": want_edges.tolist()
+        }, x
+
+
 @pytest.mark.parametrize(
     "cand, weight, n_max",
     [
@@ -370,15 +385,52 @@ def test_search_start_and_newton_steps_shorten_the_tail(cand, n, most):
 
 
 def test_a_refused_search_keeps_the_start(monkeypatch):
-    # search_fekete refuses a degree past its cap or a singular greedy pick;
-    # the solve then goes on from its own start, with sweeps and Newton steps.
-    def refuse(*args):
-        raise InvalidInputError("refused")
-
-    monkeypatch.setattr(fekete, "search_fekete", refuse)
+    # An exchange that finds no swap returns the greedy pick, the start
+    # itself: its log det does not rise, so the pick is refused and the
+    # solve goes on from its own start, with sweeps and Newton steps.
+    monkeypatch.setattr(fekete, "exchange", lambda factor, piv: piv[: len(factor)])
     rep = solve_optimal_measure(domains.interval(-1.0, 1.0, 201), ZERO, 3)
     assert rep.converged and rep.certificate["violations"] == []
     assert rep.iterations > 2
+
+
+@pytest.mark.parametrize(
+    "cand, weight, degrees",
+    [
+        (domains.interval(-1.0, 1.0, 201), ZERO, range(1, 5)),
+        (domains.interval(-1.0, 1.0, 401, "chebyshev"), ZERO, range(1, 9)),
+        (domains.interval(-1.0, 1.0, 401, "chebyshev"), AdmissibleWeight.quadratic(),
+         range(1, 9)),
+        (domains.interval(-30.0, 30.0, 601), AdmissibleWeight.quadratic(), range(1, 5)),
+        (domains.disk(1.0, 12, 40), AdmissibleWeight.quadratic(), range(1, 5)),
+        (domains.product([domains.interval(-1.0, 1.0, 21)] * 2), ZERO, (3, 5)),
+    ],
+    ids=["interval", "chebyshev", "chebyshev-quadratic", "interval60-quadratic",
+         "disk-quadratic", "square"],
+)
+def test_the_restart_picks_what_the_search_picks(cand, weight, degrees, monkeypatch):
+    # A degree whose first iterate misses exchanges on the factor of its
+    # greedy start; the search factors the same columns, flooring only the
+    # relative weights that underflow (on [-30, 30] under Q = x^2), which
+    # are never picked.  So the two picks agree index for index.
+    picks = []
+    exchange = fekete.exchange
+
+    def recorded(*args):
+        picks.append(exchange(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(fekete, "exchange", recorded)
+    restarted = 0
+    for n in degrees:
+        picks.clear()
+        rep = solve_optimal_measure(cand, weight, n)
+        assert len(picks) == (rep.iterations > 1), n
+        if picks:
+            restarted += 1
+            pick = picks[0].tolist()
+            assert pick == list(fekete.search_fekete(cand, n, weight).indices), n
+    assert restarted > 0
 
 
 def _reference_sweep(masses, y, b):
