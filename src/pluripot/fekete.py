@@ -175,7 +175,9 @@ def extrapolate_diameter(seq: list[dict]) -> float:
     """Extrapolated limit of delta_n from the last eight degrees of the sequence.
 
     Fits log delta_n ~ a + b log(n)/n + c/n; the log(n)/n term captures the
-    generic N^{O(1)/n} prefactor of finite-degree diameters.
+    generic N^{O(1)/n} prefactor of finite-degree diameters.  Two degrees
+    fit a + c/n alone: log(n)/n vanishes at n = 1, so with the two columns
+    [1, log(n)/n] the fit would return delta_1.
     """
     pts = seq[-8:]
     if len(pts) == 1:
@@ -183,6 +185,6 @@ def extrapolate_diameter(seq: list[dict]) -> float:
     ns = np.array([p["n"] for p in pts], dtype=float)
     ys = np.log(np.array([p["delta_n"] for p in pts]))
     cols = [np.ones_like(ns), np.log(ns) / ns, 1.0 / ns]
-    design = np.column_stack(cols[: min(len(pts), 3)])
+    design = np.column_stack(cols if len(pts) > 2 else cols[::2])
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     return float(np.exp(coef[0]))

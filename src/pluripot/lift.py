@@ -1,15 +1,20 @@
 """Weighted-VDM maxima on K against homogeneous ones on its lift to C^{d+1}.
 
 The homogeneous-lift check maximizes each side exhaustively when it has at
-most ``EXHAUSTIVE_CAP`` subsets.  One walk down the prefix tree of the
-subsets scores each subset, as a product of projected column norms with
-one Householder reflector per tree node, or proves it below the weighted
-Fekete search's value by Hadamard's inequality: a branch-and-bound, as in
-exact D-optimal design (Welch, Technometrics 1982; Ko, Lee and Queyranne,
-Oper. Res. 1995).  The walk runs in a basis of the row space whose rows are
-orthonormal for the weighted columns, where Hadamard's bound is a product
-of weighted leverages, as no rescaling of the rows can move it.  The best
-score is confirmed by a pivoted QR, so the maximum is exact.
+most ``EXHAUSTIVE_CAP`` subsets, by one of two proofs.  The first is the
+Kiefer-Wolfowitz equivalence theorem (Canad. J. Math. 1960) for equal mass
+on the weighted Fekete search's pick S: no subset beats S by more than
+N/2 (max_x sum_j |l_j(x)|^2 - 1) in log |W|, where l_j is the weighted
+Lagrange basis of S.  Where that bound is at most ``gram.EXCHANGE_TOL``,
+the side reports S's own value.  Elsewhere one walk down the prefix tree of
+the subsets scores each subset, as a product of projected column norms with
+one Householder reflector per tree node, or proves it below the search's
+value by Hadamard's inequality: a branch-and-bound, as in exact D-optimal
+design (Welch, Technometrics 1982; Ko, Lee and Queyranne, Oper. Res. 1995).
+The walk runs in a basis of the row space whose rows are orthonormal for
+the weighted columns, where Hadamard's bound is a product of weighted
+leverages, as no rescaling of the rows can move it.  The best score is
+confirmed by a pivoted QR, so the maximum is exact.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .basis import degree_block, enumerate_basis
 from .domains import AdmissibleWeight, CandidateSet, finite_weight_power
 from .errors import InvalidInputError
 from .fekete import search_fekete
+from .gram import EXCHANGE_TOL
 from .vdm import _lapack, _logdet_qr, diameter_exponent, monomial_values, relative_scales
 from .vdm import weighted_columns
 
@@ -235,6 +241,27 @@ def _descending(scores: np.ndarray):
         yield from np.argsort(-scores, kind="stable")[1:]
 
 
+def _lagrange_margin(cols: np.ndarray, scale: np.ndarray, pick: np.ndarray) -> float:
+    """N/2 (max_x |C[:, x]|^2 - 1) for C = V_S^-1 A, or inf where V_S is
+    singular or C is not finite.
+
+    A holds the weighted columns e^(scale_x) cols[:, x] of
+    ``vdm.weighted_columns``, relative to the largest scale in the pick S,
+    and V_S = A[:, S], so C[:, x] holds the weighted Lagrange basis of S at
+    x.  For equal mass on S the Bergman function is N |C[:, x]|^2, so by
+    the Kiefer-Wolfowitz theorem no N-subset of the columns beats S by more
+    than this margin in log |det|.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = cols * np.exp(scale - scale[pick].max())
+        try:
+            coef = np.linalg.solve(a[:, pick], a)
+        except np.linalg.LinAlgError:
+            return math.inf
+        peak = float(np.square(np.abs(coef)).sum(axis=0).max())
+    return 0.5 * len(pick) * (peak - 1.0) if math.isfinite(peak) else math.inf
+
+
 def lift_identity_check(
     cand: CandidateSet,
     weight: AdmissibleWeight,
@@ -246,24 +273,32 @@ def lift_identity_check(
 
     At any fixed degree the two maxima agree exactly (phase factors carry
     modulus w^n); the reported gap measures search error only.  Each degree
-    runs one weighted Fekete search on K, whose value is the floor of each
-    exhaustive side: a base configuration lifts to one with the same
-    homogeneous determinant modulus.  Where a side is too large for the
-    exhaustive max, it reports the search's value.  ``fekete_seq``, the
-    output of ``fekete.diameter_sequence`` on the same set and weight,
-    supplies the searched values of its degrees; only the other degrees are
-    searched.
+    runs one weighted Fekete search on K.  Its pick S starts the K side, and
+    S's lifted configuration (phase 0 over each point of S, of the same
+    homogeneous determinant modulus) starts the lift side.  A side of at
+    most ``EXHAUSTIVE_CAP`` subsets is "exhaustive": its maximum is proven,
+    from that side's own columns, either by the Lagrange basis of its pick
+    (``_lagrange_margin`` at most ``gram.EXCHANGE_TOL``, so no subset beats
+    the pick by more than 1e-12 in log |W|, and the side reports the pick's
+    value) or else by the walk of ``_exhaustive_max``, floored at the
+    search's value.  A larger side reports the search's value, as
+    "search".  ``fekete_seq``, the output of ``fekete.diameter_sequence``
+    on the same set and weight, supplies the searched values and picks of
+    its degrees; only the other degrees are searched.
     """
     d = cand.dimension
     lift = homogeneous_lift(cand, weight, m_t)
     q = weight(cand.points)
     finite_weight_power(q[np.isfinite(q)], n_max)  # lifted columns carry t^n, |t| = w
     usable = int(np.isfinite(q).sum())
-    searched = {s["n"]: s["log_vdm"] for s in fekete_seq or ()}
+    # Index in the lift of phase 0 over each base point of finite Q.
+    lifted = (np.cumsum(np.isfinite(q)) - 1) * m_t
+    searched = {s["n"]: (s["log_vdm"], s["indices"]) for s in fekete_seq or ()}
 
-    def side(n: int, indices, points: np.ndarray, field: np.ndarray) -> tuple[float, str]:
+    def side(n: int, indices, points: np.ndarray, field: np.ndarray,
+             pick: np.ndarray) -> tuple[float, str]:
         if math.comb(len(points), len(indices)) > EXHAUSTIVE_CAP:
-            return searched[n], "search"
+            return searched[n][0], "search"
         cols, scale = weighted_columns(monomial_values(indices, points), field, n)
         if scale.min() < math.log(sys.float_info.min) and not field.any():
             # Only a lifted column (field 0) is this small: one on K holds 1.
@@ -272,7 +307,11 @@ def lift_identity_check(
                 f"degree {n}: w^{n} = exp(-{n} Q) underflows a lifted column"
                 f" at Q = {float(q[base])!r}"
             )
-        return _exhaustive_max(cols, len(indices), scale, searched[n]), "exhaustive"
+        if _lagrange_margin(cols, scale, pick) <= EXCHANGE_TOL:
+            ld = _logdet_qr(cols[:, pick], scale[pick])
+            if not ld.is_zero:
+                return ld.log_abs, "exhaustive"
+        return _exhaustive_max(cols, len(indices), scale, searched[n][0]), "exhaustive"
 
     out = []
     for n in range(1, n_max + 1):
@@ -284,9 +323,12 @@ def lift_identity_check(
             )
         # The search refuses a degree whose greedy pick is singular.
         if n not in searched:
-            searched[n] = search_fekete(cand, n, weight).log_weighted_vdm
-        lhs_log, lhs_method = side(n, indices, cand.points, q)
-        rhs_log, rhs_method = side(n, degree_block(n, d + 1), lift, np.zeros(len(lift)))
+            cfg = search_fekete(cand, n, weight)
+            searched[n] = cfg.log_weighted_vdm, cfg.indices
+        pick = np.sort(searched[n][1])
+        lhs_log, lhs_method = side(n, indices, cand.points, q, pick)
+        rhs_log, rhs_method = side(n, degree_block(n, d + 1), lift, np.zeros(len(lift)),
+                                   lifted[pick])
 
         expo = diameter_exponent(n, d)
         lhs = math.exp(expo * lhs_log)

@@ -265,6 +265,19 @@ def test_extrapolation_degenerate_inputs():
     assert fekete.extrapolate_diameter(one) == 0.5
 
 
+def test_extrapolation_of_two_degrees_is_not_delta_1():
+    # log(n)/n is 0 at n = 1, so a fit of two degrees on [1, log(n)/n]
+    # returned delta_1 = 2 on the circle.  On [1, 1/n] it gives
+    # delta_2^2 / delta_1: 1.499 here, and 3 / 2 on a grid holding the
+    # cube roots of unity.
+    seq = fekete.diameter_sequence(domains.circle(1.0, 64), AdmissibleWeight.zero(), 2)
+    delta_1, delta_2 = (rec["delta_n"] for rec in seq)
+    assert delta_1 == pytest.approx(2.0, rel=1e-14)
+    est = fekete.extrapolate_diameter(seq)
+    assert est == pytest.approx(delta_2**2 / delta_1, rel=1e-14)
+    assert est == pytest.approx(1.5, rel=1e-2)
+
+
 def test_scaling_covariance():
     # delta_n(r K) = r * delta_n(K) for the unweighted diameter
     seq1 = fekete.diameter_sequence(

@@ -310,14 +310,16 @@ def _brute_force_max(cols, n, q):
     return best
 
 
+def _table_weight(pts, q):
+    """The weight whose Q is q[i] at pts[i]."""
+    return AdmissibleWeight.custom(
+        lambda p: q[(p[:, None, :] == pts[None]).all(axis=2).argmax(axis=1)]
+    )
+
+
 def _search_value(pts, n, q):
     """``fekete.search_fekete``'s value on the points pts, where Q = q."""
-
-    def weight(p):
-        return q[(p[:, None, :] == pts[None]).all(axis=2).argmax(axis=1)]
-
-    cfg = fekete.search_fekete(domains.custom(pts), n, AdmissibleWeight.custom(weight))
-    return cfg.log_weighted_vdm
+    return fekete.search_fekete(domains.custom(pts), n, _table_weight(pts, q)).log_weighted_vdm
 
 
 def _rank_deficient_lift_pairs():
@@ -616,6 +618,133 @@ def test_subset_scores_sum_to_the_gram_log_det(cand, w, n):
         log_mass = np.log(mu.masses)[subsets].sum(axis=1)
     got = scipy.special.logsumexp(2 * scores + log_mass)
     assert got == pytest.approx(gram.gram_matrix(mu, w, n).log_det, rel=0, abs=1e-13)
+
+
+def _walk_spy(monkeypatch):
+    """Replace lift._subset_scores by a wrapper; returns the list of the
+    (count, m) of each walk it runs."""
+    walks = []
+    walk = lifting._subset_scores
+
+    def spy(cols, count, *args):
+        walks.append((count, cols.shape[1]))
+        return walk(cols, count, *args)
+
+    monkeypatch.setattr(lifting, "_subset_scores", spy)
+    return walks
+
+
+@pytest.mark.parametrize("radius", [0.8, 1.0])
+def test_the_lagrange_certificate_skips_every_walk_on_the_circle(monkeypatch, radius):
+    # On 48 points of the circle the search picks N equally spaced points,
+    # whose weighted Lagrange basis has sum_j |l_j(x)|^2 = 1 at every
+    # candidate: each side under the cap (K at n <= 3, the lift at n = 1)
+    # is proven without a walk.
+    walks = _walk_spy(monkeypatch)
+    out = lifting.lift_identity_check(domains.circle(radius, 48), AdmissibleWeight.zero(), 3)
+    assert walks == []
+    assert [(r["lhs_method"], r["rhs_method"]) for r in out] == [
+        ("exhaustive", "exhaustive"), ("exhaustive", "search"), ("exhaustive", "search")
+    ]
+    for rec in out:
+        assert rec["relative_gap"] <= 1e-14, rec
+
+
+@pytest.mark.parametrize(
+    "cand, w, walked",
+    [
+        (domains.disk(1.0, 4, 8), AdmissibleWeight.quadratic(),
+         [(2, 33), (2, 132), (3, 33), (4, 33)]),
+        (domains.torus(2, 5), AdmissibleWeight.zero(), [(3, 25), (3, 100), (6, 25)]),
+    ],
+    ids=["disk-quadratic", "torus2"],
+)
+def test_the_walk_runs_where_the_lagrange_certificate_fails(monkeypatch, cand, w, walked):
+    # The search's pick leaves margins of 1e-2 to 6 here: every side under
+    # the cap is walked, K's and the lift's at each degree in turn.
+    walks = _walk_spy(monkeypatch)
+    out = lifting.lift_identity_check(cand, w, 3)
+    assert walks == walked
+    sides = [m for r in out for m in (r["lhs_method"], r["rhs_method"])]
+    assert sides.count("exhaustive") == len(walked)
+
+
+def _rotated_roots(data):
+    """m scaled and rotated roots of unity with (n + 1) | m and C(m, N) <= cap."""
+    m = data.draw(st.sampled_from([12, 16, 24]), label="m")
+    n_pts = data.draw(st.sampled_from(
+        [k for k in range(2, m + 1) if m % k == 0 and math.comb(m, k) <= lifting.EXHAUSTIVE_CAP]
+    ), label="N")
+    radius = data.draw(st.floats(0.5, 2.0), label="radius")
+    angle = data.draw(st.floats(0.0, 2 * math.pi), label="angle")
+    pts = radius * np.exp(1j * (angle + 2 * np.pi * np.arange(m) / m))
+    return pts[:, None], n_pts - 1, np.zeros(m)
+
+
+def _interval_with_lobatto_nodes(data):
+    """An equispaced grid of [-1, 1] with the Gauss-Lobatto nodes of degree n added."""
+    n = data.draw(st.integers(1, 4), label="n")
+    m = data.draw(st.integers(n + 1, 14), label="m")
+    inner = np.polynomial.legendre.Legendre.basis(n).deriv().roots()
+    nodes = np.concatenate([[-1.0], inner, [1.0]])
+    grid = np.linspace(-1.0, 1.0, m)
+    grid = grid[np.abs(grid[:, None] - nodes[None, :]).min(axis=1) > 1e-12]
+    return np.concatenate([grid, nodes]).astype(complex)[:, None], n, np.zeros(len(grid) + n + 1)
+
+
+def _random_set(data):
+    """Random points in C or C^2, with Q random or 0."""
+    d, n = data.draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]), label="d, n")
+    count = dimension_counts(n, d)[0]
+    m = count + data.draw(st.integers(0, 6), label="extra")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pts = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    q = rng.uniform(-0.5, 0.5, m) if data.draw(st.booleans(), label="weighted") else np.zeros(m)
+    return pts, n, q
+
+
+def _vectorized_brute_force_max(unit, scale, count):
+    """Max over all count-subsets S of slogdet(unit[:, S]) + sum scale(S)."""
+    best = -math.inf
+    combos = itertools.combinations(range(unit.shape[1]), count)
+    while len(chunk := np.array(list(itertools.islice(combos, 20_000)), dtype=int)):
+        blocks = unit[:, chunk].transpose(1, 0, 2)
+        best = max(best, float((np.linalg.slogdet(blocks)[1] + scale[chunk].sum(axis=1)).max()))
+    return best
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_lagrange_certificate_is_sound(data):
+    # Wherever the search's pick passes the certificate, no subset beats it
+    # by more than EXCHANGE_TOL: its value is the walk's maximum and a brute
+    # force's.  On the roots of unity it passes with N < m (margins up to
+    # 1.2e-14); with N = m = 24, the one subset at degree 23, rounding in
+    # V_S^-1 A takes the margin to 4e-12, and the walk runs.
+    kind = data.draw(st.sampled_from([_rotated_roots, _interval_with_lobatto_nodes, _random_set]))
+    pts, n, q = kind(data)
+    count = dimension_counts(n, pts.shape[1])[0]
+    rows = vdm.monomial_values(enumerate_basis(n, pts.shape[1]), pts)
+    unit, scale = vdm.weighted_columns(rows, q, n)
+    cfg = fekete.search_fekete(domains.custom(pts), n, _table_weight(pts, q))
+    pick = np.sort(cfg.indices)
+    margin = lifting._lagrange_margin(unit, scale, pick)
+    if kind is _rotated_roots and count < len(pts):
+        assert margin <= gram.EXCHANGE_TOL
+    if margin <= gram.EXCHANGE_TOL:
+        value = vdm._logdet_qr(unit[:, pick], scale[pick]).log_abs
+        walked = lifting._exhaustive_max(unit, count, scale, cfg.log_weighted_vdm)
+        assert abs(value - walked) <= gram.EXCHANGE_TOL
+        assert abs(value - _vectorized_brute_force_max(unit, scale, count)) <= gram.EXCHANGE_TOL
+
+
+def test_lagrange_margin_of_a_singular_pick_is_infinite():
+    # Two equal columns in the pick: V_S is singular, and no bound holds.
+    # Columns 0 and 2 hold a copy of every column: each C[:, x] is a unit vector.
+    rows = np.array([[1.0, 1.0, 1.0], [0.5, 0.5, -0.5]])
+    unit, scale = vdm.weighted_columns(rows, np.zeros(3), 1)
+    assert lifting._lagrange_margin(unit, scale, np.array([0, 1])) == math.inf
+    assert lifting._lagrange_margin(unit, scale, np.array([0, 2])) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_descending_refuses_a_nan_score():

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite
 
 from pluripot import domains, fekete, optmeas
 from pluripot.domains import AdmissibleWeight
@@ -341,16 +342,31 @@ def test_mass_histogram_bins_as_numpy_does():
         }, x
 
 
+def _chebyshev_grid_with_hermite_nodes(n):
+    """The 401-node Chebyshev grid with the weighted Fekete points of degree n
+    under Q = x^2 added, the zeros of H_{n+1} over sqrt(2n) (ROADMAP item 4);
+    the grid's node at 0 duplicates one and is dropped."""
+    nodes = hermite.hermgauss(n + 1)[0] / math.sqrt(2 * n)
+    grid = domains.interval(-1.0, 1.0, 401, "chebyshev").points[:, 0].real
+    keep = np.abs(grid[:, None] - nodes[None, :]).min(axis=1) > 1e-12
+    return domains.custom(np.concatenate([grid[keep], nodes]).astype(complex)[:, None])
+
+
 @pytest.mark.parametrize(
     "cand, weight, n_max",
     [
         (domains.interval(-1.0, 1.0, 401, "chebyshev"), ZERO, 12),
         (domains.interval(-1.0, 1.0, 401, "chebyshev"), AdmissibleWeight.quadratic(), 12),
+        (domains.interval(-1.0, 1.0, 401), ZERO, 12),
+        (domains.interval(-1.0, 1.0, 401), AdmissibleWeight.quadratic(), 12),
+        (_chebyshev_grid_with_hermite_nodes(12), AdmissibleWeight.quadratic(), 12),
         (domains.circle(1.0, 64), ZERO, 8),
+        (domains.circle(0.5, 201), ZERO, 12),
         (domains.disk(1.0, 12, 40), AdmissibleWeight.quadratic(), 4),
         (domains.torus(2, 21), ZERO, 4),
     ],
-    ids=["chebyshev", "chebyshev-quadratic", "circle", "disk-quadratic", "torus"],
+    ids=["chebyshev", "chebyshev-quadratic", "equispaced", "equispaced-quadratic",
+         "chebyshev-hermite-quadratic", "circle", "circle-0.5", "disk-quadratic", "torus"],
 )
 def test_fekete_values_lie_below_the_kiefer_wolfowitz_bound(cand, weight, n_max):
     # log det is concave on measures, so for any measure nu and the equal
